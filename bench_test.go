@@ -1,12 +1,13 @@
 // Package repro's benchmark harness regenerates every table and figure
-// in the paper's evaluation (see DESIGN.md's experiment index). Each
+// in the paper's evaluation, one benchmark per figure or table. Each
 // benchmark reports the headline values of its figure or table via
 // b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
-// prints the full paper-versus-measured comparison recorded in
-// EXPERIMENTS.md. The shared study trace is generated once per run.
+// prints the full paper-versus-measured comparison (the paper's value
+// is noted in a comment beside each metric it gives one for). The
+// shared study trace is generated once per run.
 package repro
 
 import (
@@ -249,7 +250,7 @@ func BenchmarkCombinedCache(b *testing.B) {
 	b.ReportMetric(100*(alone-filtered), "reduction_points") // paper: ~3
 }
 
-// --- Ablations (DESIGN.md section 4) ------------------------------------
+// --- Ablations: the paper's interface and tracing design choices -------
 
 // BenchmarkAblationStridedSmall measures the cost of the access style
 // the paper says the interface forces on programmers: many small

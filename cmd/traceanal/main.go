@@ -14,8 +14,9 @@
 //
 //	traceanal study.trc [-raw]
 //
-// With -raw, the drift correction is skipped (the ablation from
-// DESIGN.md): events are merged on their raw local-clock timestamps.
+// With -raw, the drift correction is skipped (an ablation showing what
+// the correction buys): events are merged on their raw local-clock
+// timestamps.
 package main
 
 import (

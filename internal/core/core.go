@@ -133,7 +133,7 @@ func studyParams(cfg Config) (workload.Params, machine.Config) {
 	// load (real users archived results off-machine between runs, a
 	// process outside the traced window); give the simulated drives
 	// room at larger scales. This changes capacity only, not timing
-	// parameters. See DESIGN.md.
+	// parameters, so no simulated service time moves.
 	if cfg.Scale > 0.2 && cfg.Machine == nil {
 		grow := int64(1 + 15*cfg.Scale)
 		mc.FS.IONode.Disk.CapacityBytes *= grow

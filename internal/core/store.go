@@ -687,10 +687,13 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	var mu sync.Mutex // guards run.Ran, simSeconds, reclaims, firstErr
+	var mu sync.Mutex // guards run.Ran, simSeconds, reclaims, firstErr, commitSig
 	var firstErr error
 	var simSeconds float64
 	var reclaims int
+	// commitSig is closed and replaced on every commit by this process,
+	// so idle siblings re-scan at once instead of sleeping out a poll.
+	commitSig := make(chan struct{})
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -720,6 +723,9 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 			owner := fmt.Sprintf("%s#%d", store.WorkerID, w)
 			for {
 				progress, pending := false, false
+				mu.Lock()
+				sig := commitSig
+				mu.Unlock()
 				for _, i := range order {
 					if runCtx.Err() != nil {
 						return
@@ -766,6 +772,8 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 					if reclaimed {
 						reclaims++
 					}
+					close(commitSig)
+					commitSig = make(chan struct{})
 					mu.Unlock()
 				}
 				if !pending {
@@ -773,10 +781,12 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 				}
 				if !progress {
 					// Everything pending is leased elsewhere: wait for
-					// commits to land or leases to expire.
+					// a sibling's commit, or poll for other processes'
+					// commits and expired leases.
 					select {
 					case <-runCtx.Done():
 						return
+					case <-sig:
 					case <-time.After(poll):
 					}
 				}

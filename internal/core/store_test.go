@@ -340,6 +340,37 @@ func TestLeaseStoreClaimsCostOrder(t *testing.T) {
 	}
 }
 
+// TestLeaseStoreWakesOnInProcessCommit: a worker that finds the last
+// pending spec leased by an in-process sibling wakes on the sibling's
+// commit, so the run returns promptly instead of after a full poll
+// interval (2 s at the default 30 s TTL).
+func TestLeaseStoreWakesOnInProcessCommit(t *testing.T) {
+	specs := CrossSpecs([]uint64{1}, []float64{0.01, 0.02}, nil, nil)
+	labels, fps := specKeys("", specs)
+	store, err := StoreConfig{Dir: t.TempDir(), WorkerID: "w"}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Spec 1 (the costlier, claimed first) runs long; whoever takes
+	// spec 0 finishes early and must wait on spec 1's lease.
+	var mu sync.Mutex
+	var lastExec time.Time
+	_, err = runStore(context.Background(), 2, store, labels, fps, specCosts(specs),
+		func(_, i int) (StudyOutcome, string, string, error) {
+			time.Sleep(time.Duration(20+180*i) * time.Millisecond)
+			mu.Lock()
+			lastExec = time.Now()
+			mu.Unlock()
+			return StudyOutcome{Spec: specs[i], Done: true}, "", "", nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := time.Since(lastExec); tail > 500*time.Millisecond {
+		t.Fatalf("run returned %v after the last study finished; an idle worker slept out its poll", tail)
+	}
+}
+
 // TestStoreStaleSweep: opening a store removes debris a killed
 // process left behind -- old commit temp files and leases whose
 // outcome is already committed -- while sparing fresh temp files that

@@ -58,8 +58,9 @@ func BenchmarkKernelSameInstant(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSleepWake measures one full baton handoff: the process
-// sleeps, the kernel dispatches the wakeup, and the process resumes.
+// BenchmarkProcSleepWake measures one full process handoff: the process
+// sleeps (a coroutine switch back to the kernel), the kernel dispatches
+// the wakeup, and the process resumes (a switch back in).
 func BenchmarkProcSleepWake(b *testing.B) {
 	k := New()
 	k.Spawn("sleeper", func(p *Proc) {

@@ -5,11 +5,13 @@
 // (time, sequence number), so simulations are reproducible: two runs
 // with the same inputs execute events in exactly the same order.
 //
-// Processes are goroutines that cooperate through a baton handoff:
-// exactly one goroutine (either the kernel loop or a single process)
-// runs at any instant, which keeps the simulation deterministic without
-// locks. Processes block with Sleep, Suspend, or Chan.Recv, returning
-// control to the kernel until the corresponding wakeup event fires.
+// Processes are coroutines (iter.Pull): a kernel event resumes a
+// process body, which runs until it blocks and then switches straight
+// back to that event. Exactly one of the kernel loop or a single
+// process runs at any instant, which keeps the simulation deterministic
+// without locks. Processes block with Sleep, Suspend, or Chan.Recv,
+// returning control to the kernel until the corresponding wakeup event
+// fires.
 package sim
 
 import "fmt"
@@ -49,7 +51,6 @@ type Kernel struct {
 	fifo    eventFIFO // events scheduled for the current instant
 	seq     uint64
 	stopped bool
-	failure interface{} // panic value propagated from a process
 }
 
 // New returns a fresh kernel with the clock at zero.
@@ -66,7 +67,6 @@ func (k *Kernel) Reset() {
 	k.now = 0
 	k.seq = 0
 	k.stopped = false
-	k.failure = nil
 	k.heap.reset()
 	k.fifo.reset()
 }
@@ -112,8 +112,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Run() { k.RunUntil(1<<62 - 1) }
 
 // RunUntil executes all events with time <= limit, then advances the
-// clock to limit (if it is not already past it). If a process panicked,
-// the panic is re-raised here on the kernel goroutine.
+// clock to limit (if it is not already past it). A panic in a process
+// body propagates out of RunUntil, annotated with the process name.
 func (k *Kernel) RunUntil(limit Time) {
 	k.stopped = false
 	for !k.stopped {
@@ -141,11 +141,6 @@ func (k *Kernel) RunUntil(limit Time) {
 		}
 		k.now = e.t
 		e.fn()
-		if k.failure != nil {
-			f := k.failure
-			k.failure = nil
-			panic(f)
-		}
 	}
 	if k.now < limit && limit < 1<<62-1 {
 		k.now = limit

@@ -1,18 +1,23 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulation process: a goroutine whose execution is
+// Proc is a simulation process: a coroutine whose execution is
 // interleaved deterministically with other processes by the kernel.
-// All Proc methods must be called from the process's own goroutine
-// (the body function passed to Spawn), except Wake, which any running
-// process or event may call.
+// All Proc methods must be called from the process's own body (the
+// function passed to Spawn), except Wake, which any running process or
+// event may call.
 type Proc struct {
 	k         *Kernel
 	name      string
-	resume    chan struct{}
-	yield     chan struct{}
-	stepFn    func() // p.step, bound once at Spawn so Sleep/Wake don't allocate
+	next      func() (struct{}, bool) // resumes the body until it blocks or returns
+	yield     func(struct{}) bool     // suspends the body back to next's caller
+	stepFn    func()                  // p.step, bound once at Spawn so Sleep/Wake don't allocate
 	done      bool
 	suspended bool
 }
@@ -32,46 +37,43 @@ func (p *Proc) Done() bool { return p.done }
 // Spawn creates a process running body, starting at the current
 // virtual time (after already-queued events at that time).
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name}
 	p.stepFn = p.step
 	k.After(0, func() {
-		go func() {
+		// The stop function is dropped: a body that returns releases its
+		// coroutine, and one still blocked when the simulation ends is
+		// never resumed.
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			defer func() {
 				if r := recover(); r != nil {
-					p.k.failure = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+					// iter.Pull re-raises this in the caller of next,
+					// so it surfaces from Run with the process named.
+					panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 				}
-				p.done = true
-				p.yield <- struct{}{}
 			}()
-			<-p.resume
 			body(p)
-		}()
+		})
 		p.step()
 	})
 	return p
 }
 
-// step hands the baton to the process goroutine and waits for it to
-// yield or finish. It runs on the kernel goroutine (inside an event).
+// step resumes the process body until it blocks or returns. It runs
+// inside a kernel event; the switch into the coroutine and back happens
+// on the current thread without going through the Go scheduler.
 func (p *Proc) step() {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	if _, ok := p.next(); !ok {
+		p.done = true
+	}
 }
 
-// block hands the baton back to the kernel and waits to be resumed.
-// It runs on the process goroutine.
-func (p *Proc) block() {
-	p.yield <- struct{}{}
-	<-p.resume
-}
+// block suspends the process body, returning control to the kernel
+// event that resumed it, until the next step.
+func (p *Proc) block() { p.yield(struct{}{}) }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Time) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -325,7 +326,46 @@ func TestWaitGroupZeroCountNoBlock(t *testing.T) {
 	}
 }
 
+func TestWakeFromEvent(t *testing.T) {
+	k := New()
+	var resumedAt Time
+	target := k.Spawn("target", func(p *Proc) {
+		p.Suspend()
+		resumedAt = p.Now()
+	})
+	k.After(40, target.Wake) // a plain event, not a process
+	k.Run()
+	if resumedAt != 40 || !target.Done() {
+		t.Fatalf("resumed at %v, done=%v; want 40, true", resumedAt, target.Done())
+	}
+}
+
+func TestSpawnFromProc(t *testing.T) {
+	k := New()
+	var order []string
+	var child *Proc
+	k.Spawn("parent", func(p *Proc) {
+		order = append(order, "parent0")
+		child = k.Spawn("child", func(c *Proc) {
+			order = append(order, "child"+c.Now().String())
+			c.Sleep(5)
+			order = append(order, "child"+c.Now().String())
+		})
+		p.Sleep(10)
+		order = append(order, "parent"+p.Now().String())
+	})
+	k.Run()
+	want := "parent0,child0.000000s,child0.000005s,parent0.000010s"
+	if strings.Join(order, ",") != want {
+		t.Fatalf("order = %v, want %s", order, want)
+	}
+	if !child.Done() {
+		t.Fatal("child did not finish")
+	}
+}
+
 func TestManyProcsStress(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := New()
 	const n = 500
 	completed := 0
@@ -341,5 +381,11 @@ func TestManyProcsStress(t *testing.T) {
 	k.Run()
 	if completed != n {
 		t.Fatalf("completed %d of %d", completed, n)
+	}
+	// A finished body releases its coroutine as it returns. (The count
+	// may dip below base: the previous test's goroutine can still be
+	// exiting when base is read.)
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after Run, %d before", got, base)
 	}
 }

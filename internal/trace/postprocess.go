@@ -105,8 +105,8 @@ func PostprocessInto(t *Trace, a *Arena) []Event {
 
 // PostprocessRaw flattens and sorts the trace on the raw local
 // timestamps with no clock correction. It exists to measure how much
-// event-order error the drift correction removes (an ablation in
-// DESIGN.md).
+// event-order error the drift correction removes (an ablation: compare
+// its output with Postprocess on the same trace).
 func PostprocessRaw(t *Trace) []Event {
 	return flattenSorted(t, func(uint16) ClockFit { return IdentityFit }, nil)
 }
