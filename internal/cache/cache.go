@@ -117,7 +117,7 @@ func (o *order) unlink(i int32) {
 // LRU is a least-recently-used block cache.
 type LRU struct {
 	capacity int
-	index    map[BlockID]int32
+	index    blockIndex
 	order    order
 	stats    Stats
 }
@@ -129,7 +129,7 @@ func NewLRU(capacity int) *LRU {
 	}
 	return &LRU{
 		capacity: capacity,
-		index:    make(map[BlockID]int32, min(capacity, 1<<16)),
+		index:    newBlockIndex(),
 		order:    newOrder(capacity),
 	}
 }
@@ -137,7 +137,7 @@ func NewLRU(capacity int) *LRU {
 // Access implements Cache.
 func (c *LRU) Access(id BlockID) bool {
 	c.stats.Accesses++
-	if i, ok := c.index[id]; ok {
+	if i, _, ok := c.index.get(id); ok {
 		c.stats.Hits++
 		if c.order.front != i {
 			c.order.unlink(i)
@@ -145,35 +145,35 @@ func (c *LRU) Access(id BlockID) bool {
 		}
 		return true
 	}
-	if len(c.index) >= c.capacity {
+	if c.index.n >= c.capacity {
 		victim := c.order.back
 		c.order.unlink(victim)
-		delete(c.index, c.order.entries[victim].id)
+		c.index.remove(c.order.entries[victim].id)
 		c.order.entries[victim].id = id
-		c.index[id] = victim
+		c.index.put(id, victim, false)
 		c.order.pushFront(victim)
 		return false
 	}
 	i := c.order.alloc(id)
-	c.index[id] = i
+	c.index.put(id, i, false)
 	c.order.pushFront(i)
 	return false
 }
 
 // Contains implements Cache.
-func (c *LRU) Contains(id BlockID) bool { _, ok := c.index[id]; return ok }
+func (c *LRU) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
 
 // Invalidate implements Cache.
 func (c *LRU) Invalidate(id BlockID) {
-	if i, ok := c.index[id]; ok {
+	if i, _, ok := c.index.get(id); ok {
 		c.order.unlink(i)
 		c.order.free = append(c.order.free, i)
-		delete(c.index, id)
+		c.index.remove(id)
 	}
 }
 
 // Len implements Cache.
-func (c *LRU) Len() int { return len(c.index) }
+func (c *LRU) Len() int { return c.index.n }
 
 // Capacity implements Cache.
 func (c *LRU) Capacity() int { return c.capacity }
@@ -190,7 +190,7 @@ func (c *LRU) Name() string { return "LRU" }
 // ~5 in required cache size at the I/O nodes.
 type FIFO struct {
 	capacity int
-	index    map[BlockID]int32
+	index    blockIndex
 	order    order // front = newest arrival
 	stats    Stats
 }
@@ -202,7 +202,7 @@ func NewFIFO(capacity int) *FIFO {
 	}
 	return &FIFO{
 		capacity: capacity,
-		index:    make(map[BlockID]int32, min(capacity, 1<<16)),
+		index:    newBlockIndex(),
 		order:    newOrder(capacity),
 	}
 }
@@ -210,39 +210,39 @@ func NewFIFO(capacity int) *FIFO {
 // Access implements Cache.
 func (c *FIFO) Access(id BlockID) bool {
 	c.stats.Accesses++
-	if _, ok := c.index[id]; ok {
+	if _, ok := c.index.lookup(id); ok {
 		c.stats.Hits++
 		return true
 	}
-	if len(c.index) >= c.capacity {
+	if c.index.n >= c.capacity {
 		victim := c.order.back
 		c.order.unlink(victim)
-		delete(c.index, c.order.entries[victim].id)
+		c.index.remove(c.order.entries[victim].id)
 		c.order.entries[victim].id = id
-		c.index[id] = victim
+		c.index.put(id, victim, false)
 		c.order.pushFront(victim)
 		return false
 	}
 	i := c.order.alloc(id)
-	c.index[id] = i
+	c.index.put(id, i, false)
 	c.order.pushFront(i)
 	return false
 }
 
 // Contains implements Cache.
-func (c *FIFO) Contains(id BlockID) bool { _, ok := c.index[id]; return ok }
+func (c *FIFO) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
 
 // Invalidate implements Cache.
 func (c *FIFO) Invalidate(id BlockID) {
-	if i, ok := c.index[id]; ok {
+	if i, _, ok := c.index.get(id); ok {
 		c.order.unlink(i)
 		c.order.free = append(c.order.free, i)
-		delete(c.index, id)
+		c.index.remove(id)
 	}
 }
 
 // Len implements Cache.
-func (c *FIFO) Len() int { return len(c.index) }
+func (c *FIFO) Len() int { return c.index.n }
 
 // Capacity implements Cache.
 func (c *FIFO) Capacity() int { return c.capacity }

@@ -73,7 +73,7 @@ func TestLRUBeatsFIFOOnLoopWithRefresh(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	for _, c := range []Cache{NewLRU(4), NewFIFO(4), NewPerFile()} {
+	for _, c := range []Cache{NewLRU(4), NewFIFO(4), NewClock(4), NewSLRU(4), NewPerFile()} {
 		c.Access(id(1, 0))
 		c.Invalidate(id(1, 0))
 		if c.Contains(id(1, 0)) {
@@ -95,7 +95,7 @@ func TestContainsHasNoSideEffects(t *testing.T) {
 }
 
 func TestCapacityRespected(t *testing.T) {
-	for _, c := range []Cache{NewLRU(3), NewFIFO(3)} {
+	for _, c := range []Cache{NewLRU(3), NewFIFO(3), NewClock(3), NewSLRU(3)} {
 		for b := int64(0); b < 100; b++ {
 			c.Access(id(1, b))
 		}
@@ -112,6 +112,8 @@ func TestZeroCapacityPanics(t *testing.T) {
 	for _, mk := range []func(){
 		func() { NewLRU(0) },
 		func() { NewFIFO(0) },
+		func() { NewClock(0) },
+		func() { NewSLRU(0) },
 	} {
 		func() {
 			defer func() {
@@ -184,7 +186,7 @@ func TestHitRateEmpty(t *testing.T) {
 func TestQuickCacheInvariants(t *testing.T) {
 	f := func(capRaw uint8, ops []uint16) bool {
 		capacity := int(capRaw%32) + 1
-		for _, c := range []Cache{NewLRU(capacity), NewFIFO(capacity)} {
+		for _, c := range []Cache{NewLRU(capacity), NewFIFO(capacity), NewClock(capacity), NewSLRU(capacity)} {
 			for _, op := range ops {
 				bid := id(uint64(op%4), int64(op/4%64))
 				c.Access(bid)
@@ -208,7 +210,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 }
 
 // Property: with capacity >= distinct blocks, every repeat access hits
-// (no spurious evictions) for both policies.
+// (no spurious evictions) for every policy.
 func TestQuickNoSpuriousEvictions(t *testing.T) {
 	f := func(ops []uint8) bool {
 		distinct := make(map[BlockID]bool)
@@ -219,7 +221,7 @@ func TestQuickNoSpuriousEvictions(t *testing.T) {
 		if capacity == 0 {
 			return true
 		}
-		for _, c := range []Cache{NewLRU(capacity), NewFIFO(capacity)} {
+		for _, c := range []Cache{NewLRU(capacity), NewFIFO(capacity), NewClock(capacity), NewSLRU(capacity)} {
 			seen := make(map[BlockID]bool)
 			for _, op := range ops {
 				bid := id(0, int64(op%16))

@@ -15,7 +15,7 @@ import "fmt"
 // unreferenced victim. Behaviour approximates LRU at FIFO cost.
 type Clock struct {
 	capacity int
-	index    map[BlockID]int32
+	index    blockIndex
 	ids      []BlockID
 	ref      []bool
 	hand     int32
@@ -29,14 +29,14 @@ func NewClock(capacity int) *Clock {
 	}
 	return &Clock{
 		capacity: capacity,
-		index:    make(map[BlockID]int32, min(capacity, 1<<16)),
+		index:    newBlockIndex(),
 	}
 }
 
 // Access implements Cache.
 func (c *Clock) Access(id BlockID) bool {
 	c.stats.Accesses++
-	if i, ok := c.index[id]; ok {
+	if i, _, ok := c.index.get(id); ok {
 		c.stats.Hits++
 		c.ref[i] = true
 		return true
@@ -44,7 +44,7 @@ func (c *Clock) Access(id BlockID) bool {
 	if len(c.ids) < c.capacity {
 		c.ids = append(c.ids, id)
 		c.ref = append(c.ref, false)
-		c.index[id] = int32(len(c.ids) - 1)
+		c.index.put(id, int32(len(c.ids)-1), false)
 		return false
 	}
 	// Sweep for a victim: clear reference bits until one is unset.
@@ -55,18 +55,18 @@ func (c *Clock) Access(id BlockID) bool {
 	victim := c.hand
 	// Guard against an Invalidate tombstone whose zero BlockID could
 	// collide with a genuinely cached block living in another slot.
-	if j, ok := c.index[c.ids[victim]]; ok && j == victim {
-		delete(c.index, c.ids[victim])
+	if j, _, ok := c.index.get(c.ids[victim]); ok && j == victim {
+		c.index.remove(c.ids[victim])
 	}
 	c.ids[victim] = id
 	c.ref[victim] = false
-	c.index[id] = victim
+	c.index.put(id, victim, false)
 	c.hand = (c.hand + 1) % int32(len(c.ids))
 	return false
 }
 
 // Contains implements Cache.
-func (c *Clock) Contains(id BlockID) bool { _, ok := c.index[id]; return ok }
+func (c *Clock) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
 
 // Invalidate implements Cache. The slot keeps its position on the
 // ring: its entry is tombstoned with a zero BlockID and its reference
@@ -75,8 +75,8 @@ func (c *Clock) Contains(id BlockID) bool { _, ok := c.index[id]; return ok }
 // other slot, the eviction path in Access only deletes the victim's
 // index entry when it still points at the victim's slot.
 func (c *Clock) Invalidate(id BlockID) {
-	if i, ok := c.index[id]; ok {
-		delete(c.index, id)
+	if i, _, ok := c.index.get(id); ok {
+		c.index.remove(id)
 		// Make the slot an immediate victim candidate.
 		c.ref[i] = false
 		c.ids[i] = BlockID{}
@@ -84,7 +84,7 @@ func (c *Clock) Invalidate(id BlockID) {
 }
 
 // Len implements Cache.
-func (c *Clock) Len() int { return len(c.index) }
+func (c *Clock) Len() int { return c.index.n }
 
 // Capacity implements Cache.
 func (c *Clock) Capacity() int { return c.capacity }
@@ -102,15 +102,14 @@ func (c *Clock) Name() string { return "Clock" }
 // probationary segment, so the hot interprocess-shared blocks of a
 // CHARISMA trace survive scans that would flush plain LRU.
 type SLRU struct {
-	capacity  int
-	protCap   int // protected-segment capacity
-	index     map[BlockID]int32
-	protected map[BlockID]bool
-	prob      order // probationary segment, front = MRU
-	prot      order // protected segment, front = MRU
-	probLen   int
-	protLen   int
-	stats     Stats
+	capacity int
+	protCap  int        // protected-segment capacity
+	index    blockIndex // flag set: the block is in the protected segment
+	prob     order      // probationary segment, front = MRU
+	prot     order      // protected segment, front = MRU
+	probLen  int
+	protLen  int
+	stats    Stats
 }
 
 // NewSLRU returns a segmented-LRU cache holding up to capacity blocks
@@ -126,21 +125,20 @@ func NewSLRU(capacity int) *SLRU {
 		protCap = 1
 	}
 	return &SLRU{
-		capacity:  capacity,
-		protCap:   protCap,
-		index:     make(map[BlockID]int32, min(capacity, 1<<16)),
-		protected: make(map[BlockID]bool, min(protCap, 1<<16)),
-		prob:      newOrder(capacity - protCap),
-		prot:      newOrder(protCap),
+		capacity: capacity,
+		protCap:  protCap,
+		index:    newBlockIndex(),
+		prob:     newOrder(capacity - protCap),
+		prot:     newOrder(protCap),
 	}
 }
 
 // Access implements Cache.
 func (c *SLRU) Access(id BlockID) bool {
 	c.stats.Accesses++
-	if i, ok := c.index[id]; ok {
+	if i, protected, ok := c.index.get(id); ok {
 		c.stats.Hits++
-		if c.protected[id] {
+		if protected {
 			// Already protected: move to the segment's MRU end.
 			if c.prot.front != i {
 				c.prot.unlink(i)
@@ -156,7 +154,7 @@ func (c *SLRU) Access(id BlockID) bool {
 			// Degenerate split: stay probationary, refreshed to MRU.
 			j := c.prob.alloc(id)
 			c.prob.pushFront(j)
-			c.index[id] = j
+			c.index.put(id, j, false)
 			c.probLen++
 			return true
 		}
@@ -167,13 +165,11 @@ func (c *SLRU) Access(id BlockID) bool {
 			c.prot.unlink(victim)
 			c.prot.free = append(c.prot.free, victim)
 			c.protLen--
-			delete(c.protected, vid)
-			c.insertProbationary(vid)
+			c.insertProbationary(vid) // also clears vid's protected flag
 		}
 		j := c.prot.alloc(id)
 		c.prot.pushFront(j)
-		c.index[id] = j
-		c.protected[id] = true
+		c.index.put(id, j, true)
 		c.protLen++
 		return true
 	}
@@ -194,46 +190,44 @@ func (c *SLRU) insertProbationary(id BlockID) {
 			c.prot.unlink(victim)
 			c.prot.free = append(c.prot.free, victim)
 			c.protLen--
-			delete(c.protected, vid)
-			delete(c.index, vid)
+			c.index.remove(vid)
 		} else {
 			vid := c.prob.entries[victim].id
 			c.prob.unlink(victim)
 			c.prob.free = append(c.prob.free, victim)
 			c.probLen--
-			delete(c.index, vid)
+			c.index.remove(vid)
 		}
 	}
 	i := c.prob.alloc(id)
 	c.prob.pushFront(i)
-	c.index[id] = i
+	c.index.put(id, i, false)
 	c.probLen++
 }
 
 // Contains implements Cache.
-func (c *SLRU) Contains(id BlockID) bool { _, ok := c.index[id]; return ok }
+func (c *SLRU) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
 
 // Invalidate implements Cache.
 func (c *SLRU) Invalidate(id BlockID) {
-	i, ok := c.index[id]
+	i, protected, ok := c.index.get(id)
 	if !ok {
 		return
 	}
-	if c.protected[id] {
+	if protected {
 		c.prot.unlink(i)
 		c.prot.free = append(c.prot.free, i)
 		c.protLen--
-		delete(c.protected, id)
 	} else {
 		c.prob.unlink(i)
 		c.prob.free = append(c.prob.free, i)
 		c.probLen--
 	}
-	delete(c.index, id)
+	c.index.remove(id)
 }
 
 // Len implements Cache.
-func (c *SLRU) Len() int { return len(c.index) }
+func (c *SLRU) Len() int { return c.index.n }
 
 // Capacity implements Cache.
 func (c *SLRU) Capacity() int { return c.capacity }

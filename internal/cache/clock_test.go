@@ -160,21 +160,52 @@ func TestSLRUCapacityOneDegeneratesToLRU(t *testing.T) {
 	}
 }
 
+// TestSLRUInvalidate: the protected bit lives in the block index, so
+// Invalidate must unlink a block from the segment that bit names, and
+// a block re-admitted after invalidation starts over as probationary.
 func TestSLRUInvalidate(t *testing.T) {
-	c := NewSLRU(4)
-	c.Access(id(1, 0))
-	c.Access(id(1, 0)) // protected
-	c.Access(id(1, 1)) // probationary
-	c.Invalidate(id(1, 0))
-	c.Invalidate(id(1, 1))
+	c := NewSLRU(5) // protected capacity 4
+	hot, cold := id(1, 0), id(1, 1)
+	c.Access(hot)
+	c.Access(hot)  // protected
+	c.Access(cold) // probationary
+
+	c.Invalidate(hot)
+	if c.Contains(hot) || c.protLen != 0 || c.prot.front != -1 || c.probLen != 1 {
+		t.Fatalf("invalidating the protected block: protLen=%d probLen=%d", c.protLen, c.probLen)
+	}
+	if c.Access(hot) {
+		t.Fatal("invalidated block hit on re-access")
+	}
+	if _, protected, _ := c.index.get(hot); protected || c.probLen != 2 {
+		t.Fatalf("re-admitted block protected=%v probLen=%d, want probationary", protected, c.probLen)
+	}
+	c.Access(hot) // protected again
+
+	c.Invalidate(cold)
 	c.Invalidate(id(7, 7)) // absent: no-op
+	if c.Contains(cold) || c.probLen != 0 || c.prob.front != -1 || c.protLen != 1 {
+		t.Fatalf("invalidating the probationary block: protLen=%d probLen=%d", c.protLen, c.probLen)
+	}
+	// A scan now washes through the probationary segment only.
+	for b := int64(0); b < 20; b++ {
+		c.Access(id(2, b))
+	}
+	if !c.Contains(hot) || c.Len() != c.Capacity() {
+		t.Fatalf("protected block lost to a scan after invalidations (len %d)", c.Len())
+	}
+
+	c.Invalidate(hot)
+	for b := int64(0); b < 20; b++ {
+		c.Invalidate(id(2, b))
+	}
 	if c.Len() != 0 {
 		t.Fatalf("len=%d after invalidating everything", c.Len())
 	}
 	// The cache must still work after slot recycling.
-	c.Access(id(2, 0))
-	c.Access(id(2, 0))
-	if !c.Contains(id(2, 0)) {
+	c.Access(id(3, 0))
+	c.Access(id(3, 0))
+	if !c.Contains(id(3, 0)) {
 		t.Fatal("cache broken after invalidations")
 	}
 }

@@ -23,15 +23,16 @@ func blockSpan(off, size, blockBytes int64) (first, last int64, ok bool) {
 	return off / blockBytes, (off + size - 1) / blockBytes, true
 }
 
-// eventBlocks returns the distinct blocks a data event touches, in
-// order: the request's span for plain reads/writes, the union of
-// record spans for strided requests.
-func eventBlocks(ev *trace.Event, blockBytes int64) []int64 {
-	var blocks []int64
+// eventBlocks appends to blocks the distinct blocks a data event
+// touches, in increasing order: the request's span for plain
+// reads/writes, the union of record spans for strided requests.
+// Callers pass the previous event's slice truncated to zero length,
+// so one pass over a trace reuses a single backing array.
+func eventBlocks(blocks []int64, ev *trace.Event, blockBytes int64) []int64 {
 	if !ev.IsStrided() {
 		first, last, ok := blockSpan(ev.Offset, ev.Size, blockBytes)
 		if !ok {
-			return nil
+			return blocks
 		}
 		for b := first; b <= last; b++ {
 			blocks = append(blocks, b)
@@ -114,13 +115,14 @@ func ComputeNodeCache(events []trace.Event, blockBytes int64, buffers int) []Job
 	caches := make(map[nodeKey]*cache.LRU)
 	perJob := make(map[uint32]*JobHitRate)
 	var jobOrder []uint32
+	var blocks []int64
 
 	for i := range events {
 		ev := &events[i]
 		if (ev.Type != trace.EvRead && ev.Type != trace.EvReadStrided) || !ro[ev.File] {
 			continue
 		}
-		blocks := eventBlocks(ev, blockBytes)
+		blocks = eventBlocks(blocks[:0], ev, blockBytes)
 		if len(blocks) == 0 {
 			continue
 		}
@@ -136,19 +138,18 @@ func ComputeNodeCache(events []trace.Event, blockBytes int64, buffers int) []Job
 			perJob[ev.Job] = jh
 			jobOrder = append(jobOrder, ev.Job)
 		}
+		// Touch (and on miss, load) the request's blocks. It is a hit
+		// exactly when every block was resident beforehand: the blocks
+		// are distinct, so none was loaded by an earlier miss in this
+		// request, and a hit evicts nothing, so no resident block is
+		// lost before its own access.
 		hit := true
 		for _, b := range blocks {
-			if !c.Contains(cache.BlockID{File: ev.File, Block: b}) {
-				hit = false
-			}
+			hit = c.Access(cache.BlockID{File: ev.File, Block: b}) && hit
 		}
 		jh.Accesses++
 		if hit {
 			jh.Hits++
-		}
-		// Touch (and on miss, load) the request's blocks.
-		for _, b := range blocks {
-			c.Access(cache.BlockID{File: ev.File, Block: b})
 		}
 	}
 	out := make([]JobHitRate, 0, len(jobOrder))
@@ -253,12 +254,14 @@ func IONodeCache(events []trace.Event, blockBytes int64, ioNodes, totalBuffers i
 		caches[i] = newCache(policy, per)
 	}
 	res := IONodeResult{Policy: policy, IONodes: ioNodes, TotalBuffers: totalBuffers}
+	var blocks []int64
 	for i := range events {
 		ev := &events[i]
 		if !ev.IsData() {
 			continue
 		}
-		for _, b := range eventBlocks(ev, blockBytes) {
+		blocks = eventBlocks(blocks[:0], ev, blockBytes)
+		for _, b := range blocks {
 			c := caches[int(b%int64(ioNodes))]
 			res.Accesses++
 			if c.Access(cache.BlockID{File: ev.File, Block: b}) {
@@ -306,13 +309,14 @@ func CombinedPolicy(events []trace.Event, blockBytes int64, ioNodes, buffersPerI
 		ioCaches[i] = newCache(policy, buffersPerIONode)
 	}
 	filtered := IONodeResult{Policy: policy, IONodes: ioNodes, TotalBuffers: total}
+	var blocks []int64
 
 	for i := range events {
 		ev := &events[i]
 		if !ev.IsData() {
 			continue
 		}
-		blocks := eventBlocks(ev, blockBytes)
+		blocks = eventBlocks(blocks[:0], ev, blockBytes)
 		if len(blocks) == 0 {
 			continue
 		}
@@ -325,14 +329,11 @@ func CombinedPolicy(events []trace.Event, blockBytes int64, ioNodes, buffersPerI
 				c = cache.NewLRU(1)
 				frontCaches[key] = c
 			}
+			// One Access per block decides the hit, as in
+			// ComputeNodeCache.
 			hit := true
 			for _, b := range blocks {
-				if !c.Contains(cache.BlockID{File: ev.File, Block: b}) {
-					hit = false
-				}
-			}
-			for _, b := range blocks {
-				c.Access(cache.BlockID{File: ev.File, Block: b})
+				hit = c.Access(cache.BlockID{File: ev.File, Block: b}) && hit
 			}
 			if hit {
 				res.ComputeHits++

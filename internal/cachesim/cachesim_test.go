@@ -244,6 +244,24 @@ func TestCombinedFiltersIntraprocessLocality(t *testing.T) {
 	}
 }
 
+// TestCombinedComputeLayerLoadsEveryBlock: a compute-node miss still
+// touches every block of the request, so the one-buffer layer ends up
+// holding the request's last block, and a read of that block alone is
+// absorbed.
+func TestCombinedComputeLayerLoadsEveryBlock(t *testing.T) {
+	events := []trace.Event{
+		read(1, 0, 1, 0, 2*bs), // blocks 0 and 1: a miss
+		read(1, 0, 1, bs, 100), // block 1 again
+	}
+	res := Combined(events, bs, 2, 4)
+	if res.ComputeHits != 1 {
+		t.Fatalf("compute-node hits = %d, want 1", res.ComputeHits)
+	}
+	if res.IONodeFiltered.Accesses != 2 {
+		t.Fatalf("filtered I/O-node accesses = %d, want 2", res.IONodeFiltered.Accesses)
+	}
+}
+
 // Property: hits never exceed accesses and rates stay in [0,1] for
 // arbitrary request streams.
 func TestQuickCacheSimBounds(t *testing.T) {

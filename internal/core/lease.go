@@ -128,17 +128,35 @@ func tryClaim(dir, fp, owner string, ttl time.Duration) (claimed, reclaimed bool
 	if !leaseExpired(path, ttl) {
 		return false, false, nil
 	}
-	reap := path + ".reap-" + sanitizeWorkerID(owner)
-	if os.Rename(path, reap) != nil {
-		// Another worker reaped (or the holder heartbeat) first.
+	if !reapLease(path, path+".reap-"+sanitizeWorkerID(owner), ttl) {
 		return false, false, nil
 	}
-	os.Remove(reap)
 	ok, err = createLease(path, data)
 	if err != nil || !ok {
 		return ok, false, err
 	}
 	return true, true, nil
+}
+
+// reapLease renames the lease at path, which its caller found expired,
+// to the scratch name reap and deletes it, reporting whether it did.
+// Between that expiry check and the rename, a sibling may have reaped
+// the same dead lease and claimed the spec, or the holder may have
+// renewed it, so the file the rename moved can be a live lease. In
+// that case the lease is renamed back and the reap reports false;
+// otherwise two workers would both hold the spec.
+func reapLease(path, reap string, ttl time.Duration) bool {
+	if os.Rename(path, reap) != nil {
+		return false // another worker reaped first
+	}
+	if !leaseExpired(reap, ttl) {
+		// Best effort: should the hand-back fail, the holder's next
+		// heartbeat rewrites its lease.
+		_ = os.Rename(reap, path)
+		return false
+	}
+	os.Remove(reap)
+	return true
 }
 
 // releaseLease removes a claim; missing files are fine (a reaper may

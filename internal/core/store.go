@@ -559,9 +559,9 @@ func loadOutcome(dir, fp string) (*storedOutcome, error) {
 // The default path is the lease-based work-stealing drain; NumShards
 // > 1 selects the deprecated static partition. exec returns the
 // finished outcome plus its auxiliary text; traceFile (pre-resolved
-// per spec) is recorded in the outcome when non-empty. costs, when
-// non-nil, ranks claim order (most expensive first); nil means spec
-// order.
+// per spec) is recorded in the outcome when non-empty. costs, one
+// per spec, ranks claim order (most expensive first, ties in spec
+// order).
 func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
 	exec func(worker, specIdx int) (StudyOutcome, string, string, error)) (*StoreRun, error) {
 	if ctx == nil {
@@ -746,6 +746,17 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 						return
 					}
 					if !claimed {
+						continue
+					}
+					// A sibling may have committed and released between
+					// the stat above and this claim. Holders persist
+					// before they release, so once the lease is ours a
+					// second stat is conclusive.
+					if _, err := os.Stat(outcomePath(store.Dir, fps[i])); err == nil {
+						releaseLease(store.Dir, fps[i])
+						if committed[i].CompareAndSwap(false, true) {
+							prog.emit(i, StoreSpecObserved, false)
+						}
 						continue
 					}
 					if reclaimed {

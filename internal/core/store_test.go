@@ -371,6 +371,83 @@ func TestLeaseStoreWakesOnInProcessCommit(t *testing.T) {
 	}
 }
 
+// TestLeaseStoreNoDuplicateExecution: in-process workers racing over
+// many instant specs each run exactly once. A worker that stats a spec
+// as pending can lose it to a sibling that commits and releases before
+// the worker's claim; the claim then succeeds on a fresh lease file,
+// so the worker must check for the outcome again under its lease
+// rather than run the spec a second time.
+func TestLeaseStoreNoDuplicateExecution(t *testing.T) {
+	seeds := make([]uint64, 64)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	specs := CrossSpecs(seeds, []float64{0.01}, nil, nil)
+	labels, fps := specKeys("", specs)
+	for round := 0; round < 30; round++ {
+		store, err := StoreConfig{Dir: t.TempDir(), WorkerID: "w", LeaseTTL: time.Minute}.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs := make([]int, len(specs))
+		var mu sync.Mutex
+		run, err := runStore(context.Background(), 4, store, labels, fps, specCosts(specs),
+			func(_, i int) (StudyOutcome, string, string, error) {
+				mu.Lock()
+				execs[i]++
+				mu.Unlock()
+				return StudyOutcome{Spec: specs[i], Done: true}, "", "", nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range execs {
+			if n != 1 {
+				t.Fatalf("round %d: spec %d ran %d times (executions %v)", round, i, n, execs)
+			}
+		}
+		if len(run.Ran) != len(specs) || run.Worker.Completed != len(specs) {
+			t.Fatalf("round %d: Ran=%d Completed=%d, want %d", round, len(run.Ran), run.Worker.Completed, len(specs))
+		}
+	}
+}
+
+// TestReapLeaseHandsBackLiveLease: a worker that found a lease expired
+// can lose a race to a sibling that reaps the same dead lease and
+// claims the spec first, so the file its own rename moves is the
+// sibling's live lease. The reap must restore that lease byte for byte
+// and report failure; an expired lease is removed.
+func TestReapLeaseHandsBackLiveLease(t *testing.T) {
+	dir := t.TempDir()
+	path, reap := leasePath(dir, "fp"), leasePath(dir, "fp")+".reap-w"
+	live := leaseBytes("sibling#0", "fp", time.Now().Add(time.Minute))
+	if err := os.WriteFile(path, live, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if reapLease(path, reap, time.Minute) {
+		t.Fatal("reaped a live lease")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, live) {
+		t.Fatalf("live lease not restored: %q, %v", got, err)
+	}
+	if _, err := os.Stat(reap); !os.IsNotExist(err) {
+		t.Fatalf("reap scratch file left behind: %v", err)
+	}
+
+	dead := leaseBytes("dead#0", "fp", time.Now().Add(-time.Second))
+	if err := os.WriteFile(path, dead, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !reapLease(path, reap, time.Minute) {
+		t.Fatal("expired lease not reaped")
+	}
+	for _, p := range []string{path, reap} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s survived the reap: %v", filepath.Base(p), err)
+		}
+	}
+}
+
 // TestStoreStaleSweep: opening a store removes debris a killed
 // process left behind -- old commit temp files and leases whose
 // outcome is already committed -- while sparing fresh temp files that
