@@ -21,10 +21,10 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/cfs"
 	"repro/internal/core"
-	"repro/internal/hypercube"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -463,7 +463,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 }
 
 func BenchmarkHypercubeLatency(b *testing.B) {
-	n := hypercube.New(sim.New(), hypercube.IPSC860())
+	n := topo.New(sim.New(), 128, topo.IPSC860())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n.Latency(i%128, (i*37)%128, 4096)

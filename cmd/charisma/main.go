@@ -395,12 +395,12 @@ func runStudy(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faul
 	return nil
 }
 
-// runPredict is the analytical-twin mode: instead of simulating, it
-// walks the workload on the twin's stripped timing engine and prints
-// the per-I/O-node M/G/1 prediction for every study the flags
-// describe -- the single study, the -sweep seed/scale cross product,
-// or each study of a -scenario spec. Output is deterministic and,
-// like every twin rendering, free of Inf and NaN: saturation is a
+// runPredict is the analytical-twin mode: instead of running the
+// traced study, it walks the workload on the machine with tracing off
+// and prints the per-I/O-node M/G/1 prediction for every study the
+// flags describe -- the single study, the -sweep seed/scale cross
+// product, or each study of a -scenario spec. Output is deterministic
+// and, like every twin rendering, free of Inf and NaN: saturation is a
 // flagged "sat" cell, never an infinite wait.
 func runPredict(ctx context.Context, stdout io.Writer, cfg appConfig, faultsCfg *faults.Config) error {
 	var specs []core.StudySpec

@@ -96,8 +96,9 @@ type Result struct {
 
 	// IOQueue holds per-I/O-node observed queueing counters (batches,
 	// total wait, total service). They are observation-only — the
-	// simulation's timing is identical with or without them — and
-	// ground the analytical twin's conformance bands.
+	// simulation's timing is identical with or without them — and are
+	// what the analytical twin's conformance test compares its walk
+	// against.
 	IOQueue []machine.IONodeQueueStat
 }
 

@@ -201,6 +201,12 @@ func (d *Disk) wornTime(seek, transfer sim.Time) sim.Time {
 	return sim.Time(float64(seek)*sm*ramp) + sim.Time(float64(transfer)*tm*ramp)
 }
 
+// ServiceMoments implements Model with the drive's closed-form
+// random-access distribution.
+func (d *Disk) ServiceMoments() (mean, second float64) {
+	return d.cfg.RandomAccessMoments()
+}
+
 // RandomAccessMoments returns the first and second moments (in
 // seconds) of the service time of a single-block access at a
 // uniformly random block from a uniformly random head position: the
@@ -209,12 +215,6 @@ func (d *Disk) wornTime(seek, transfer sim.Time) sim.Time {
 // seek fraction sqrt(|from-to|) has E = 8/15 and E[.^2] = 1/3, and a
 // random block is almost surely non-sequential, so rotation
 // contributes a deterministic half revolution.
-// ServiceMoments implements Model with the drive's closed-form
-// random-access distribution.
-func (d *Disk) ServiceMoments() (mean, second float64) {
-	return d.cfg.RandomAccessMoments()
-}
-
 func (c Config) RandomAccessMoments() (mean, second float64) {
 	minS := c.MinSeek.ToSeconds()
 	deltaS := (c.MaxSeek - c.MinSeek).ToSeconds()

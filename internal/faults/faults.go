@@ -9,10 +9,10 @@
 // across repeat runs and worker counts. A zero Config is "no faults"
 // and leaves the machine's output byte-identical to a fault-free build.
 //
-// The hardware models (disk, cfs, hypercube) do not import this
-// package; they expose small hook points (disk.Wear, cfs.NodeFault,
-// hypercube.Degrader) that the machine package wires to the runtime
-// state built here.
+// The hardware models (disk, cfs, topo) do not import this package;
+// they expose small hook points (disk.Wear, cfs.NodeFault,
+// topo.Degrader) that the machine package wires to the runtime state
+// built here.
 package faults
 
 import (
@@ -81,8 +81,9 @@ type Net struct {
 	Links             []Link
 }
 
-// Link multiplies the per-hop latency of every cube link along one
-// hypercube dimension.
+// Link multiplies the per-hop latency of every link in one link class:
+// Dim names the class (a hypercube dimension, a mesh axis, or a
+// fat-tree level; see topo.Interconnect.LinkClasses).
 type Link struct {
 	Dim               int
 	LatencyMultiplier float64 // >= 1
@@ -117,9 +118,9 @@ func checkMul(field string, v float64) error {
 }
 
 // Validate checks the configuration against a machine shape: ioNodes
-// I/O nodes and a netDim-dimensional hypercube. Errors name the
-// offending field.
-func (c *Config) Validate(ioNodes, netDim int) error {
+// I/O nodes and an interconnect with linkClasses link classes (the
+// topology's LinkClasses). Errors name the offending field.
+func (c *Config) Validate(ioNodes, linkClasses int) error {
 	for i, w := range c.Windows {
 		if w.Node < 0 || w.Node >= ioNodes {
 			return fmt.Errorf("faults: ioNodes[%d].node %d out of range [0, %d)", i, w.Node, ioNodes)
@@ -158,8 +159,8 @@ func (c *Config) Validate(ioNodes, netDim int) error {
 	}
 	seenDim := make(map[int]bool)
 	for i, l := range c.Net.Links {
-		if l.Dim < 0 || l.Dim >= netDim {
-			return fmt.Errorf("faults: network.links[%d].dim %d out of range [0, %d)", i, l.Dim, netDim)
+		if l.Dim < 0 || l.Dim >= linkClasses {
+			return fmt.Errorf("faults: network.links[%d].dim %d out of range [0, %d)", i, l.Dim, linkClasses)
 		}
 		if seenDim[l.Dim] {
 			return fmt.Errorf("faults: network.links[%d] repeats dim %d", i, l.Dim)
@@ -229,7 +230,7 @@ type HotSpec struct {
 
 // Resolve converts the JSON spec into a Config. It checks the schema
 // version but not machine-shape bounds; call Config.Validate with the
-// target machine's I/O-node count and cube dimension for those.
+// target machine's I/O-node count and link-class count for those.
 func (s *Spec) Resolve() (Config, error) {
 	if s.Version != SpecVersion {
 		return Config{}, fmt.Errorf("faults: unsupported version %d (this build reads version %d)", s.Version, SpecVersion)

@@ -28,8 +28,8 @@ type Injector struct {
 // splits its own stream off it. cfg must have passed Validate.
 func NewInjector(cfg Config, ioNodes int, rng *stats.RNG) *Injector {
 	if err := cfg.Validate(ioNodes, 32); err != nil {
-		// Shape errors are caught by callers with the real cube
-		// dimension; this is a backstop for hand-built configs.
+		// Shape errors are caught by callers with the real link-class
+		// count; this is a backstop for hand-built configs.
 		panic(fmt.Sprintf("faults: invalid config: %v", err))
 	}
 	inj := &Injector{cfg: cfg, nodes: make([]*NodeState, ioNodes)}

@@ -5,6 +5,11 @@
 // job queue. Jobs are per-node programs written against the CFS client
 // API; instrumented jobs are traced through per-node 4 KB buffers
 // exactly as in the paper.
+//
+// The machine runs in one of two modes. NewWith builds it with the
+// CHARISMA instrumentation, as the traced study does. NewUntraced
+// builds the same machine without it, which is what the analytical
+// twin walks.
 package machine
 
 import (
@@ -14,7 +19,6 @@ import (
 	"repro/internal/cfs"
 	"repro/internal/disk"
 	"repro/internal/faults"
-	"repro/internal/hypercube"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -45,7 +49,7 @@ type Config struct {
 func NASConfig(seed uint64) Config {
 	return Config{
 		ComputeNodes:     128,
-		Net:              hypercube.IPSC860(),
+		Net:              topo.IPSC860(),
 		FS:               cfs.DefaultConfig(),
 		ServiceHost:      0,
 		TraceBufferBytes: trace.DefaultBufferBytes,
@@ -55,48 +59,6 @@ func NASConfig(seed uint64) Config {
 	}
 }
 
-// File is the per-handle surface a job program uses: the exported
-// methods of cfs.Handle. Job bodies are written against this
-// interface so the same body can run on the simulated machine (a real
-// *cfs.Handle) or on the analytical twin's timing engine.
-type File interface {
-	Read(p *sim.Proc, size int64) (int64, error)
-	ReadAt(p *sim.Proc, off, size int64) (int64, error)
-	Write(p *sim.Proc, size int64) (int64, error)
-	WriteAt(p *sim.Proc, off, size int64) (int64, error)
-	ReadStrided(p *sim.Proc, off, recBytes, stride int64, count int) (int64, error)
-	WriteStrided(p *sim.Proc, off, recBytes, stride int64, count int) (int64, error)
-	Seek(p *sim.Proc, off int64) error
-	Close(p *sim.Proc) error
-	Mode() cfs.IOMode
-	FileID() uint64
-	Size() int64
-	Pointer() int64
-}
-
-// FileSys is the per-node file-system client surface a job program
-// uses. On the simulated machine it is a thin adapter over
-// *cfs.Client; the analytical twin provides its own implementation.
-type FileSys interface {
-	Open(p *sim.Proc, name string, flags int, mode cfs.IOMode) (File, error)
-	Delete(p *sim.Proc, name string) error
-}
-
-// cfsFS adapts *cfs.Client to FileSys. The only reason the adapter
-// exists is Go's lack of covariant returns: Open must return the
-// interface type, not *cfs.Handle.
-type cfsFS struct{ c *cfs.Client }
-
-func (f cfsFS) Open(p *sim.Proc, name string, flags int, mode cfs.IOMode) (File, error) {
-	h, err := f.c.Open(p, name, flags, mode)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-func (f cfsFS) Delete(p *sim.Proc, name string) error { return f.c.Delete(p, name) }
-
 // NodeCtx is what a job's per-node program receives: its process, its
 // identity, and its CFS client.
 type NodeCtx struct {
@@ -105,7 +67,7 @@ type NodeCtx struct {
 	Rank     int // rank within the job, 0..JobNodes-1
 	JobNodes int // number of nodes in the job
 	JobID    uint32
-	CFS      FileSys
+	CFS      *cfs.Client
 }
 
 // JobSpec describes one submitted job.
@@ -144,7 +106,7 @@ type Machine struct {
 	fs          *cfs.FileSystem
 	clocks      []*DriftClock
 	nodeBuffers []*trace.NodeBuffer
-	collector   *trace.Collector
+	collector   *trace.Collector // nil on an untraced machine
 
 	alloc   *buddyAllocator
 	queue   []queuedJob
@@ -161,14 +123,14 @@ type runningJob struct {
 	id      uint32
 	base    int
 	nodes   int
-	traced  bool
-	pending int // node programs still running
-	record  int // index into jobRecords
+	traced  bool // the job's CFS calls are recorded
+	pending int  // node programs still running
+	record  int  // index into jobRecords
 }
 
-// transport adapts the hypercube to the cfs.Transport interface. CFS
-// compute nodes message the I/O node's host over the cube, then cross
-// the peripheral link.
+// transport adapts the interconnect to the cfs.Transport interface.
+// CFS compute nodes message the I/O node's host over the network, then
+// cross the peripheral link.
 type transport struct{ m *Machine }
 
 func (t transport) ToIONode(computeNode, ioNode, bytes int) sim.Time {
@@ -194,6 +156,30 @@ func New(k *sim.Kernel, cfg Config) *Machine { return NewWith(k, cfg, nil) }
 // NewWith builds the machine on the given kernel, drawing reusable
 // storage from the arena when it is non-nil.
 func NewWith(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
+	m := build(k, cfg, arena)
+	m.instrument(arena)
+	return m
+}
+
+// NewUntraced builds the machine without the CHARISMA instrumentation:
+// no drift clocks, node trace buffers, job log or collector, and every
+// job runs on an untraced CFS client whatever its JobSpec.Traced says.
+// FinishTracing returns nil, TraceRecords and TraceMessages report 0,
+// and the trace accessors (Clock, TraceHeader, SetTraceSink,
+// TraceSinkErr) must not be called.
+//
+// Tracing adds only trace-block messages to the service node, so the
+// untraced machine serves the same CFS requests at the same simulated
+// times as a traced one. The exception is a network that draws
+// per-message jitter (faults.Net.JitterMicros): trace blocks draw from
+// the same jitter stream, so removing them moves every later message's
+// delay.
+func NewUntraced(k *sim.Kernel, cfg Config) *Machine { return build(k, cfg, nil) }
+
+// build assembles the machine minus its tracing pipeline: network,
+// allocator, I/O and service attachments, file system, and fault
+// wiring.
+func build(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
 	order, pow2 := orderFor(cfg.ComputeNodes)
 	if !pow2 {
 		panic(fmt.Sprintf("machine: compute nodes %d not a power of two", cfg.ComputeNodes))
@@ -221,8 +207,8 @@ func NewWith(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
 			panic(fmt.Sprintf("machine: %v", err))
 		}
 		// The injector splits its own RNG stream; Split does not
-		// consume m.rng's state, so the clock streams below are
-		// unchanged from a fault-free build.
+		// consume m.rng's state, so the clock streams instrument
+		// draws are unchanged from a fault-free build.
 		m.injector = faults.NewInjector(cfg.Faults, cfg.FS.IONodes, m.rng)
 		if deg := m.injector.Net(); deg != nil {
 			m.net.SetDegrader(deg)
@@ -242,7 +228,14 @@ func NewWith(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
 			}
 		}
 	}
+	return m
+}
 
+// instrument adds the CHARISMA tracing pipeline: per-node drifting
+// clocks, per-node trace buffers shipping blocks to the service node's
+// collector, and the resource manager's job log.
+func (m *Machine) instrument(arena *Arena) {
+	k, cfg := m.k, m.cfg
 	// Per-node drifting clocks; the collector's clock is the reference
 	// timebase (offset 0, drift 0), so corrected trace times are
 	// directly comparable to true simulation times.
@@ -262,8 +255,8 @@ func NewWith(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
 	if arena != nil {
 		m.collector.SetArena(&arena.Trace)
 	}
-	// Per-node trace buffers ship blocks over the cube to the service
-	// node's collector.
+	// Per-node trace buffers ship blocks over the network to the
+	// service node's collector.
 	for n := 0; n < cfg.ComputeNodes; n++ {
 		node := n
 		nb := trace.NewNodeBuffer(
@@ -286,7 +279,6 @@ func NewWith(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
 	if arena != nil {
 		m.jobLog.SetArena(&arena.Trace)
 	}
-	return m
 }
 
 // Kernel returns the simulation kernel.
@@ -316,7 +308,7 @@ func (m *Machine) FS() *cfs.FileSystem { return m.fs }
 // Preload creates a file with all blocks allocated before the
 // simulation starts, modeling data sets that predate the traced
 // window. It is the workload generator's loading dock (see
-// workload.Target).
+// workload.Generator.Install).
 func (m *Machine) Preload(name string, size int64) error {
 	_, err := m.fs.Preload(name, size)
 	return err
@@ -413,7 +405,7 @@ func (m *Machine) startJob(qj queuedJob, base int) {
 		id:      qj.id,
 		base:    base,
 		nodes:   spec.Nodes,
-		traced:  spec.Traced,
+		traced:  spec.Traced && m.collector != nil,
 		pending: spec.Nodes,
 		record:  len(m.jobRecords),
 	}
@@ -421,11 +413,7 @@ func (m *Machine) startJob(qj queuedJob, base int) {
 	m.jobRecords = append(m.jobRecords, JobRecord{
 		ID: qj.id, Nodes: spec.Nodes, Traced: spec.Traced, Start: m.k.Now(),
 	})
-	ev := trace.Event{Type: trace.EvJobStart, Job: qj.id, Size: int64(spec.Nodes)}
-	if spec.Traced {
-		ev.Flags |= trace.FlagInstrumented
-	}
-	m.jobLog.Record(ev)
+	m.logJob(trace.EvJobStart, qj.id, spec.Nodes, spec.Traced)
 
 	for rank := 0; rank < spec.Nodes; rank++ {
 		node := base + rank
@@ -436,11 +424,11 @@ func (m *Machine) startJob(qj queuedJob, base int) {
 			JobID:    qj.id,
 		}
 		var tracer cfs.Tracer = cfs.NopTracer{}
-		if spec.Traced {
+		if rj.traced {
 			tracer = jobTracer{buf: m.nodeBuffers[node], job: qj.id}
 		}
 		client := cfs.NewClient(m.fs, qj.id, node, tracer)
-		ctx.CFS = cfsFS{client}
+		ctx.CFS = client
 		m.k.Spawn(fmt.Sprintf("job%d/node%d", qj.id, node), func(p *sim.Proc) {
 			ctx.P = p
 			if spec.Body != nil {
@@ -479,21 +467,35 @@ func (m *Machine) nodeDone(rj *runningJob, node int) {
 	m.alloc.Free(rj.base)
 	delete(m.running, rj.id)
 	m.jobRecords[rj.record].End = m.k.Now()
-	ev := trace.Event{Type: trace.EvJobEnd, Job: rj.id, Size: int64(rj.nodes)}
-	if rj.traced {
+	m.logJob(trace.EvJobEnd, rj.id, rj.nodes, rj.traced)
+	m.trySchedule()
+}
+
+// logJob records a job start or end in the resource manager's job log;
+// the untraced machine keeps none.
+func (m *Machine) logJob(typ trace.EventType, job uint32, nodes int, traced bool) {
+	if m.jobLog == nil {
+		return
+	}
+	ev := trace.Event{Type: typ, Job: job, Size: int64(nodes)}
+	if traced {
 		ev.Flags |= trace.FlagInstrumented
 	}
 	m.jobLog.Record(ev)
-	m.trySchedule()
 }
 
 // FinishTracing flushes every node's residual trace buffer and the job
 // log, then returns the collected trace. Call it after the kernel has
-// run to completion.
+// run to completion. On an untraced machine it only ends the study:
+// later submissions panic, and the trace is nil.
 func (m *Machine) FinishTracing() *trace.Trace {
 	if len(m.running) > 0 || len(m.queue) > 0 {
 		panic(fmt.Sprintf("machine: FinishTracing with %d running / %d queued jobs",
 			len(m.running), len(m.queue)))
+	}
+	if m.collector == nil {
+		m.finished = true
+		return nil
 	}
 	if !m.finished {
 		for _, b := range m.nodeBuffers {

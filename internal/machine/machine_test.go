@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cfs"
@@ -299,16 +301,85 @@ func TestFinishTracingTwiceIsStable(t *testing.T) {
 }
 
 func TestSubmitAfterFinishPanics(t *testing.T) {
-	k := sim.New()
-	m := New(k, testConfig())
-	k.Run()
-	m.FinishTracing()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("submit after finish did not panic")
-		}
-	}()
-	m.Submit(JobSpec{Nodes: 1})
+	for name, build := range map[string]func(*sim.Kernel, Config) *Machine{
+		"traced":   New,
+		"untraced": NewUntraced,
+	} {
+		t.Run(name, func(t *testing.T) {
+			k := sim.New()
+			m := build(k, testConfig())
+			k.Run()
+			m.FinishTracing()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("submit after finish did not panic")
+				}
+			}()
+			m.Submit(JobSpec{Nodes: 1})
+		})
+	}
+}
+
+// submitMix schedules a small job set on m that exercises the queue,
+// the allocator, and every I/O node: traced and untraced jobs of every
+// size, the larger ones queueing behind each other, each node reading
+// a shared preloaded file and writing its own.
+func submitMix(m *Machine) {
+	if err := m.Preload("/in", 1<<20); err != nil {
+		panic(err)
+	}
+	for i := 0; i < 16; i++ {
+		m.SubmitAt(sim.Time(i)*50*sim.Millisecond, JobSpec{
+			Nodes:  1 << (i % 8),
+			Traced: i%3 != 0,
+			Body: func(ctx *NodeCtx) {
+				if h, err := ctx.CFS.Open(ctx.P, "/in", cfs.ORdOnly, cfs.Mode0); err == nil {
+					h.ReadAt(ctx.P, int64(ctx.Rank)*8192, 8192)
+					h.Close(ctx.P)
+				}
+				name := fmt.Sprintf("/out/%d.%d", ctx.JobID, ctx.Rank)
+				if h, err := ctx.CFS.Open(ctx.P, name, cfs.OWrOnly|cfs.OCreate, cfs.Mode0); err == nil {
+					for j := 0; j < 10; j++ {
+						h.Write(ctx.P, 1000)
+					}
+					h.Close(ctx.P)
+				}
+			},
+		})
+	}
+}
+
+func TestUntracedMachineMatchesTraced(t *testing.T) {
+	kt, ku := sim.New(), sim.New()
+	traced, untraced := New(kt, testConfig()), NewUntraced(ku, testConfig())
+	submitMix(traced)
+	submitMix(untraced)
+	kt.Run()
+	ku.Run()
+	if tr := traced.FinishTracing(); tr == nil || traced.TraceRecords() == 0 {
+		t.Fatal("traced machine collected no trace")
+	}
+	if tr := untraced.FinishTracing(); tr != nil {
+		t.Fatalf("untraced FinishTracing returned a trace with %d blocks", len(tr.Blocks))
+	}
+	if n, m := untraced.TraceRecords(), untraced.TraceMessages(); n != 0 || m != 0 {
+		t.Fatalf("untraced machine recorded %d events in %d messages", n, m)
+	}
+	if !reflect.DeepEqual(untraced.JobRecords(), traced.JobRecords()) {
+		t.Fatalf("job records differ:\nuntraced %+v\ntraced   %+v", untraced.JobRecords(), traced.JobRecords())
+	}
+	if len(traced.JobRecords()) != 16 {
+		t.Fatalf("%d jobs ran, want 16", len(traced.JobRecords()))
+	}
+	if !reflect.DeepEqual(untraced.IONodeQueueStats(), traced.IONodeQueueStats()) {
+		t.Fatalf("I/O queue stats differ:\nuntraced %+v\ntraced   %+v", untraced.IONodeQueueStats(), traced.IONodeQueueStats())
+	}
+	if u, tr := untraced.FS().TotalDiskOps(), traced.FS().TotalDiskOps(); u != tr || u == 0 {
+		t.Fatalf("disk ops: untraced %d, traced %d", u, tr)
+	}
+	if ku.Now() != kt.Now() {
+		t.Fatalf("final time: untraced %v, traced %v", ku.Now(), kt.Now())
+	}
 }
 
 func TestDeterministicTraces(t *testing.T) {

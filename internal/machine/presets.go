@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cfs"
 	"repro/internal/disk"
-	"repro/internal/hypercube"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -31,7 +30,7 @@ import (
 // nodes and under half the I/O nodes, so the compute-to-I/O balance
 // -- and with it the cache and queueing behaviour -- differs.
 func MiniConfig(seed uint64) Config {
-	net := hypercube.IPSC860()
+	net := topo.IPSC860()
 	net.Dim = 5 // 32 nodes
 	fs := cfs.DefaultConfig()
 	fs.IONodes = 4

@@ -13,10 +13,11 @@
 // on any topology the way it degrades "all dimension-3 links" on the
 // cube.
 //
-// Models register themselves by name in init (the hypercube registers
-// from its own package; mesh and fattree live here). The registry is
-// the single point a machine preset or a scenario's machines axis
-// resolves a topology name through.
+// Models register themselves by name in init; the hypercube, mesh, and
+// fat tree all live here and share the software, transfer, shipping,
+// and peripheral-attachment code in common.go. The registry is the
+// single point a machine preset or a scenario's machines axis resolves
+// a topology name through.
 package topo
 
 import (
@@ -65,8 +66,8 @@ func IPSC860() Config {
 	}
 }
 
-// Interconnect is the surface the machine, CFS transport, and twin
-// use: node-to-node latency and delivery, peripheral attachments, a
+// Interconnect is the surface the machine and its CFS transport use:
+// node-to-node latency and delivery, peripheral attachments, a
 // degradation hook, and traffic counters.
 type Interconnect interface {
 	// Nodes returns the number of compute nodes.

@@ -1,20 +1,27 @@
 package topo_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
-	"repro/internal/hypercube" // registers "hypercube"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
+// kinds lists every registered topology; the shared tests run each one
+// on 32 nodes.
+var kinds = []string{"hypercube", "mesh", "fattree"}
+
 // testConfig returns interconnect parameters with round numbers: 4 KB
 // packets at 4.096 GB/s make a one-packet transfer exactly 1 us, so
-// expected latencies are exact integers.
+// expected latencies are exact integers. Dim sizes the hypercube to 32
+// nodes; the other topologies ignore it.
 func testConfig(kind string) topo.Config {
 	return topo.Config{
 		Kind:           kind,
+		Dim:            5,
 		Startup:        20 * sim.Microsecond,
 		PerHop:         10 * sim.Microsecond,
 		PerPacket:      5 * sim.Microsecond,
@@ -25,7 +32,7 @@ func testConfig(kind string) topo.Config {
 
 func TestRegistry(t *testing.T) {
 	names := topo.Names()
-	for _, want := range []string{"fattree", "hypercube", "mesh"} {
+	for _, want := range kinds {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -47,8 +54,22 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
 func TestHypercubeRegistered(t *testing.T) {
-	cfg := hypercube.IPSC860()
+	cfg := topo.IPSC860()
+	if cfg.Kind != "" || cfg.Dim != 7 || cfg.PacketBytes != 4096 {
+		t.Fatalf("IPSC860() = %+v, want the default kind, 7 dimensions, 4 KB packets", cfg)
+	}
 	n := topo.New(sim.New(), 128, cfg)
 	if n.Nodes() != 128 || n.LinkClasses() != 7 {
 		t.Fatalf("nodes=%d classes=%d", n.Nodes(), n.LinkClasses())
@@ -62,6 +83,52 @@ func TestHypercubeRegistered(t *testing.T) {
 		}
 	}()
 	topo.New(sim.New(), 64, cfg)
+}
+
+func TestHypercubeLatency(t *testing.T) {
+	cfg := testConfig("hypercube")
+	cfg.Dim = 7
+	h := topo.New(sim.New(), 128, cfg)
+	software := cfg.Startup + cfg.PerPacket
+	// Zero-byte message to self: software cost only (one minimum
+	// packet, no hops, no transfer).
+	if got := h.Latency(0, 0, 0); got != software {
+		t.Fatalf("self latency %v, want %v", got, software)
+	}
+	// e-cube distance: one hop per address bit the endpoints differ in.
+	for _, tc := range []struct{ a, b, hops int }{
+		{0, 0, 0},
+		{0, 1, 1},
+		{0, 3, 2},
+		{0, 127, 7},
+		{5, 6, 2}, // 101 vs 110
+	} {
+		want := software + sim.Time(tc.hops)*cfg.PerHop
+		if got := h.Latency(tc.a, tc.b, 0); got != want {
+			t.Errorf("Latency(%d,%d) = %v, want %v (%d hops)", tc.a, tc.b, got, want, tc.hops)
+		}
+	}
+	// One 4096-byte packet is exactly 1 us of transfer; one byte more
+	// starts a second packet.
+	onePacket := software + cfg.PerHop + 1*sim.Microsecond
+	if got := h.Latency(0, 1, 4096); got != onePacket {
+		t.Fatalf("Latency(0,1,4096) = %v, want %v", got, onePacket)
+	}
+	if got := h.Latency(0, 1, 4097) - onePacket; got != cfg.PerPacket {
+		t.Fatalf("crossing a packet boundary added %v, want %v", got, cfg.PerPacket)
+	}
+	// 1 MiB is 256 packets and 256 us of transfer.
+	if got, want := h.Latency(0, 1, 1<<20), cfg.Startup+256*cfg.PerPacket+cfg.PerHop+256*sim.Microsecond; got != want {
+		t.Fatalf("Latency(0,1,1MiB) = %v, want %v", got, want)
+	}
+	// A peripheral attachment adds one class-less hop.
+	att := h.Attach(3)
+	if att.Host() != 3 {
+		t.Fatalf("Host() = %d", att.Host())
+	}
+	if got, want := att.LatencyFrom(0, 500), h.Latency(0, 3, 500)+cfg.PerHop; got != want {
+		t.Fatalf("peripheral latency %v, want %v", got, want)
+	}
 }
 
 func TestMeshLatency(t *testing.T) {
@@ -144,17 +211,21 @@ func TestFattreeLatency(t *testing.T) {
 }
 
 func TestSendCounters(t *testing.T) {
-	for _, kind := range []string{"mesh", "fattree"} {
+	for _, kind := range kinds {
 		k := sim.New()
 		n := topo.New(k, 32, testConfig(kind))
-		delivered := 0
-		n.Send(0, 9, 4096, func() { delivered++ })
 		att := n.Attach(3)
-		att.SendTo(0, 100, func() { delivered++ })
-		att.SendFrom(5, 100, func() { delivered++ })
+		var at [3]sim.Time
+		n.Send(0, 9, 4096, func() { at[0] = k.Now() })
+		att.SendTo(0, 100, func() { at[1] = k.Now() })
+		att.SendFrom(5, 100, func() { at[2] = k.Now() })
 		k.Run()
-		if delivered != 3 || n.Delivered() != 3 {
-			t.Fatalf("%s: delivered %d / counter %d", kind, delivered, n.Delivered())
+		// Every message lands exactly its modeled latency after the send.
+		if want := [3]sim.Time{n.Latency(0, 9, 4096), att.LatencyFrom(0, 100), att.LatencyFrom(5, 100)}; at != want {
+			t.Fatalf("%s: delivered at %v, want %v", kind, at, want)
+		}
+		if n.Delivered() != 3 {
+			t.Fatalf("%s: delivered counter %d", kind, n.Delivered())
 		}
 		if n.BytesSent() != 4096+200 {
 			t.Fatalf("%s: bytesSent %d", kind, n.BytesSent())
@@ -162,17 +233,114 @@ func TestSendCounters(t *testing.T) {
 	}
 }
 
+func TestBadConfigPanics(t *testing.T) {
+	type badConfig struct {
+		kind, what string
+		nodes      int
+		edit       func(*topo.Config)
+	}
+	cases := []badConfig{
+		{"hypercube", "negative dimension", 32, func(c *topo.Config) { c.Dim = -1 }},
+		{"fattree", "negative spine bandwidth", 32, func(c *topo.Config) { c.SpineBytesPerSecond = -1 }},
+		{"fattree", "no nodes", 0, func(*topo.Config) {}},
+	}
+	for _, kind := range kinds {
+		cases = append(cases,
+			badConfig{kind, "zero packet size", 32, func(c *topo.Config) { c.PacketBytes = 0 }},
+			badConfig{kind, "zero bandwidth", 32, func(c *topo.Config) { c.BytesPerSecond = 0 }})
+	}
+	for _, tc := range cases {
+		cfg := testConfig(tc.kind)
+		tc.edit(&cfg)
+		mustPanic(t, tc.kind+" with "+tc.what, func() { topo.New(sim.New(), tc.nodes, cfg) })
+	}
+}
+
+func TestSendOutOfRangePanics(t *testing.T) {
+	for _, kind := range kinds {
+		n := topo.New(sim.New(), 32, testConfig(kind))
+		mustPanic(t, kind+" send to node 32", func() { n.Send(0, 32, 10, func() {}) })
+		mustPanic(t, kind+" attach at node -1", func() { n.Attach(-1) })
+		att := n.Attach(3)
+		mustPanic(t, kind+" peripheral send from node 32", func() { att.SendTo(32, 10, func() {}) })
+	}
+}
+
+func TestNegativeSizePanics(t *testing.T) {
+	for _, kind := range kinds {
+		n := topo.New(sim.New(), 32, testConfig(kind))
+		mustPanic(t, kind+" negative size", func() { n.Latency(0, 1, -1) })
+	}
+}
+
+// Property: latency is monotone in message size on every topology.
+func TestQuickLatencyMonotoneInSize(t *testing.T) {
+	for _, kind := range kinds {
+		n := topo.New(sim.New(), 32, testConfig(kind))
+		f := func(s1, s2 uint32) bool {
+			a, b := int(s1%(1<<22)), int(s2%(1<<22))
+			if a > b {
+				a, b = b, a
+			}
+			return n.Latency(0, 17, a) <= n.Latency(0, 17, b)
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+}
+
+// hopCost is the hop part of a healthy zero-byte message's latency:
+// what it pays beyond the software cost a message to self pays.
+func hopCost(n topo.Interconnect, a, b int) sim.Time {
+	return n.Latency(a, b, 0) - n.Latency(a, a, 0)
+}
+
+// Property: on every topology the hop cost is symmetric and zero
+// exactly when the endpoints are equal.
+func TestQuickHopsMetric(t *testing.T) {
+	for _, kind := range kinds {
+		n := topo.New(sim.New(), 32, testConfig(kind))
+		f := func(aRaw, bRaw uint8) bool {
+			a, b := int(aRaw%32), int(bRaw%32)
+			return hopCost(n, a, b) == hopCost(n, b, a) && (hopCost(n, a, b) == 0) == (a == b)
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+}
+
+// Property: the hop cost obeys the triangle inequality on every
+// topology.
+func TestQuickHopsTriangle(t *testing.T) {
+	for _, kind := range kinds {
+		n := topo.New(sim.New(), 32, testConfig(kind))
+		f := func(aRaw, bRaw, cRaw uint8) bool {
+			a, b, c := int(aRaw%32), int(bRaw%32), int(cRaw%32)
+			return hopCost(n, a, c) <= hopCost(n, a, b)+hopCost(n, b, c)
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+}
+
+// classHops is one Degrader.HopCost call: a link class and the number
+// of its links a message crosses.
+type classHops struct{ class, hops int }
+
 // orderedDegrader records the call protocol topologies owe a
 // topo.Degrader: HopCost once per crossed link class, then Message
-// exactly once.
+// exactly once. It changes no latency.
 type orderedDegrader struct {
-	classes []int
-	base    sim.Time
-	msgs    int
+	calls []classHops
+	base  sim.Time
+	msgs  int
 }
 
 func (d *orderedDegrader) HopCost(class, hops int, perHop sim.Time) sim.Time {
-	d.classes = append(d.classes, class)
+	d.calls = append(d.calls, classHops{class, hops})
 	return sim.Time(hops) * perHop
 }
 
@@ -183,26 +351,51 @@ func (d *orderedDegrader) Message(base, transfer sim.Time) sim.Time {
 }
 
 func TestDegraderProtocol(t *testing.T) {
-	cfg := testConfig("mesh")
-	m := topo.New(sim.New(), 32, cfg)
-	deg := &orderedDegrader{}
-	m.SetDegrader(deg)
-	// (0 -> 9) crosses one x link then one y link.
-	healthy := cfg.Startup + cfg.PerPacket + 2*cfg.PerHop + 1*sim.Microsecond
-	if got := m.Latency(0, 9, 4096); got != healthy {
-		t.Fatalf("identity degrader changed latency: %v != %v", got, healthy)
-	}
-	if len(deg.classes) != 2 || deg.classes[0] != 0 || deg.classes[1] != 1 || deg.msgs != 1 {
-		t.Fatalf("degrader protocol: classes %v, %d messages", deg.classes, deg.msgs)
-	}
-	if want := cfg.Startup + cfg.PerPacket + 2*cfg.PerHop; deg.base != want {
-		t.Fatalf("Message base %v, want software+hops %v", deg.base, want)
-	}
-	// Straight-line routes touch only the axis they use.
-	deg.classes = nil
-	m.Latency(0, 7, 0)  // same row: x only
-	m.Latency(0, 24, 0) // same column: y only
-	if len(deg.classes) != 2 || deg.classes[0] != 0 || deg.classes[1] != 1 {
-		t.Fatalf("straight-line classes %v", deg.classes)
+	for _, tc := range []struct {
+		kind     string
+		src, dst int
+		calls    []classHops // HopCost calls, in order
+	}{
+		// Mesh (8x4, row-major): XY routing crosses its x links, then
+		// its y links; a straight line touches only the axis it uses.
+		{"mesh", 0, 9, []classHops{{0, 1}, {1, 1}}},
+		{"mesh", 0, 7, []classHops{{0, 7}}},
+		{"mesh", 0, 24, []classHops{{1, 3}}},
+		// Hypercube: one call per crossed dimension, lowest first.
+		{"hypercube", 0, 13, []classHops{{0, 1}, {2, 1}, {3, 1}}},
+		{"hypercube", 31, 16, []classHops{{0, 1}, {1, 1}, {2, 1}, {3, 1}}},
+		{"hypercube", 5, 5, nil},
+		// Fat tree (pods of 16): two edge links within a pod, then two
+		// spine links across pods.
+		{"fattree", 0, 15, []classHops{{0, 2}}},
+		{"fattree", 0, 16, []classHops{{0, 2}, {1, 2}}},
+	} {
+		cfg := testConfig(tc.kind)
+		healthy := topo.New(sim.New(), 32, cfg)
+		n := topo.New(sim.New(), 32, cfg)
+		deg := &orderedDegrader{}
+		n.SetDegrader(deg)
+		hops := 0
+		for _, c := range tc.calls {
+			hops += c.hops
+		}
+		wantBase := cfg.Startup + cfg.PerPacket + sim.Time(hops)*cfg.PerHop
+		// A peripheral attachment adds one class-less hop to the base.
+		for extra, lat := range []func(topo.Interconnect) sim.Time{
+			func(n topo.Interconnect) sim.Time { return n.Latency(tc.src, tc.dst, 4096) },
+			func(n topo.Interconnect) sim.Time { return n.Attach(tc.dst).LatencyFrom(tc.src, 4096) },
+		} {
+			deg.calls, deg.msgs = nil, 0
+			if got, want := lat(n), lat(healthy); got != want {
+				t.Fatalf("%s %d->%d: identity degrader changed latency: %v != %v", tc.kind, tc.src, tc.dst, got, want)
+			}
+			if !reflect.DeepEqual(deg.calls, tc.calls) || deg.msgs != 1 {
+				t.Fatalf("%s %d->%d: HopCost calls %v, %d messages; want %v, 1 message",
+					tc.kind, tc.src, tc.dst, deg.calls, deg.msgs, tc.calls)
+			}
+			if want := wantBase + sim.Time(extra)*cfg.PerHop; deg.base != want {
+				t.Fatalf("%s %d->%d: Message base %v, want software+hops %v", tc.kind, tc.src, tc.dst, deg.base, want)
+			}
+		}
 	}
 }

@@ -2,23 +2,25 @@
 // instant what-if layer that answers "what would this configuration's
 // I/O queues look like?" without running the full traced study.
 //
-// The twin has two halves. The walking half replays the exact workload
-// — the same generator, the same archetype bodies (via the
-// machine.FileSys interface), the same CFS clients, I/O nodes, buffer
-// caches, disks, fault windows, and hypercube latencies — on a
-// stripped-down machine with no tracing pipeline, no collector, and no
-// drift clocks, accumulating each I/O node's arrival and service
-// moments. The analytical half treats each I/O node as an M/G/1 queue
-// and cross-checks the walk with the Pollaczek–Khinchine formula:
+// The twin has two halves. The walking half runs the exact workload on
+// the simulated machine with tracing off (machine.NewUntraced): the
+// same generator, archetype bodies, scheduler, allocator, CFS clients,
+// I/O nodes, buffer caches, disks, fault windows, and network
+// latencies, minus the trace buffers, drift clocks, and collector. The
+// walk accumulates each I/O node's arrival and service moments, which
+// equal the traced study's exactly unless the network draws
+// per-message jitter. The analytical half treats each I/O node as an
+// M/G/1 queue and cross-checks the walk with the Pollaczek–Khinchine
+// formula:
 //
 //	Wq = λ·E[S²] / 2(1−ρ)
 //
-// with the service second moment derived from the drive's closed-form
-// random-access distribution (disk.Config.RandomAccessMoments). Where
-// the two halves disagree, the gap itself is informative: the paper's
-// workload arrives in synchronized per-job waves, not as a Poisson
-// stream, so the realization-aware walk is the prediction and the
-// closed form is the independence baseline it is compared against.
+// with the service second moment derived from the drive model's
+// closed-form random-access distribution (disk.Model.ServiceMoments).
+// Where the two halves disagree, the gap itself is informative: the
+// paper's workload arrives in synchronized per-job waves, not as a
+// Poisson stream, so the realization-aware walk is the prediction and
+// the closed form is the independence baseline it is compared against.
 //
 // Predictions carry no Inf or NaN anywhere: a node at or past
 // saturation (ρ ≥ 1) is flagged Saturated instead of reporting an
@@ -57,35 +59,32 @@ type Prediction struct {
 	SaturationScale float64
 }
 
-// Predict walks the workload on the twin's timing engine and returns
-// the per-I/O-node M/G/1 prediction. The same (Params, Config) pair
-// that core.RunStudy would simulate yields the matching prediction;
-// callers normally reach it through core.Predict.
+// Predict walks the workload on the untraced machine and returns the
+// per-I/O-node M/G/1 prediction. The same (Params, Config) pair that
+// core.RunStudy would simulate yields the matching prediction; callers
+// normally reach it through core.Predict.
 func Predict(wp workload.Params, mc machine.Config) *Prediction {
 	k := sim.New()
-	e := newEngine(k, mc)
-	gen := workload.NewGenerator(wp)
-	horizon := gen.Install(e)
+	m := machine.NewUntraced(k, mc)
+	horizon := workload.NewGenerator(wp).Install(m)
 	k.Run()
-	if len(e.running) > 0 || len(e.queue) > 0 {
-		panic(fmt.Sprintf("twin: %d running / %d queued jobs after the walk",
-			len(e.running), len(e.queue)))
-	}
-	return e.prediction(horizon)
+	m.FinishTracing() // panics if a job is still running or queued
+	return prediction(m, horizon)
 }
 
 // prediction assembles the walked moments into the M/G/1 closed forms.
-func (e *engine) prediction(horizon sim.Time) *Prediction {
-	nio := e.cfg.FS.IONodes
+func prediction(m *machine.Machine, horizon sim.Time) *Prediction {
+	fs := m.FS()
+	nio := fs.Config().IONodes
 	// Service second moment: the drive model's closed-form service
 	// distribution shifted by the per-request software overhead. Only
 	// the squared coefficient of variation survives into P-K (the mean
 	// comes from the walk), so cache hits shrinking E[S] are absorbed.
 	var dm1, dm2 float64
 	if nio > 0 {
-		dm1, dm2 = e.fs.IONode(0).Disk().ServiceMoments()
+		dm1, dm2 = fs.IONode(0).Disk().ServiceMoments()
 	}
-	oh := e.cfg.FS.IONode.Overhead.ToSeconds()
+	oh := fs.Config().IONode.Overhead.ToSeconds()
 	sm1 := dm1 + oh
 	sm2 := dm2 + 2*oh*dm1 + oh*oh
 	cs2 := 0.0
@@ -96,10 +95,10 @@ func (e *engine) prediction(horizon sim.Time) *Prediction {
 		}
 	}
 	h := horizon.ToSeconds()
-	p := &Prediction{Horizon: horizon, Jobs: e.jobs, Nodes: make([]NodePrediction, nio)}
+	p := &Prediction{Horizon: horizon, Jobs: len(m.JobRecords()), Nodes: make([]NodePrediction, nio)}
 	maxRho := 0.0
 	for i := 0; i < nio; i++ {
-		batches, wait, service := e.fs.IONode(i).QueueStats()
+		batches, wait, service := fs.IONode(i).QueueStats()
 		np := NodePrediction{Batches: batches}
 		if batches > 0 && h > 0 {
 			lambda := float64(batches) / h

@@ -44,7 +44,7 @@ func sleepShort(ctx *machine.NodeCtx, rng *stats.RNG) {
 
 // openRead opens an existing file read-only, failing the job's node
 // quietly if the file vanished (deleted between jobs).
-func openRead(ctx *machine.NodeCtx, name string, mode cfs.IOMode) machine.File {
+func openRead(ctx *machine.NodeCtx, name string, mode cfs.IOMode) *cfs.Handle {
 	h, err := ctx.CFS.Open(ctx.P, name, cfs.ORdOnly, mode)
 	if err != nil {
 		return nil
@@ -55,7 +55,7 @@ func openRead(ctx *machine.NodeCtx, name string, mode cfs.IOMode) machine.File {
 // readAll reads a whole file start-to-finish in rec-sized consecutive
 // requests: the broadcast-read pattern (100% sequential, 100%
 // consecutive, fully byte-shared when every node does it).
-func readAll(ctx *machine.NodeCtx, h machine.File, rec int64) {
+func readAll(ctx *machine.NodeCtx, h *cfs.Handle, rec int64) {
 	size := h.Size()
 	for off := int64(0); off < size; {
 		n, err := h.Read(ctx.P, rec)
@@ -69,7 +69,7 @@ func readAll(ctx *machine.NodeCtx, h machine.File, rec int64) {
 // readInterleaved reads records rank, rank+P, rank+2P, ... of a shared
 // file: sequential but non-consecutive per node, one non-zero interval
 // size, disjoint bytes but shared blocks when rec < 4 KB.
-func readInterleaved(ctx *machine.NodeCtx, h machine.File, rec int64) {
+func readInterleaved(ctx *machine.NodeCtx, h *cfs.Handle, rec int64) {
 	size := h.Size()
 	stride := rec * int64(ctx.JobNodes)
 	for base := int64(ctx.Rank) * rec; base < size; base += stride {
@@ -89,7 +89,7 @@ func readInterleaved(ctx *machine.NodeCtx, h machine.File, rec int64) {
 // of a domain-decomposed CFD solver -- so every byte is read by two or
 // three nodes and the file is fully byte-shared, still in one request
 // per node.
-func readPartitioned(ctx *machine.NodeCtx, h machine.File, overlap bool) {
+func readPartitioned(ctx *machine.NodeCtx, h *cfs.Handle, overlap bool) {
 	size := h.Size()
 	chunk := size / int64(ctx.JobNodes)
 	if chunk <= 0 {
@@ -119,7 +119,7 @@ func readPartitioned(ctx *machine.NodeCtx, h machine.File, overlap bool) {
 // offsets 2*rank, 2*rank+1, then 2*(rank+P), ... The per-node stream
 // alternates a zero gap with a stride gap, producing the two distinct
 // interval sizes of Table 2's small 2-interval population.
-func readInterleavedPaired(ctx *machine.NodeCtx, h machine.File, rec int64) {
+func readInterleavedPaired(ctx *machine.NodeCtx, h *cfs.Handle, rec int64) {
 	size := h.Size()
 	stride := 2 * rec * int64(ctx.JobNodes)
 	for base := 2 * int64(ctx.Rank) * rec; base < size; base += stride {
@@ -137,7 +137,7 @@ func readInterleavedPaired(ctx *machine.NodeCtx, h machine.File, rec int64) {
 // writeRecords writes a header then count records consecutively: the
 // per-node output pattern (write-only, 100% consecutive, two request
 // sizes, one interval size of zero).
-func writeRecords(ctx *machine.NodeCtx, h machine.File, header, rec int64, count int) {
+func writeRecords(ctx *machine.NodeCtx, h *cfs.Handle, header, rec int64, count int) {
 	if header > 0 {
 		h.Write(ctx.P, header)
 	}

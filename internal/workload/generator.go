@@ -137,24 +137,10 @@ type jobPlan struct {
 	spec machine.JobSpec
 }
 
-// Target is where a workload lands: the simulated machine, or any
-// stand-in that accepts the same preloaded files and job schedule
-// (the analytical twin's timing engine). *machine.Machine satisfies
-// it directly.
-type Target interface {
-	// ComputeNodes reports the machine size; drawn node counts are
-	// clamped to it.
-	ComputeNodes() int
-	// Preload creates a pre-existing input file of the given size.
-	Preload(name string, size int64) error
-	// SubmitAt schedules a job submission at absolute virtual time t.
-	SubmitAt(t sim.Time, spec machine.JobSpec)
-}
-
 // Install preloads the shared input data and submits the whole job
 // schedule onto the machine. It must be called before the kernel runs.
 // It returns the study horizon (pass it to analysis.Analyze).
-func (g *Generator) Install(m Target) sim.Time {
+func (g *Generator) Install(m *machine.Machine) sim.Time {
 	p := g.p
 	horizon := g.Horizon()
 
