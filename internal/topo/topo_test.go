@@ -67,9 +67,6 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestHypercubeRegistered(t *testing.T) {
 	cfg := topo.IPSC860()
-	if cfg.Kind != "" || cfg.Dim != 7 || cfg.PacketBytes != 4096 {
-		t.Fatalf("IPSC860() = %+v, want the default kind, 7 dimensions, 4 KB packets", cfg)
-	}
 	n := topo.New(sim.New(), 128, cfg)
 	if n.Nodes() != 128 || n.LinkClasses() != 7 {
 		t.Fatalf("nodes=%d classes=%d", n.Nodes(), n.LinkClasses())
@@ -83,52 +80,6 @@ func TestHypercubeRegistered(t *testing.T) {
 		}
 	}()
 	topo.New(sim.New(), 64, cfg)
-}
-
-func TestHypercubeLatency(t *testing.T) {
-	cfg := testConfig("hypercube")
-	cfg.Dim = 7
-	h := topo.New(sim.New(), 128, cfg)
-	software := cfg.Startup + cfg.PerPacket
-	// Zero-byte message to self: software cost only (one minimum
-	// packet, no hops, no transfer).
-	if got := h.Latency(0, 0, 0); got != software {
-		t.Fatalf("self latency %v, want %v", got, software)
-	}
-	// e-cube distance: one hop per address bit the endpoints differ in.
-	for _, tc := range []struct{ a, b, hops int }{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 3, 2},
-		{0, 127, 7},
-		{5, 6, 2}, // 101 vs 110
-	} {
-		want := software + sim.Time(tc.hops)*cfg.PerHop
-		if got := h.Latency(tc.a, tc.b, 0); got != want {
-			t.Errorf("Latency(%d,%d) = %v, want %v (%d hops)", tc.a, tc.b, got, want, tc.hops)
-		}
-	}
-	// One 4096-byte packet is exactly 1 us of transfer; one byte more
-	// starts a second packet.
-	onePacket := software + cfg.PerHop + 1*sim.Microsecond
-	if got := h.Latency(0, 1, 4096); got != onePacket {
-		t.Fatalf("Latency(0,1,4096) = %v, want %v", got, onePacket)
-	}
-	if got := h.Latency(0, 1, 4097) - onePacket; got != cfg.PerPacket {
-		t.Fatalf("crossing a packet boundary added %v, want %v", got, cfg.PerPacket)
-	}
-	// 1 MiB is 256 packets and 256 us of transfer.
-	if got, want := h.Latency(0, 1, 1<<20), cfg.Startup+256*cfg.PerPacket+cfg.PerHop+256*sim.Microsecond; got != want {
-		t.Fatalf("Latency(0,1,1MiB) = %v, want %v", got, want)
-	}
-	// A peripheral attachment adds one class-less hop.
-	att := h.Attach(3)
-	if att.Host() != 3 {
-		t.Fatalf("Host() = %d", att.Host())
-	}
-	if got, want := att.LatencyFrom(0, 500), h.Latency(0, 3, 500)+cfg.PerHop; got != want {
-		t.Fatalf("peripheral latency %v, want %v", got, want)
-	}
 }
 
 func TestMeshLatency(t *testing.T) {
