@@ -56,13 +56,17 @@ func run(w io.Writer, path string, fig int, combined bool) error {
 	if err != nil {
 		return err
 	}
-	blockBytes := int64(rd.Header().BlockBytes)
+	header := rd.Header()
+	blockBytes := header.BlockSize()
 
 	switch {
 	case fig == 8:
 		runFig8(w, events, blockBytes)
 	case fig == 9:
-		runFig9(w, events, blockBytes, int(rd.Header().IONodes))
+		if header.IONodes == 0 {
+			return fmt.Errorf("%s: trace header has IONodes = 0; Figure 9 stripes blocks over the I/O nodes", path)
+		}
+		runFig9(w, events, blockBytes, int(header.IONodes))
 	case combined:
 		runCombined(w, events, blockBytes)
 	}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -67,5 +68,63 @@ func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, filepath.Join(t.TempDir(), "missing.trc"), 0, true); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// craftedTrace writes a copy of the smoke trace with header bytes
+// [from, to) zeroed and returns its path.
+func craftedTrace(t *testing.T, from, to int) string {
+	t.Helper()
+	data, err := os.ReadFile(smokeTrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(data[from:to])
+	path := filepath.Join(t.TempDir(), "crafted.trc")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCraftedHeaderZeroBlockBytes: a header with no block size falls
+// back to 4096 bytes, as the analyzer does, so every experiment runs
+// and the combined one still matches the smoke golden.
+func TestCraftedHeaderZeroBlockBytes(t *testing.T) {
+	path := craftedTrace(t, 14, 18)
+	for _, fig := range []int{8, 9} {
+		var out bytes.Buffer
+		if err := run(&out, path, fig, false); err != nil {
+			t.Fatalf("-fig %d: %v", fig, err)
+		}
+	}
+	var out bytes.Buffer
+	if err := run(&out, path, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(smokeGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatal("-combined on a zero-block-size header diverged from the smoke golden")
+	}
+}
+
+// TestCraftedHeaderZeroIONodes: Figure 9 stripes blocks over the
+// header's I/O nodes, so a header with none is an error naming the
+// field; the experiments that do not read it still run.
+func TestCraftedHeaderZeroIONodes(t *testing.T) {
+	path := craftedTrace(t, 12, 14)
+	var out bytes.Buffer
+	err := run(&out, path, 9, false)
+	if err == nil || !strings.Contains(err.Error(), "IONodes") {
+		t.Fatalf("-fig 9 error = %v, want one naming IONodes", err)
+	}
+	if err := run(&out, path, 8, false); err != nil {
+		t.Fatalf("-fig 8: %v", err)
+	}
+	if err := run(&out, path, 0, true); err != nil {
+		t.Fatalf("-combined: %v", err)
 	}
 }

@@ -63,10 +63,7 @@ func OnlineInto(s *Scratch, header trace.Header) *Online {
 			BlockSharing: newClassCDFs(s),
 		},
 	}
-	o.blockBytes = int64(header.BlockBytes)
-	if o.blockBytes <= 0 {
-		o.blockBytes = 4096
-	}
+	o.blockBytes = header.BlockSize()
 	o.files = s.fileMap()
 	if s != nil {
 		if s.jobStart == nil {

@@ -57,3 +57,20 @@ func BenchmarkAccess(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStack measures one Stack.Access over the same fixed stream,
+// after a warm-up pass, so the loop is steady-state distance queries
+// over ~5000 distinct blocks. The stream has no immediate repeats, so
+// every access takes the Fenwick-tree path.
+func BenchmarkStack(b *testing.B) {
+	ids := accessStream()
+	s := NewStack(1 << 20)
+	for _, id := range ids {
+		s.Access(id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Access(ids[i&(len(ids)-1)])
+	}
+}

@@ -1,11 +1,17 @@
 // Package cache implements the block-cache replacement policies used
 // by the CFS I/O nodes and by the paper's trace-driven cache
-// simulations: LRU, FIFO, and the single-buffer-per-file scheme the
-// paper recommends for compute nodes.
+// simulations: LRU, FIFO, Clock and segmented LRU, plus Stack, which
+// measures the LRU stack distance of each access so one pass over a
+// trace gives an LRU cache's hits at every size.
 //
 // Caches here track block identity only, not contents; the simulators
 // and the CFS I/O node care about hit/miss behaviour and eviction
 // order, never about data bytes.
+//
+// Every policy answers an immediate repeat of the block it touched
+// last without probing its index, and only where the full lookup would
+// leave the cache in the same state: most block accesses in a
+// CHARISMA trace repeat the previous block at the same I/O node.
 package cache
 
 import "fmt"
@@ -137,6 +143,11 @@ func NewLRU(capacity int) *LRU {
 // Access implements Cache.
 func (c *LRU) Access(id BlockID) bool {
 	c.stats.Accesses++
+	if f := c.order.front; f >= 0 && c.order.entries[f].id == id {
+		// A repeat of the most recent block: already at the front.
+		c.stats.Hits++
+		return true
+	}
 	if i, _, ok := c.index.get(id); ok {
 		c.stats.Hits++
 		if c.order.front != i {
@@ -192,6 +203,7 @@ type FIFO struct {
 	capacity int
 	index    blockIndex
 	order    order // front = newest arrival
+	last     int32 // slot of the block accessed last, -1 = none
 	stats    Stats
 }
 
@@ -204,14 +216,21 @@ func NewFIFO(capacity int) *FIFO {
 		capacity: capacity,
 		index:    newBlockIndex(),
 		order:    newOrder(capacity),
+		last:     -1,
 	}
 }
 
-// Access implements Cache.
+// Access implements Cache. A hit changes nothing, so a repeat of the
+// last block is answered from its remembered slot.
 func (c *FIFO) Access(id BlockID) bool {
 	c.stats.Accesses++
-	if _, ok := c.index.lookup(id); ok {
+	if c.last >= 0 && c.order.entries[c.last].id == id {
 		c.stats.Hits++
+		return true
+	}
+	if i, _, ok := c.index.get(id); ok {
+		c.stats.Hits++
+		c.last = i
 		return true
 	}
 	if c.index.n >= c.capacity {
@@ -221,23 +240,27 @@ func (c *FIFO) Access(id BlockID) bool {
 		c.order.entries[victim].id = id
 		c.index.put(id, victim, false)
 		c.order.pushFront(victim)
+		c.last = victim
 		return false
 	}
 	i := c.order.alloc(id)
 	c.index.put(id, i, false)
 	c.order.pushFront(i)
+	c.last = i
 	return false
 }
 
 // Contains implements Cache.
 func (c *FIFO) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
 
-// Invalidate implements Cache.
+// Invalidate implements Cache. A freed slot keeps its stale id, so
+// the remembered slot is forgotten.
 func (c *FIFO) Invalidate(id BlockID) {
 	if i, _, ok := c.index.get(id); ok {
 		c.order.unlink(i)
 		c.order.free = append(c.order.free, i)
 		c.index.remove(id)
+		c.last = -1
 	}
 }
 
@@ -253,62 +276,8 @@ func (c *FIFO) Stats() Stats { return c.stats }
 // Name implements Cache.
 func (c *FIFO) Name() string { return "FIFO" }
 
-// PerFile keeps one buffer per file, the compute-node organization the
-// paper recommends in its conclusions: each file a process has open
-// caches exactly its most recently touched block.
-type PerFile struct {
-	current map[uint64]int64 // file -> resident block
-	stats   Stats
-}
-
-// NewPerFile returns an empty per-file single-buffer cache.
-func NewPerFile() *PerFile {
-	return &PerFile{current: make(map[uint64]int64)}
-}
-
-// Access implements Cache semantics with per-file capacity 1.
-func (c *PerFile) Access(id BlockID) bool {
-	c.stats.Accesses++
-	if b, ok := c.current[id.File]; ok && b == id.Block {
-		c.stats.Hits++
-		return true
-	}
-	c.current[id.File] = id.Block
-	return false
-}
-
-// Contains implements Cache.
-func (c *PerFile) Contains(id BlockID) bool {
-	b, ok := c.current[id.File]
-	return ok && b == id.Block
-}
-
-// Invalidate implements Cache.
-func (c *PerFile) Invalidate(id BlockID) {
-	if b, ok := c.current[id.File]; ok && b == id.Block {
-		delete(c.current, id.File)
-	}
-}
-
-// Drop releases the buffer held for a file (on close).
-func (c *PerFile) Drop(file uint64) { delete(c.current, file) }
-
-// Len implements Cache.
-func (c *PerFile) Len() int { return len(c.current) }
-
-// Capacity reports the number of files with a live buffer; the
-// per-file capacity is fixed at one block each.
-func (c *PerFile) Capacity() int { return len(c.current) }
-
-// Stats implements Cache.
-func (c *PerFile) Stats() Stats { return c.stats }
-
-// Name implements Cache.
-func (c *PerFile) Name() string { return "PerFile" }
-
 // Verify the implementations satisfy the interface.
 var (
 	_ Cache = (*LRU)(nil)
 	_ Cache = (*FIFO)(nil)
-	_ Cache = (*PerFile)(nil)
 )

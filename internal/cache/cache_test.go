@@ -73,7 +73,7 @@ func TestLRUBeatsFIFOOnLoopWithRefresh(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	for _, c := range []Cache{NewLRU(4), NewFIFO(4), NewClock(4), NewSLRU(4), NewPerFile()} {
+	for _, c := range []Cache{NewLRU(4), NewFIFO(4), NewClock(4), NewSLRU(4)} {
 		c.Access(id(1, 0))
 		c.Invalidate(id(1, 0))
 		if c.Contains(id(1, 0)) {
@@ -126,51 +126,8 @@ func TestZeroCapacityPanics(t *testing.T) {
 	}
 }
 
-func TestPerFileOneBufferPerFile(t *testing.T) {
-	c := NewPerFile()
-	c.Access(id(1, 0))
-	c.Access(id(2, 5))
-	if !c.Contains(id(1, 0)) || !c.Contains(id(2, 5)) {
-		t.Fatal("distinct files should not evict each other")
-	}
-	c.Access(id(1, 1)) // replaces file 1's buffer
-	if c.Contains(id(1, 0)) {
-		t.Fatal("file 1 old block survived")
-	}
-	if !c.Contains(id(2, 5)) {
-		t.Fatal("file 2 buffer lost")
-	}
-}
-
-func TestPerFileDrop(t *testing.T) {
-	c := NewPerFile()
-	c.Access(id(1, 0))
-	c.Drop(1)
-	if c.Len() != 0 {
-		t.Fatalf("len = %d after Drop", c.Len())
-	}
-	if c.Contains(id(1, 0)) {
-		t.Fatal("dropped buffer still resident")
-	}
-}
-
-func TestPerFileSequentialSmallRequestsHit(t *testing.T) {
-	// 100-byte sequential reads in a 4 KB block: 40 of 41 accesses to
-	// block 0 hit; this is the paper's compute-node cache success mode.
-	c := NewPerFile()
-	hits := 0
-	for off := int64(0); off < 8192; off += 100 {
-		if c.Access(id(1, off/4096)) {
-			hits++
-		}
-	}
-	if hits < 75 {
-		t.Fatalf("sequential small requests got only %d hits", hits)
-	}
-}
-
 func TestNames(t *testing.T) {
-	if NewLRU(1).Name() != "LRU" || NewFIFO(1).Name() != "FIFO" || NewPerFile().Name() != "PerFile" {
+	if NewLRU(1).Name() != "LRU" || NewFIFO(1).Name() != "FIFO" || NewClock(1).Name() != "Clock" || NewSLRU(1).Name() != "SLRU" {
 		t.Fatal("policy names wrong")
 	}
 }

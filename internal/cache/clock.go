@@ -19,6 +19,7 @@ type Clock struct {
 	ids      []BlockID
 	ref      []bool
 	hand     int32
+	last     int32 // slot of the block accessed last, -1 = none
 	stats    Stats
 }
 
@@ -30,21 +31,30 @@ func NewClock(capacity int) *Clock {
 	return &Clock{
 		capacity: capacity,
 		index:    newBlockIndex(),
+		last:     -1,
 	}
 }
 
-// Access implements Cache.
+// Access implements Cache. A repeat of the last block is answered from
+// its remembered slot, setting the reference bit as a hit does.
 func (c *Clock) Access(id BlockID) bool {
 	c.stats.Accesses++
+	if c.last >= 0 && c.ids[c.last] == id {
+		c.stats.Hits++
+		c.ref[c.last] = true
+		return true
+	}
 	if i, _, ok := c.index.get(id); ok {
 		c.stats.Hits++
 		c.ref[i] = true
+		c.last = i
 		return true
 	}
 	if len(c.ids) < c.capacity {
 		c.ids = append(c.ids, id)
 		c.ref = append(c.ref, false)
-		c.index.put(id, int32(len(c.ids)-1), false)
+		c.last = int32(len(c.ids) - 1)
+		c.index.put(id, c.last, false)
 		return false
 	}
 	// Sweep for a victim: clear reference bits until one is unset.
@@ -61,6 +71,7 @@ func (c *Clock) Access(id BlockID) bool {
 	c.ids[victim] = id
 	c.ref[victim] = false
 	c.index.put(id, victim, false)
+	c.last = victim
 	c.hand = (c.hand + 1) % int32(len(c.ids))
 	return false
 }
@@ -73,13 +84,16 @@ func (c *Clock) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return 
 // bit cleared, making it an immediate victim candidate for the next
 // sweep. Because a genuine zero BlockID could also be cached in some
 // other slot, the eviction path in Access only deletes the victim's
-// index entry when it still points at the victim's slot.
+// index entry when it still points at the victim's slot, and the
+// remembered slot is forgotten so a zero BlockID cannot hit a
+// tombstone.
 func (c *Clock) Invalidate(id BlockID) {
 	if i, _, ok := c.index.get(id); ok {
 		c.index.remove(id)
 		// Make the slot an immediate victim candidate.
 		c.ref[i] = false
 		c.ids[i] = BlockID{}
+		c.last = -1
 	}
 }
 
@@ -136,6 +150,11 @@ func NewSLRU(capacity int) *SLRU {
 // Access implements Cache.
 func (c *SLRU) Access(id BlockID) bool {
 	c.stats.Accesses++
+	if f := c.prot.front; f >= 0 && c.prot.entries[f].id == id {
+		// A repeat of the protected MRU block: already in place.
+		c.stats.Hits++
+		return true
+	}
 	if i, protected, ok := c.index.get(id); ok {
 		c.stats.Hits++
 		if protected {

@@ -4,10 +4,21 @@
 // and I/O-node count (Figure 9), and the combined configuration that
 // showed compute-node caches remove only ~3% of the I/O-node cache's
 // hits (because most of those hits come from interprocess locality).
+//
+// Each experiment is one pass over the events, however many cache
+// sizes it asks for. LRU sizes come from stack distances
+// (cache.Stack): an LRU cache of capacity c hits exactly the accesses
+// at distance 1..c, so one distance per access answers every size.
+// FIFO, Clock and SLRU are not stack algorithms, so their sweeps drive
+// one cache per (size, I/O node) side by side, splitting each event
+// into blocks once; so does an I/O-node sweep of a single LRU size,
+// where a stack would cost more than the one cache it replaces.
 package cachesim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/cache"
@@ -79,6 +90,9 @@ func ReadOnlyFiles(events []trace.Event) map[uint64]bool {
 	return ro
 }
 
+// nodeKey names the compute node an event ran on within its job.
+func nodeKey(ev *trace.Event) uint64 { return uint64(ev.Job)<<16 | uint64(ev.Node) }
+
 // JobHitRate is one job's compute-node cache outcome.
 type JobHitRate struct {
 	Job      uint32
@@ -98,23 +112,52 @@ func (j JobHitRate) Rate() float64 {
 // holds `buffers` 4 KB read-only buffers with LRU replacement; a
 // request counts as a hit only when every block it touches is already
 // buffered locally (no message to an I/O node needed). Results are
-// reported per job, over jobs that read read-only files.
+// reported per job, in order of each job's first read of a read-only
+// file, over jobs that read read-only files.
 func ComputeNodeCache(events []trace.Event, blockBytes int64, buffers int) []JobHitRate {
+	return ComputeNodeSweep(events, blockBytes, []int{buffers})[0]
+}
+
+// ComputeNodeSweep is ComputeNodeCache at every size in buffers, in one
+// pass: out[i] holds the per-job results at buffers[i].
+//
+// Each (job, node) pair keeps one LRU stack over its read-only blocks.
+// An LRU cache of any size touches (and on a miss loads) every block
+// of a request, so the stream of block accesses, and with it each
+// block's stack distance, is the same at every size. The request hits
+// at size c exactly when each of its blocks has a distance in [1, c]:
+// its blocks are distinct, so none was loaded by an earlier miss in
+// the same request, and a hit evicts nothing, so no resident block is
+// lost before its own access. With no sizes there is nothing to
+// simulate.
+func ComputeNodeSweep(events []trace.Event, blockBytes int64, buffers []int) [][]JobHitRate {
+	if len(buffers) == 0 {
+		return nil
+	}
 	if blockBytes <= 0 {
 		panic("cachesim: block size must be positive")
 	}
-	if buffers <= 0 {
-		panic("cachesim: buffer count must be positive")
+	for _, b := range buffers {
+		if b <= 0 {
+			panic("cachesim: buffer count must be positive")
+		}
 	}
 	ro := ReadOnlyFiles(events)
 
-	type nodeKey struct {
-		job  uint32
-		node uint16
+	type jobCounts struct {
+		job      uint32
+		accesses int64
+		hits     []int64 // per size
 	}
-	caches := make(map[nodeKey]*cache.LRU)
-	perJob := make(map[uint32]*JobHitRate)
-	var jobOrder []uint32
+	// computeNode is one compute node's cache in one job.
+	type computeNode struct {
+		stack *cache.Stack
+		job   int // index in jobs
+	}
+	depth := slices.Max(buffers)
+	nodes := make(map[uint64]computeNode)
+	jobIndex := make(map[uint32]int)
+	var jobs []jobCounts // in first-appearance order
 	var blocks []int64
 
 	for i := range events {
@@ -126,35 +169,41 @@ func ComputeNodeCache(events []trace.Event, blockBytes int64, buffers int) []Job
 		if len(blocks) == 0 {
 			continue
 		}
-		key := nodeKey{ev.Job, ev.Node}
-		c := caches[key]
-		if c == nil {
-			c = cache.NewLRU(buffers)
-			caches[key] = c
+		cn, ok := nodes[nodeKey(ev)]
+		if !ok {
+			j, seen := jobIndex[ev.Job]
+			if !seen {
+				j = len(jobs)
+				jobIndex[ev.Job] = j
+				jobs = append(jobs, jobCounts{job: ev.Job, hits: make([]int64, len(buffers))})
+			}
+			cn = computeNode{cache.NewStack(depth), j}
+			nodes[nodeKey(ev)] = cn
 		}
-		jh := perJob[ev.Job]
-		if jh == nil {
-			jh = &JobHitRate{Job: ev.Job}
-			perJob[ev.Job] = jh
-			jobOrder = append(jobOrder, ev.Job)
-		}
-		// Touch (and on miss, load) the request's blocks. It is a hit
-		// exactly when every block was resident beforehand: the blocks
-		// are distinct, so none was loaded by an earlier miss in this
-		// request, and a hit evicts nothing, so no resident block is
-		// lost before its own access.
-		hit := true
+		// The request hits every size at least as large as its
+		// farthest block; a first touch misses at every size.
+		far := 1
 		for _, b := range blocks {
-			hit = c.Access(cache.BlockID{File: ev.File, Block: b}) && hit
+			d := cn.stack.Access(cache.BlockID{File: ev.File, Block: b})
+			if d == 0 {
+				d = math.MaxInt
+			}
+			far = max(far, d)
 		}
-		jh.Accesses++
-		if hit {
-			jh.Hits++
+		jc := &jobs[cn.job]
+		jc.accesses++
+		for k, c := range buffers {
+			if far <= c {
+				jc.hits[k]++
+			}
 		}
 	}
-	out := make([]JobHitRate, 0, len(jobOrder))
-	for _, job := range jobOrder {
-		out = append(out, *perJob[job])
+	out := make([][]JobHitRate, len(buffers))
+	for k := range out {
+		out[k] = make([]JobHitRate, len(jobs))
+		for j, jc := range jobs {
+			out[k][j] = JobHitRate{Job: jc.job, Accesses: jc.accesses, Hits: jc.hits[k]}
+		}
 	}
 	return out
 }
@@ -245,15 +294,21 @@ func (r IONodeResult) Rate() float64 {
 // I/O nodes; every read and write request in the trace touches its
 // blocks at the responsible nodes. No compute-node cache is used.
 func IONodeCache(events []trace.Event, blockBytes int64, ioNodes, totalBuffers int, policy Policy) IONodeResult {
-	if ioNodes <= 0 || totalBuffers < ioNodes {
-		panic(fmt.Sprintf("cachesim: bad I/O cache config: %d nodes, %d buffers", ioNodes, totalBuffers))
+	return IONodeSweep(events, blockBytes, ioNodes, []int{totalBuffers}, policy)[0]
+}
+
+// IONodeSweep is IONodeCache at every total in totals, in one pass:
+// out[i] is the configuration with totals[i] buffers. Block b always
+// lives at I/O node b % ioNodes, so every total sees the same per-node
+// access streams. With no totals there is nothing to simulate.
+func IONodeSweep(events []trace.Event, blockBytes int64, ioNodes int, totals []int, policy Policy) []IONodeResult {
+	if len(totals) == 0 {
+		return nil
 	}
-	caches := make([]cache.Cache, ioNodes)
-	per := totalBuffers / ioNodes
-	for i := range caches {
-		caches[i] = newCache(policy, per)
+	if blockBytes <= 0 {
+		panic("cachesim: block size must be positive")
 	}
-	res := IONodeResult{Policy: policy, IONodes: ioNodes, TotalBuffers: totalBuffers}
+	s := newIOSweep(ioNodes, totals, policy)
 	var blocks []int64
 	for i := range events {
 		ev := &events[i]
@@ -261,15 +316,141 @@ func IONodeCache(events []trace.Event, blockBytes int64, ioNodes, totalBuffers i
 			continue
 		}
 		blocks = eventBlocks(blocks[:0], ev, blockBytes)
-		for _, b := range blocks {
-			c := caches[int(b%int64(ioNodes))]
-			res.Accesses++
-			if c.Access(cache.BlockID{File: ev.File, Block: b}) {
-				res.Hits++
-			}
+		s.touch(ev.File, blocks)
+	}
+	return s.results()
+}
+
+// ioSweep holds every configuration of one I/O-node sweep: the caller
+// hands it each request's blocks once, and it counts the hits of every
+// total.
+//
+// An LRU sweep over more than one size keeps one stack per I/O node,
+// as deep as the largest per-node cache, and a histogram of distances,
+// sized by the largest distance seen rather than by the capacity
+// asked. Every other sweep keeps one cache per (distinct total, I/O
+// node): a stack costs more per access than an LRU cache, so it pays
+// only when it stands in for several. The caches' accesses are
+// buffered and replayed through one configuration at a time, so each
+// configuration's caches stay hot in the processor cache while it runs
+// its share of a batch.
+type ioSweep struct {
+	policy   Policy
+	ioNodes  int64
+	totals   []int // as requested
+	accesses int64
+
+	stacks []*cache.Stack // LRU over several sizes: per I/O node
+	hist   []int64        // LRU over several sizes: accesses per distance
+
+	sizes   []int         // distinct totals, ascending
+	caches  []cache.Cache // caches[k*ioNodes+node] holds sizes[k]
+	hits    []int64       // per distinct total
+	pending []access      // accesses not yet replayed
+}
+
+// access is one buffered block access and the I/O node it goes to.
+type access struct {
+	id   cache.BlockID
+	node int
+}
+
+// sweepBatch is how many accesses a sweep of caches buffers before it
+// replays them through each configuration: 96 KiB, which stay in the
+// processor cache while every configuration reads them.
+const sweepBatch = 4096
+
+func newIOSweep(ioNodes int, totals []int, policy Policy) *ioSweep {
+	for _, t := range totals {
+		if ioNodes <= 0 || t < ioNodes {
+			panic(fmt.Sprintf("cachesim: bad I/O cache config: %d nodes, %d buffers", ioNodes, t))
 		}
 	}
-	return res
+	s := &ioSweep{policy: policy, ioNodes: int64(ioNodes), totals: totals}
+	s.sizes = slices.Clone(totals)
+	slices.Sort(s.sizes)
+	s.sizes = slices.Compact(s.sizes)
+	if policy == LRU && len(s.sizes) > 1 {
+		s.stacks = make([]*cache.Stack, ioNodes)
+		for i := range s.stacks {
+			s.stacks[i] = cache.NewStack(s.sizes[len(s.sizes)-1] / ioNodes)
+		}
+		return s
+	}
+	s.hits = make([]int64, len(s.sizes))
+	if len(s.sizes) > 1 {
+		// One configuration gains nothing from batching: its buffer
+		// grows only to the largest request and replays when full.
+		s.pending = make([]access, 0, sweepBatch)
+	}
+	s.caches = make([]cache.Cache, 0, len(s.sizes)*ioNodes)
+	for _, t := range s.sizes {
+		for range ioNodes {
+			s.caches = append(s.caches, newCache(policy, t/ioNodes))
+		}
+	}
+	return s
+}
+
+// touch runs one request's blocks through every configuration.
+func (s *ioSweep) touch(file uint64, blocks []int64) {
+	s.accesses += int64(len(blocks))
+	if s.stacks == nil {
+		if len(s.pending)+len(blocks) > cap(s.pending) {
+			s.replay()
+		}
+		for _, b := range blocks {
+			s.pending = append(s.pending, access{cache.BlockID{File: file, Block: b}, int(b % s.ioNodes)})
+		}
+		return
+	}
+	for _, b := range blocks {
+		d := s.stacks[b%s.ioNodes].Access(cache.BlockID{File: file, Block: b})
+		for d >= len(s.hist) {
+			s.hist = append(s.hist, 0)
+		}
+		s.hist[d]++
+	}
+}
+
+// replay runs the pending accesses through each configuration's caches.
+func (s *ioSweep) replay() {
+	n := int(s.ioNodes)
+	for k := range s.hits {
+		caches := s.caches[k*n : (k+1)*n]
+		var hits int64
+		for _, a := range s.pending {
+			if caches[a.node].Access(a.id) {
+				hits++
+			}
+		}
+		s.hits[k] += hits
+	}
+	s.pending = s.pending[:0]
+}
+
+// results reports every requested total, in request order.
+func (s *ioSweep) results() []IONodeResult {
+	s.replay()
+	var cum []int64 // LRU: cum[d] = accesses at distance 1..d
+	if s.stacks != nil {
+		cum = make([]int64, max(len(s.hist), 1))
+		for d := 1; d < len(s.hist); d++ {
+			cum[d] = cum[d-1] + s.hist[d]
+		}
+	}
+	out := make([]IONodeResult, len(s.totals))
+	for i, t := range s.totals {
+		r := IONodeResult{Policy: s.policy, IONodes: int(s.ioNodes), TotalBuffers: t, Accesses: s.accesses}
+		if cum != nil {
+			r.Hits = cum[min(t/int(s.ioNodes), len(cum)-1)]
+		} else {
+			k, _ := slices.BinarySearch(s.sizes, t)
+			r.Hits = s.hits[k]
+		}
+		out[i] = r
+	}
+	return out
 }
 
 // CombinedResult reports the Section 4.8 combined experiment.
@@ -299,16 +480,9 @@ func CombinedPolicy(events []trace.Event, blockBytes int64, ioNodes, buffersPerI
 	}
 
 	ro := ReadOnlyFiles(events)
-	type nodeKey struct {
-		job  uint32
-		node uint16
-	}
-	frontCaches := make(map[nodeKey]*cache.LRU)
-	ioCaches := make([]cache.Cache, ioNodes)
-	for i := range ioCaches {
-		ioCaches[i] = newCache(policy, buffersPerIONode)
-	}
-	filtered := IONodeResult{Policy: policy, IONodes: ioNodes, TotalBuffers: total}
+	// A one-buffer LRU holds the block its compute node touched last.
+	front := make(map[uint64]cache.BlockID)
+	filtered := newIOSweep(ioNodes, []int{total}, policy)
 	var blocks []int64
 
 	for i := range events {
@@ -321,33 +495,21 @@ func CombinedPolicy(events []trace.Event, blockBytes int64, ioNodes, buffersPerI
 			continue
 		}
 		// The compute-node layer can fully absorb a read of read-only
-		// data if all its blocks are buffered locally.
+		// data if all its blocks are buffered locally. Touching a
+		// request's distinct blocks in turn leaves the last one
+		// buffered, and only a one-block request can find its whole
+		// span already there.
 		if (ev.Type == trace.EvRead || ev.Type == trace.EvReadStrided) && ro[ev.File] {
-			key := nodeKey{ev.Job, ev.Node}
-			c := frontCaches[key]
-			if c == nil {
-				c = cache.NewLRU(1)
-				frontCaches[key] = c
-			}
-			// One Access per block decides the hit, as in
-			// ComputeNodeCache.
-			hit := true
-			for _, b := range blocks {
-				hit = c.Access(cache.BlockID{File: ev.File, Block: b}) && hit
-			}
-			if hit {
+			buffered, ok := front[nodeKey(ev)]
+			last := cache.BlockID{File: ev.File, Block: blocks[len(blocks)-1]}
+			front[nodeKey(ev)] = last
+			if ok && len(blocks) == 1 && buffered == last {
 				res.ComputeHits++
 				continue // never reaches the I/O nodes
 			}
 		}
-		for _, b := range blocks {
-			c := ioCaches[int(b%int64(ioNodes))]
-			filtered.Accesses++
-			if c.Access(cache.BlockID{File: ev.File, Block: b}) {
-				filtered.Hits++
-			}
-		}
+		filtered.touch(ev.File, blocks)
 	}
-	res.IONodeFiltered = filtered
+	res.IONodeFiltered = filtered.results()[0]
 	return res
 }

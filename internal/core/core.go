@@ -25,6 +25,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 
 	"repro/internal/analysis"
 	"repro/internal/cachesim"
@@ -205,33 +206,46 @@ func RunFig8(events []trace.Event, blockBytes int64) []Fig8Result {
 }
 
 // RunFig8Buffers is RunFig8 at caller-chosen cache sizes (the
-// scenario engine's fig8 axis). The cache sizes are independent
-// simulations over the same immutable event slice, so they run in
-// parallel; results are merged in size order.
+// scenario engine's fig8 axis). Every size comes out of one pass over
+// the events: the compute-node caches are LRU, so per-(job, node) stack
+// distances decide each request's hit at every size at once.
 func RunFig8Buffers(events []trace.Event, blockBytes int64, buffers []int) []Fig8Result {
+	jobs := cachesim.ComputeNodeSweep(events, blockBytes, buffers)
 	out := make([]Fig8Result, len(buffers))
-	parallelEach(nil, len(buffers), 0, func(_, i int) {
-		out[i] = Fig8Result{
-			Buffers: buffers[i],
-			Jobs:    cachesim.ComputeNodeCache(events, blockBytes, buffers[i]),
-		}
-	})
+	for i, b := range buffers {
+		out[i] = Fig8Result{Buffers: b, Jobs: jobs[i]}
+	}
 	return out
 }
 
 // Fig9Sweep reproduces one Figure 9 curve: hit rate as a function of
-// total buffer count for the given policy and I/O-node count. Each
-// buffer count is an independent simulation over the same immutable
-// event slice, so the sweep fans out across cores; results are merged
-// in buffer-count order.
+// total buffer count for the given policy and I/O-node count, with
+// counts below ioNodes raised to one buffer per node. An LRU curve is
+// one pass over the events, since stack distances give every size at
+// once. The other policies simulate each size, so the ladder is dealt
+// into at most GOMAXPROCS chunks, each chunk's caches run side by side
+// in one pass, and the results are merged in ladder order.
 func Fig9Sweep(events []trace.Event, blockBytes int64, ioNodes int, policy cachesim.Policy, bufferCounts []int) []cachesim.IONodeResult {
-	out := make([]cachesim.IONodeResult, len(bufferCounts))
-	parallelEach(nil, len(bufferCounts), 0, func(_, i int) {
-		b := bufferCounts[i]
-		if b < ioNodes {
-			b = ioNodes
+	ladder := make([]int, len(bufferCounts))
+	for i, b := range bufferCounts {
+		ladder[i] = max(b, ioNodes)
+	}
+	if policy == cachesim.LRU {
+		return cachesim.IONodeSweep(events, blockBytes, ioNodes, ladder, policy)
+	}
+	out := make([]cachesim.IONodeResult, len(ladder))
+	chunks := min(runtime.GOMAXPROCS(0), len(ladder))
+	parallelEach(nil, chunks, chunks, func(_, c int) {
+		// Chunk c takes every chunks-th size, so each chunk holds a
+		// share of the large caches.
+		var idx, sizes []int
+		for i := c; i < len(ladder); i += chunks {
+			idx = append(idx, i)
+			sizes = append(sizes, ladder[i])
 		}
-		out[i] = cachesim.IONodeCache(events, blockBytes, ioNodes, b, policy)
+		for j, r := range cachesim.IONodeSweep(events, blockBytes, ioNodes, sizes, policy) {
+			out[idx[j]] = r
+		}
 	})
 	return out
 }

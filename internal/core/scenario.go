@@ -151,11 +151,7 @@ func replayStudy(path string, plan *scenario.ResolvedCache) (StudyOutcome, strin
 	}
 	text := ""
 	if plan != nil {
-		blockBytes := int64(header.BlockBytes)
-		if blockBytes <= 0 {
-			blockBytes = 4096 // tolerate foreign traces, as the analyzer does
-		}
-		text = cacheExperimentText(plan, events, blockBytes)
+		text = cacheExperimentText(plan, events, header.BlockSize())
 	}
 	return out, text, nil
 }
@@ -235,8 +231,8 @@ func FormatFig8(results []Fig8Result) string {
 
 // FormatFig9 renders the Figure 9 experiment exactly as the cachesim
 // command always has: the LRU and FIFO hit-rate curves over the
-// paper's buffer-count ladder at the trace's I/O-node count. Both
-// curves fan their buffer ladders across cores via Fig9Sweep.
+// paper's buffer-count ladder at the trace's I/O-node count, one
+// Fig9Sweep each.
 func FormatFig9(events []trace.Event, blockBytes int64, ioNodes int) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 9: I/O-node caching (4 KB buffers)")
@@ -262,8 +258,8 @@ func formatFig9Grid(events []trace.Event, blockBytes int64, plan *scenario.Resol
 			fmt.Fprintf(&b, "  %10s", p)
 		}
 		fmt.Fprintln(&b)
-		// One Fig9Sweep per policy: each fans its buffer ladder across
-		// cores; rows are then assembled in buffer order.
+		// One Fig9Sweep per policy gives that policy's column; rows
+		// are then assembled in buffer order.
 		curves := make([][]cachesim.IONodeResult, len(plan.Policies))
 		for pi, p := range plan.Policies {
 			curves[pi] = Fig9Sweep(events, blockBytes, ioNodes, p, plan.Buffers)

@@ -6,7 +6,8 @@
 // standard approximation of arm acceleration), an average rotational
 // latency, and a transfer cost at the media rate. Requests to the
 // cylinder under the head pay no seek. The drive is a serial resource:
-// callers serialize access through a sim.Resource in the I/O node.
+// the CFS I/O node queues requests behind a busy-until horizon, so one
+// request is in service at a time.
 package disk
 
 import (

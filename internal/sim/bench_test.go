@@ -95,7 +95,9 @@ func BenchmarkProcSuspendWake(b *testing.B) {
 }
 
 // BenchmarkChanSendRecv measures the producer/consumer handoff through
-// a Chan, the cache-simulator and machine queueing substrate.
+// a Chan between two processes, one Send and one Recv per op. Neither
+// the cache simulations nor the machine queue through a Chan; this
+// tracks the primitive's own cost.
 func BenchmarkChanSendRecv(b *testing.B) {
 	k := New()
 	c := NewChan[int](k)

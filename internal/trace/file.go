@@ -26,6 +26,16 @@ type Header struct {
 
 const headerSize = 8 + 2 + 2 + 2 + 4 + 4 + 8 // magic + version + fields
 
+// BlockSize returns the header's block size in bytes, falling back to
+// the CFS striping unit of 4096 when a foreign or crafted trace records
+// none.
+func (h Header) BlockSize() int64 {
+	if h.BlockBytes == 0 {
+		return 4096
+	}
+	return int64(h.BlockBytes)
+}
+
 func (h *Header) encode(buf []byte) {
 	copy(buf[0:8], Magic)
 	binary.LittleEndian.PutUint16(buf[8:], Version)
