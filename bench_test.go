@@ -490,9 +490,13 @@ func BenchmarkCFSWritePath(b *testing.B) {
 	}
 }
 
+// BenchmarkPostprocess is the trace merge alone over the shared
+// study's collected blocks: fit every node's clock, then k-way merge
+// the blocks into one corrected, time-ordered stream.
 func BenchmarkPostprocess(b *testing.B) {
 	res := sharedStudy(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trace.Postprocess(res.Trace)
 	}

@@ -55,9 +55,7 @@
 // the same directory). Every invocation waits until the whole run is
 // drained and prints the merged report, byte-identical to a
 // single-process run. -worker-id names the worker in the manifest's
-// per-worker throughput counters. The deprecated -shard i/n static
-// partition remains for compatibility and conflicts with
-// -worker-id/-lease-ttl. See the README's "Distributed runs"
+// per-worker throughput counters. See the README's "Distributed runs"
 // section.
 //
 // -list prints every registered name the other modes accept --
@@ -65,6 +63,12 @@
 // archetypes, cache replacement policies, and fault presets -- in
 // stable order and exits. It runs nothing, so combining it with any
 // run-shaping flag is a hard error.
+//
+// Every run-shaping flag is read by some modes only (see flagModes):
+// -seeds and -scales by -sweep, -workers and the store flags by
+// -sweep and -scenario, -trace, -fig and -table by the single study.
+// Setting one that the selected mode does not read is a hard error
+// naming both flags, never a silent no-op.
 //
 // `charisma serve` runs the simulation-as-a-service daemon (see
 // internal/serve and the README's "Serving" section): POST a scenario
@@ -153,16 +157,16 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 	seeds := fs.String("seeds", "", "sweep seeds: values and ranges, e.g. '3,1-5' (default: -seed)")
 	scales := fs.String("scales", "", "sweep scales: comma-separated list (default: -scale)")
 	workers := fs.Int("workers", 0, "sweep worker goroutines; 0 = GOMAXPROCS")
-	outDir := fs.String("out", "", "persist sweep/scenario outcomes to this run directory (distributed + resumable)")
-	shardSpec := fs.String("shard", "", "deprecated: run only static shard i of n, as 'i/n' (requires -out; conflicts with -worker-id/-lease-ttl)")
+	outDir := fs.String("out", "", "persist sweep/scenario outcomes to this run directory (distributed; rerun to resume)")
 	workerID := fs.String("worker-id", "", "worker identity for distributed runs (requires -out; default host-pid)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "work-claim lease time-to-live before other workers reclaim (requires -out; default 30s)")
-	resume := fs.Bool("resume", false, "allow reusing an existing run directory's outcomes (implicit in lease mode; required with -shard)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	stop, err := startProfiles(*cpuProfile, *memProfile, stderr)
 	if err != nil {
@@ -178,8 +182,8 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 		traceOut: *traceOut, sweep: *sweep, predict: *predict, list: *list, scenarioPath: *scenarioPath,
 		faultsPreset: *faultsPreset,
 		seeds:        *seeds, scales: *scales, workers: *workers,
-		outDir: *outDir, shardSpec: *shardSpec, resume: *resume,
-		workerID: *workerID, leaseTTL: *leaseTTL,
+		outDir: *outDir, workerID: *workerID, leaseTTL: *leaseTTL,
+		set: set,
 	}, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "charisma:", err)
 		return 1
@@ -203,87 +207,24 @@ type appConfig struct {
 	scales       string
 	workers      int
 	outDir       string
-	shardSpec    string
 	workerID     string
 	leaseTTL     time.Duration
-	resume       bool
+	set          map[string]bool // flags given on the command line
 }
 
 // run dispatches to the selected mode. Every failure returns an
 // error; nothing below this point may exit the process. ctx is
 // cancelled by SIGINT/SIGTERM; every mode winds down cleanly on it.
 func run(ctx context.Context, cfg appConfig, stdout, stderr io.Writer) error {
-	// The -scale flag feeds every mode; reject garbage before any
-	// simulation starts. (NaN slips through ordered comparisons, so
-	// the explicit check matters.)
+	// Reject a garbage -scale before anything else. (NaN slips
+	// through ordered comparisons, so the explicit check matters.)
 	if math.IsNaN(cfg.scale) || math.IsInf(cfg.scale, 0) || cfg.scale <= 0 {
 		return fmt.Errorf("bad -scale %v (want a finite scale > 0)", cfg.scale)
 	}
-	if cfg.sweep && cfg.scenarioPath != "" {
-		return errors.New("-sweep conflicts with -scenario: pick one mode (a scenario declares its own axes)")
-	}
-	if cfg.sweep || cfg.scenarioPath != "" {
-		// These flags shape single-study output only. They used to be
-		// silently ignored here -- `charisma -sweep -trace out.trc`
-		// wrote nothing and said nothing -- so the conflict is a hard
-		// error naming both flags, like -faults/-scenario.
-		mode := "-sweep"
-		if cfg.scenarioPath != "" {
-			mode = "-scenario"
-		}
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-trace", cfg.traceOut != ""},
-			{"-fig", cfg.fig != 0},
-			{"-table", cfg.table != 0},
-		} {
-			if f.set {
-				return fmt.Errorf("%s conflicts with %s: it applies only to the single-study mode", f.name, mode)
-			}
-		}
-	}
-	if cfg.predict {
-		// The analytical twin runs no traced simulation: there is no
-		// trace to write, no figures or tables to render, and no
-		// outcome to persist. Same rule as above -- each of these is a
-		// hard error naming both flags, never a silent no-op.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-trace", cfg.traceOut != ""},
-			{"-fig", cfg.fig != 0},
-			{"-table", cfg.table != 0},
-			{"-out", cfg.outDir != ""},
-		} {
-			if f.set {
-				return fmt.Errorf("%s conflicts with -predict: the analytical twin runs no traced simulation", f.name)
-			}
-		}
+	if err := checkModeFlags(cfg); err != nil {
+		return err
 	}
 	if cfg.list {
-		// -list only consults the registries: nothing is simulated,
-		// so every flag that selects or shapes a run is a hard error
-		// naming both flags, per the same no-silent-no-op rule.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-sweep", cfg.sweep},
-			{"-scenario", cfg.scenarioPath != ""},
-			{"-predict", cfg.predict},
-			{"-faults", cfg.faultsPreset != ""},
-			{"-trace", cfg.traceOut != ""},
-			{"-fig", cfg.fig != 0},
-			{"-table", cfg.table != 0},
-			{"-out", cfg.outDir != ""},
-		} {
-			if f.set {
-				return fmt.Errorf("%s conflicts with -list: listing the registries runs nothing", f.name)
-			}
-		}
 		return runList(stdout)
 	}
 	store, useStore, err := parseStore(cfg)
@@ -292,9 +233,6 @@ func run(ctx context.Context, cfg appConfig, stdout, stderr io.Writer) error {
 	}
 	var faultsCfg *faults.Config
 	if cfg.faultsPreset != "" {
-		if cfg.scenarioPath != "" {
-			return errors.New("-faults conflicts with -scenario: scenarios declare faults in their spec's \"faults\" block")
-		}
 		fc, err := faults.Preset(cfg.faultsPreset)
 		if err != nil {
 			return err
@@ -311,10 +249,73 @@ func run(ctx context.Context, cfg appConfig, stdout, stderr io.Writer) error {
 		return runScenario(ctx, stdout, stderr, cfg.scenarioPath, cfg.workers, store, useStore)
 	case cfg.sweep:
 		return runSweep(ctx, stdout, stderr, cfg, faultsCfg, store, useStore)
-	case useStore:
-		return errors.New("-out/-shard/-resume apply only to -sweep and -scenario runs")
 	}
 	return runStudy(ctx, stdout, stderr, cfg, faultsCfg)
+}
+
+// Modes a flag can be read in: the single study, -sweep and -scenario.
+// -list reads no run-shaping flag, and -predict swaps the traced
+// simulation of any of the three for the analytical twin.
+const (
+	modeStudy = 1 << iota
+	modeSweep
+	modeScenario
+)
+
+// flagModes lists, for every run-shaping flag, the modes that read it
+// and whether -predict still does. checkModeFlags refuses a flag set
+// where the command line's mode does not read it, with an error naming
+// both flags: the CLI never drops a flag silently.
+var flagModes = []struct {
+	flag    string
+	modes   int
+	predict bool
+	readers string // the modes, as the error names them
+}{
+	{"sweep", modeSweep, true, "-sweep"},
+	{"scenario", modeScenario, true, "-scenario"},
+	{"predict", modeStudy | modeSweep | modeScenario, true, ""},
+	{"seed", modeStudy | modeSweep, true, "the single study and -sweep"},
+	{"scale", modeStudy | modeSweep, true, "the single study and -sweep"},
+	{"seeds", modeSweep, true, "-sweep"},
+	{"scales", modeSweep, true, "-sweep"},
+	{"faults", modeStudy | modeSweep, true, `the single study and -sweep (a scenario declares faults in its "faults" block)`},
+	{"trace", modeStudy, false, "the single-study mode"},
+	{"fig", modeStudy, false, "the single-study mode"},
+	{"table", modeStudy, false, "the single-study mode"},
+	{"workers", modeSweep | modeScenario, false, "-sweep and -scenario"},
+	{"out", modeSweep | modeScenario, false, "-sweep and -scenario"},
+	{"worker-id", modeSweep | modeScenario, false, "-sweep and -scenario"},
+	{"lease-ttl", modeSweep | modeScenario, false, "-sweep and -scenario"},
+}
+
+// checkModeFlags enforces flagModes on the flags set on the command
+// line, after refusing the one pair of modes that cannot combine.
+func checkModeFlags(cfg appConfig) error {
+	if cfg.sweep && cfg.scenarioPath != "" {
+		return errors.New("-sweep conflicts with -scenario: pick one mode (a scenario declares its own axes)")
+	}
+	mode, bit := "the single-study mode", modeStudy
+	switch {
+	case cfg.list:
+		mode, bit = "-list", 0
+	case cfg.sweep:
+		mode, bit = "-sweep", modeSweep
+	case cfg.scenarioPath != "":
+		mode, bit = "-scenario", modeScenario
+	}
+	for _, f := range flagModes {
+		switch {
+		case !cfg.set[f.flag]:
+		case cfg.list:
+			return fmt.Errorf("-%s conflicts with -list: listing the registries runs nothing", f.flag)
+		case cfg.predict && !f.predict:
+			return fmt.Errorf("-%s conflicts with -predict: the analytical twin walks each study in turn and runs no traced simulation", f.flag)
+		case f.modes&bit == 0:
+			return fmt.Errorf("-%s conflicts with %s: it applies only to %s", f.flag, mode, f.readers)
+		}
+	}
+	return nil
 }
 
 // runList prints every name registry the pipeline consults, one
@@ -491,48 +492,19 @@ func startProfiles(cpuPath, memPath string, stderr io.Writer) (func(), error) {
 	}, nil
 }
 
-// parseStore turns the -out/-worker-id/-lease-ttl/-shard/-resume
-// flags into a store config. The default is lease-based work
-// stealing, where resume is implicit (the library refuses only a
-// manifest mismatch); the deprecated -shard static mode keeps the
-// old explicit-resume guard, and mixing the two modes' flags is an
-// error.
+// parseStore turns the -out/-worker-id/-lease-ttl flags into a store
+// config. Resume is implicit: rerunning against a directory executes
+// only what is missing, and the library refuses only a manifest
+// mismatch.
 func parseStore(cfg appConfig) (core.StoreConfig, bool, error) {
 	if cfg.outDir == "" {
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-shard", cfg.shardSpec != ""},
-			{"-worker-id", cfg.workerID != ""},
-			{"-lease-ttl", cfg.leaseTTL != 0},
-			{"-resume", cfg.resume},
-		} {
-			if f.set {
-				return core.StoreConfig{}, false, fmt.Errorf("%s requires -out", f.name)
-			}
+		switch {
+		case cfg.workerID != "":
+			return core.StoreConfig{}, false, errors.New("-worker-id requires -out")
+		case cfg.leaseTTL != 0:
+			return core.StoreConfig{}, false, errors.New("-lease-ttl requires -out")
 		}
 		return core.StoreConfig{}, false, nil
-	}
-	if cfg.shardSpec != "" {
-		// Deprecated static mode. Refuse the lease flags loudly: a
-		// static shard ignores leases, so combining the modes would
-		// silently fall back to one of them.
-		if cfg.workerID != "" || cfg.leaseTTL != 0 {
-			conflict := "-worker-id"
-			if cfg.leaseTTL != 0 {
-				conflict = "-lease-ttl"
-			}
-			return core.StoreConfig{}, false, fmt.Errorf("-shard and %s conflict: static sharding and lease-based work stealing are mutually exclusive (drop -shard to use the lease scheduler)", conflict)
-		}
-		shard, numShards, err := parseShard(cfg.shardSpec)
-		if err != nil {
-			return core.StoreConfig{}, false, err
-		}
-		if core.HasManifest(cfg.outDir) && !cfg.resume {
-			return core.StoreConfig{}, false, fmt.Errorf("run directory %s already holds outcomes; pass -resume to continue it or use a fresh directory", cfg.outDir)
-		}
-		return core.StoreConfig{Dir: cfg.outDir, Shard: shard, NumShards: numShards}, true, nil
 	}
 	if cfg.leaseTTL < 0 {
 		return core.StoreConfig{}, false, fmt.Errorf("bad -lease-ttl %v (want a positive duration)", cfg.leaseTTL)
@@ -540,28 +512,11 @@ func parseStore(cfg appConfig) (core.StoreConfig, bool, error) {
 	return core.StoreConfig{Dir: cfg.outDir, WorkerID: cfg.workerID, LeaseTTL: cfg.leaseTTL}, true, nil
 }
 
-// parseShard understands "i/n" with 0 <= i < n; empty means the
-// whole run (shard 0 of 1).
-func parseShard(spec string) (shard, numShards int, err error) {
-	if spec == "" {
-		return 0, 1, nil
-	}
-	lo, hi, ok := strings.Cut(spec, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad -shard %q (want 'i/n', e.g. 0/4)", spec)
-	}
-	shard, err1 := strconv.Atoi(strings.TrimSpace(lo))
-	numShards, err2 := strconv.Atoi(strings.TrimSpace(hi))
-	if err1 != nil || err2 != nil || numShards < 1 || shard < 0 || shard >= numShards {
-		return 0, 0, fmt.Errorf("bad -shard %q (want 'i/n' with 0 <= i < n)", spec)
-	}
-	return shard, numShards, nil
-}
-
 // runScenario loads, validates, and runs a declarative scenario,
 // printing the deterministic report on stdout and timing on stderr.
-// With a store, only this shard's pending studies execute, and the
-// merged report prints once every study's outcome file exists.
+// With a store, this process drains the pending studies alongside any
+// other workers, and the merged report prints once every study's
+// outcome file exists.
 func runScenario(ctx context.Context, stdout, stderr io.Writer, path string, workers int, store core.StoreConfig, useStore bool) error {
 	spec, err := scenario.Load(path)
 	if err != nil {
@@ -584,7 +539,7 @@ func runScenario(ctx context.Context, stdout, stderr io.Writer, path string, wor
 	if err != nil {
 		return err
 	}
-	reportStoreRun(stderr, "scenario "+spec.Name, store, run.Run, len(run.Merge.Missing), len(run.Merge.Result.Outcomes))
+	reportStoreRun(stderr, "scenario "+spec.Name, run.Run, len(run.Merge.Missing), len(run.Merge.Result.Outcomes))
 	if run.Run.Err != nil {
 		return interrupted(run.Run.Err, store.Dir)
 	}
@@ -685,7 +640,8 @@ func serveMain(ctx context.Context, argv []string, stdout, stderr io.Writer) int
 
 // runSweep executes the multi-study mode and prints the aggregate
 // report (deterministic) on stdout and timing (not) on stderr. With
-// a store the same resumable-shard protocol as scenarios applies.
+// a store the same distributed, resumable protocol as scenarios
+// applies.
 func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faultsCfg *faults.Config, store core.StoreConfig, useStore bool) error {
 	seedList, err := parseSeeds(cfg.seeds, cfg.seed)
 	if err != nil {
@@ -724,7 +680,7 @@ func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faul
 	if err != nil {
 		return err
 	}
-	reportStoreRun(stderr, "sweep", store, run, len(merge.Missing), len(specs))
+	reportStoreRun(stderr, "sweep", run, len(merge.Missing), len(specs))
 	if run.Err != nil {
 		return interrupted(run.Err, store.Dir)
 	}
@@ -738,15 +694,7 @@ func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faul
 // reportStoreRun prints one invocation's accounting to stderr: what
 // it ran, what was already committed, and whether the merged report
 // is ready.
-func reportStoreRun(stderr io.Writer, what string, store core.StoreConfig, run *core.StoreRun, missing, total int) {
-	if store.NumShards > 1 {
-		fmt.Fprintf(stderr, "charisma: %s: shard %d/%d ran %d, skipped %d done, in %v; %d/%d outcomes committed\n",
-			what, store.Shard, store.NumShards, len(run.Ran), len(run.Skipped), run.Elapsed.Round(1e6), total-missing, total)
-		if missing > 0 {
-			fmt.Fprintf(stderr, "charisma: %d studies still pending (other shards or a -resume rerun); merged report withheld\n", missing)
-		}
-		return
-	}
+func reportStoreRun(stderr io.Writer, what string, run *core.StoreRun, missing, total int) {
 	fmt.Fprintf(stderr, "charisma: %s: worker %s ran %d (%d reclaimed), found %d done, in %v; %d/%d outcomes committed\n",
 		what, run.Worker.WorkerID, len(run.Ran), run.Reclaims, len(run.Skipped), run.Elapsed.Round(1e6), total-missing, total)
 	if missing > 0 {

@@ -86,21 +86,6 @@ func TestParseScales(t *testing.T) {
 	}
 }
 
-// TestParseShard covers the -shard grammar.
-func TestParseShard(t *testing.T) {
-	if s, n, err := parseShard(""); err != nil || s != 0 || n != 1 {
-		t.Fatalf("empty shard = %d/%d, %v", s, n, err)
-	}
-	if s, n, err := parseShard("2/4"); err != nil || s != 2 || n != 4 {
-		t.Fatalf("2/4 = %d/%d, %v", s, n, err)
-	}
-	for _, bad := range []string{"2", "4/2", "2/2", "-1/2", "a/b", "1/0"} {
-		if _, _, err := parseShard(bad); err == nil {
-			t.Errorf("parseShard(%q) accepted", bad)
-		}
-	}
-}
-
 // app runs appMain with captured output.
 func app(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
@@ -164,10 +149,12 @@ func TestProfileFlushedOnError(t *testing.T) {
 	}
 }
 
-// TestSweepStoreCLI drives the sharded store through the real flags:
-// two shards into one -out directory merge to the same bytes as a
-// plain in-memory sweep, a non-resume rerun is refused, and store
-// flags without -out are rejected.
+// TestSweepStoreCLI drives the run store through the real flags: a
+// worker's merged report matches a plain in-memory sweep, a rerun
+// against a half-committed directory runs exactly the missing study
+// and merges to the same bytes, store flags are refused outside
+// -sweep/-scenario or without -out, and the deleted static-shard flags
+// fail flag parsing.
 func TestSweepStoreCLI(t *testing.T) {
 	args := []string{"-sweep", "-seeds", "1-2", "-scales", "0.01"}
 	code, single, stderr := app(args...)
@@ -176,47 +163,64 @@ func TestSweepStoreCLI(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	code, out, stderr := app(append(args, "-out", dir, "-shard", "0/2")...)
+	code, out, stderr := app(append(args, "-out", dir, "-worker-id", "w1")...)
 	if code != 0 {
-		t.Fatalf("shard 0 exit %d, stderr %q", code, stderr)
-	}
-	if out != "" {
-		t.Fatalf("half-done shard printed a merged report:\n%s", out)
-	}
-	code, out, stderr = app(append(args, "-out", dir, "-shard", "1/2", "-resume")...)
-	if code != 0 {
-		t.Fatalf("shard 1 exit %d, stderr %q", code, stderr)
+		t.Fatalf("worker 1 exit %d, stderr %q", code, stderr)
 	}
 	if out != single {
-		t.Fatalf("sharded CLI merge differs from the in-memory sweep:\n%s\nvs\n%s", out, single)
+		t.Fatalf("store CLI merge differs from the in-memory sweep:\n%s\nvs\n%s", out, single)
 	}
 
-	// A static-shard rerun still demands the explicit -resume opt-in.
-	if code, _, stderr = app(append(args, "-out", dir, "-shard", "0/2")...); code == 0 || !strings.Contains(stderr, "-resume") {
-		t.Fatalf("static rerun without -resume: exit %d, stderr %q", code, stderr)
+	// Drop one committed outcome: the rerun resumes implicitly, runs
+	// exactly that study, and prints the same merged report.
+	outcomes, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A lease-mode rerun resumes implicitly: everything is already
-	// committed, so it just prints the merged report again.
-	code, out, stderr = app(append(args, "-out", dir)...)
+	removed := false
+	for _, f := range outcomes {
+		if base := filepath.Base(f); base != "manifest.json" && !strings.HasPrefix(base, "worker-") {
+			if err := os.Remove(f); err != nil {
+				t.Fatal(err)
+			}
+			removed = true
+			break
+		}
+	}
+	if !removed {
+		t.Fatalf("no outcome file among %v", outcomes)
+	}
+	code, out, stderr = app(append(args, "-out", dir, "-worker-id", "w2")...)
 	if code != 0 {
-		t.Fatalf("lease-mode rerun exit %d, stderr %q", code, stderr)
+		t.Fatalf("resume exit %d, stderr %q", code, stderr)
 	}
 	if out != single {
-		t.Fatalf("lease-mode rerun merge differs from the in-memory sweep:\n%s", out)
+		t.Fatalf("resumed merge differs from the in-memory sweep:\n%s", out)
 	}
-	if code, _, _ = app("-sweep", "-shard", "0/2"); code == 0 {
-		t.Fatal("-shard without -out accepted")
+	if !strings.Contains(stderr, "worker w2 ran 1 (0 reclaimed), found 1 done") {
+		t.Fatalf("resume accounting wrong: %q", stderr)
 	}
-	if code, _, _ = app("-shard", "0/2", "-out", t.TempDir()); code == 0 {
-		t.Fatal("store flags accepted outside -sweep/-scenario")
+
+	if code, _, stderr = app("-sweep", "-worker-id", "w1"); code == 0 || !strings.Contains(stderr, "-worker-id requires -out") {
+		t.Fatalf("-worker-id without -out: exit %d, stderr %q", code, stderr)
+	}
+	if code, _, stderr = app("-worker-id", "w1", "-out", t.TempDir()); code == 0 || !strings.Contains(stderr, "-sweep") {
+		t.Fatalf("store flags outside -sweep/-scenario: exit %d, stderr %q", code, stderr)
+	}
+	// The static-shard flags are gone: a script still passing them
+	// fails flag parsing instead of running the whole sweep.
+	for _, flag := range [][]string{{"-shard", "0/2"}, {"-resume"}} {
+		if code, out, _ = app(append(append(args, "-out", t.TempDir()), flag...)...); code != 2 || out != "" {
+			t.Fatalf("%v: exit %d, output %q", flag, code, out)
+		}
 	}
 }
 
 // TestWorkStealingCLI drives the lease-based scheduler through the
 // real flags: two sequential workers against one -out directory (the
 // second finds everything committed), the merged bytes match the
-// in-memory sweep, and the mode-conflict / missing--out errors are
-// loud and name their flags.
+// in-memory sweep, and the missing--out errors are loud and name
+// their flags.
 func TestWorkStealingCLI(t *testing.T) {
 	args := []string{"-sweep", "-seeds", "1-3", "-scales", "0.01"}
 	code, single, stderr := app(args...)
@@ -236,7 +240,7 @@ func TestWorkStealingCLI(t *testing.T) {
 		t.Fatalf("stderr accounting missing the worker line: %q", stderr)
 	}
 	// A second worker joins late, finds the queue drained, and prints
-	// the identical merged report -- no -resume flag involved.
+	// the identical merged report: resume is implicit.
 	code, out, stderr = app(append(args, "-out", dir, "-worker-id", "w2")...)
 	if code != 0 {
 		t.Fatalf("worker 2 exit %d, stderr %q", code, stderr)
@@ -248,15 +252,6 @@ func TestWorkStealingCLI(t *testing.T) {
 		t.Fatalf("late worker accounting wrong: %q", stderr)
 	}
 
-	// -shard plus a lease flag is a clear error naming both sides.
-	code, _, stderr = app(append(args, "-out", t.TempDir(), "-shard", "0/2", "-lease-ttl", "10s")...)
-	if code == 0 || !strings.Contains(stderr, "-shard") || !strings.Contains(stderr, "-lease-ttl") {
-		t.Fatalf("-shard + -lease-ttl: exit %d, stderr %q", code, stderr)
-	}
-	code, _, stderr = app(append(args, "-out", t.TempDir(), "-shard", "0/2", "-worker-id", "x")...)
-	if code == 0 || !strings.Contains(stderr, "-shard") || !strings.Contains(stderr, "-worker-id") {
-		t.Fatalf("-shard + -worker-id: exit %d, stderr %q", code, stderr)
-	}
 	// Lease flags without -out are rejected like the other store flags.
 	if code, _, stderr = app("-sweep", "-worker-id", "w1"); code == 0 || !strings.Contains(stderr, "-worker-id requires -out") {
 		t.Fatalf("-worker-id without -out: exit %d, stderr %q", code, stderr)
@@ -266,10 +261,11 @@ func TestWorkStealingCLI(t *testing.T) {
 	}
 }
 
-// TestModeFlagConflicts pins the silently-ignored-flag fix: -trace,
-// -fig, and -table shape single-study output only, so combining them
-// with -sweep or -scenario is a hard error naming both flags (the
-// old behavior wrote nothing and said nothing).
+// TestModeFlagConflicts pins the silently-ignored-flag fix: every
+// run-shaping flag set outside the modes that read it -- -trace, -fig
+// and -table beside -sweep or -scenario, sweep axes beside a single
+// study or a scenario, anything beside -list -- is a hard error naming
+// both flags (the old behavior wrote nothing and said nothing).
 func TestModeFlagConflicts(t *testing.T) {
 	cases := []struct {
 		args       []string
@@ -298,6 +294,25 @@ func TestModeFlagConflicts(t *testing.T) {
 		{[]string{"-list", "-fig", "8"}, "-fig", "-list"},
 		{[]string{"-list", "-table", "1"}, "-table", "-list"},
 		{[]string{"-list", "-out", "runs/x"}, "-out", "-list"},
+		{[]string{"-list", "-worker-id", "w1"}, "-worker-id", "-list"},
+		{[]string{"-list", "-lease-ttl", "5s"}, "-lease-ttl", "-list"},
+		{[]string{"-list", "-seeds", "1-3"}, "-seeds", "-list"},
+		{[]string{"-list", "-workers", "2"}, "-workers", "-list"},
+		// Sweep axes and the worker count shape -sweep (and -workers
+		// -scenario) only; a single study or a scenario's own axes
+		// used to drop them without a word.
+		{[]string{"-seeds", "1-3"}, "-seeds", "-sweep"},
+		{[]string{"-scales", "0.01,0.02"}, "-scales", "-sweep"},
+		{[]string{"-workers", "4"}, "-workers", "-sweep"},
+		{[]string{"-out", "runs/x"}, "-out", "-sweep"},
+		{[]string{"-scenario", "x.json", "-seeds", "1-8"}, "-seeds", "-scenario"},
+		{[]string{"-scenario", "x.json", "-scales", "0.5"}, "-scales", "-scenario"},
+		{[]string{"-scenario", "x.json", "-scale", "0.5"}, "-scale", "-scenario"},
+		{[]string{"-scenario", "x.json", "-faults", "io-slow"}, "-faults", "-scenario"},
+		{[]string{"-predict", "-scenario", "x.json", "-seeds", "1-2"}, "-seeds", "-scenario"},
+		// The twin walks its studies one after another.
+		{[]string{"-predict", "-workers", "3"}, "-workers", "-predict"},
+		{[]string{"-predict", "-sweep", "-workers", "3"}, "-workers", "-predict"},
 	}
 	for _, tc := range cases {
 		code, out, stderr := app(tc.args...)

@@ -5,8 +5,8 @@
 //
 //   - the sim kernel's 4-ary event heap and same-instant FIFO arrays
 //     (sim.Kernel.Reset),
-//   - the trace pipeline's node-buffer chunks, collector block slice,
-//     and postprocess scratch (trace.Arena),
+//   - the trace pipeline's node-buffer chunks and collector block
+//     slice (trace.Arena), and the postprocessed event stream,
 //   - the CFS block tables and per-client transfer dispatch tables
 //     (cfs.Arena),
 //   - the analyzer's file accumulators, job maps, and -- once a report
@@ -21,6 +21,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Arena is one worker's reusable simulation state. It is not safe for
@@ -29,6 +30,7 @@ type Arena struct {
 	kernel  *sim.Kernel
 	mach    machine.Arena
 	scratch analysis.Scratch
+	events  []trace.Event // the last study's Result.Events, reused
 }
 
 // NewArena returns an empty arena; its pools fill as studies run.
@@ -47,7 +49,9 @@ func (a *Arena) RunStudy(cfg Config) *Result {
 }
 
 // Recycle returns a finished study's storage -- the trace blocks and
-// the report's statistics -- to the arena pools and poisons res.
+// the report's statistics -- to the arena pools and poisons res. The
+// event stream needs no handing back: the arena owns it throughout
+// and overwrites it on the next RunStudy.
 // Call it once the result has been read; skipping it is safe but
 // forfeits the reuse (the next study allocates afresh).
 func (a *Arena) Recycle(res *Result) {

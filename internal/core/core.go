@@ -173,7 +173,8 @@ func runStudy(cfg Config, a *Arena) *Result {
 		// The trace is collected: the file system's block tables can
 		// serve the next study even while this one is analyzed.
 		m.FS().Recycle()
-		events = trace.PostprocessInto(tr, &a.mach.Trace)
+		a.events = trace.AppendPostprocessed(a.events[:0], tr)
+		events = a.events
 		report = analysis.AnalyzeInto(&a.scratch, tr.Header, events, horizon)
 	} else {
 		events = trace.Postprocess(tr)

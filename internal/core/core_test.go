@@ -51,16 +51,19 @@ func TestStudyTraceSerializes(t *testing.T) {
 	if _, err := res.Trace.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := trace.Read(&buf)
+	back, err := trace.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Blocks) != len(res.Trace.Blocks) {
+	if back.NumBlocks() != len(res.Trace.Blocks) {
 		t.Fatal("trace round trip lost blocks")
 	}
 	// The postprocessed event streams must match too.
 	a := trace.Postprocess(res.Trace)
-	b := trace.Postprocess(back)
+	b, err := back.AllEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a) != len(b) {
 		t.Fatalf("postprocess: %d vs %d events", len(a), len(b))
 	}

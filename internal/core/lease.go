@@ -1,15 +1,12 @@
-// Lease-based dynamic work stealing for the persistent run store.
-// PR 5's static round-robin sharding made wall clock the slowest
-// shard's problem: one dead or slow process stranded its slice of the
-// sweep until a manual resume. Here the run directory itself is the
-// queue: a worker claims a pending spec by creating its
+// Lease-based dynamic work stealing, the persistent run store's one
+// executor. The run directory itself is the queue: a worker claims a pending spec by creating its
 // "<fingerprint>.lease" file with O_CREATE|O_EXCL (atomic on local
 // and NFS-style shared filesystems alike), heartbeats the lease while
 // the study runs, commits the outcome through the usual
 // temp-file+rename path, and removes the lease. Any worker that finds
 // a lease past its deadline reclaims the spec, so heterogeneous
 // processes or machines drain one queue and load-balance
-// automatically -- no shard arithmetic, no manual resume.
+// automatically -- no up-front partition, no manual resume.
 //
 // Mutual exclusion here is a throughput optimization, not a
 // correctness requirement: studies are deterministic and commits are
@@ -401,10 +398,9 @@ func updateManifestWorkers(dir string) error {
 
 // sweepStale cleans debris out of a run directory at store open:
 // temp files and reap scratch older than the staleness threshold
-// (left by killed commits -- before this sweep existed they
-// accumulated forever and -resume silently ignored them), and lease
-// files whose outcome is already committed (a worker killed between
-// commit and lease release). Live writers are safe: anything younger
+// (left by killed commits, which would otherwise accumulate forever),
+// and lease files whose outcome is already committed (a worker killed
+// between commit and lease release). Live writers are safe: anything younger
 // than the threshold is left alone, and a live lease is renewed --
 // hence younger -- every ttl/3.
 func sweepStale(store StoreConfig) {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/scenario"
@@ -140,40 +141,55 @@ func TestScenarioCorpusWorkerInvariance(t *testing.T) {
 // TestScenarioCorpusRegistryLeaseSplit extends the lease store's
 // split contract to the registry corpus scenarios: lowering a
 // non-default machine axis (fat-tree + NVMe cluster2026, the nas
-// preset re-wired onto a mesh) onto the store and running it as two
-// static shards must reconstruct the checked-in golden byte for
-// byte. This pins that the registry overrides fold into the study
-// fingerprints consistently across processes -- a shard that hashed
+// preset re-wired onto a mesh) onto the store and draining it with two
+// concurrent lease workers of distinct identities must reconstruct the
+// checked-in golden byte for byte, in both workers' merged results.
+// This pins that the registry overrides fold into the study
+// fingerprints consistently across processes -- a worker that hashed
 // the axis differently would refuse the manifest or run the wrong
-// slice.
+// specs.
 func TestScenarioCorpusRegistryLeaseSplit(t *testing.T) {
 	for _, name := range []string{"fig8-cluster2026", "mesh-nvme"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(corpusDir, name+".json")
-			dir := t.TempDir()
-			var res *ScenarioResult
-			for shard := 0; shard < 2; shard++ {
-				run, err := RunScenarioStore(context.Background(), loadCorpusSpec(t, path),
-					StoreConfig{Dir: dir, Shard: shard, NumShards: 2})
-				if err != nil {
-					t.Fatalf("shard %d: %v", shard, err)
-				}
-				if run.Result != nil {
-					res = run.Result
-				}
-			}
-			if res == nil {
-				t.Fatal("sharded run never produced a merged result")
-			}
 			want, err := os.ReadFile(filepath.Join(corpusDir, "golden", name+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := res.Format(); got != string(want) {
-				t.Fatalf("sharded %s differs from its golden (first diff near byte %d)",
-					name, firstDiff(got, string(want)))
+			dir := t.TempDir()
+			workers := []string{"ra", "rb"}
+			runs := make([]*ScenarioStoreRun, len(workers))
+			errs := make([]error, len(workers))
+			var wg sync.WaitGroup
+			for i, id := range workers {
+				spec := loadCorpusSpec(t, path)
+				spec.Workers = 1
+				wg.Add(1)
+				go func(i int, id string) {
+					defer wg.Done()
+					runs[i], errs[i] = RunScenarioStore(context.Background(), spec,
+						StoreConfig{Dir: dir, WorkerID: id})
+				}(i, id)
+			}
+			wg.Wait()
+			ran := 0
+			for i, id := range workers {
+				if errs[i] != nil {
+					t.Fatalf("worker %s: %v", id, errs[i])
+				}
+				ran += len(runs[i].Run.Ran)
+				if runs[i].Result == nil {
+					t.Fatalf("worker %s produced no merged result (missing %v)", id, runs[i].Merge.Missing)
+				}
+				if got := runs[i].Result.Format(); got != string(want) {
+					t.Fatalf("worker %s: split %s differs from its golden (first diff near byte %d)",
+						id, name, firstDiff(got, string(want)))
+				}
+			}
+			if total := len(runs[0].Merge.Result.Outcomes); ran != total {
+				t.Fatalf("workers ran %d studies between them, want %d (each exactly once)", ran, total)
 			}
 		})
 	}

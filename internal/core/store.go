@@ -12,7 +12,7 @@
 // worker-count-invariance discipline of PRs 2-4, extended across
 // processes, machines, restarts, and mid-study worker deaths
 // (TestSweepStoreWorkStealingIdentical and
-// TestSweepStoreShardResumeIdentical pin it).
+// TestSweepStoreLeaseCancelReleases pin it).
 package core
 
 import (
@@ -52,11 +52,9 @@ const storeVersion = 1
 const storeSalt = "charisma-store-v1"
 
 // StoreConfig selects the run directory and how this process claims
-// work from it. The default mode is lease-based work stealing: every
-// worker drains one shared queue of pending specs, claiming each via
-// an atomic lease file and reclaiming leases whose holder died (see
-// lease.go). Deprecated static sharding (Shard/NumShards) remains for
-// compatibility; the two modes are mutually exclusive.
+// work from it: every worker drains one shared queue of pending specs,
+// claiming each via an atomic lease file and reclaiming leases whose
+// holder died (see lease.go).
 type StoreConfig struct {
 	// Dir is the run directory; it is created if absent. One directory
 	// holds one sweep (the manifest pins the spec list).
@@ -74,16 +72,6 @@ type StoreConfig struct {
 	// temp-file sweeps, orphaned-lease removal, reclaims). nil
 	// discards them.
 	Log io.Writer
-	// Shard / NumShards select the deprecated static mode: the spec
-	// list is partitioned round-robin by spec index and this process
-	// executes spec i only when i % NumShards == Shard (among specs
-	// with no outcome file yet). NumShards <= 1 means lease mode.
-	// Static partitions cannot load-balance -- a dead shard strands
-	// its slice until a manual resume -- so prefer the default.
-	//
-	// Deprecated: use lease-based claiming (the default mode).
-	Shard     int
-	NumShards int
 	// SpillTraces additionally writes each study's trace to
 	// <fingerprint>.trc through the streaming pipeline (the study then
 	// runs with bounded trace memory, see RunStudyStreaming). It is
@@ -129,38 +117,24 @@ type StoreProgress struct {
 	Reclaimed bool
 }
 
-// normalized returns the store config with defaults filled in, or an
-// error for a nonsensical shape. Static sharding and lease claiming
-// cannot mix: a static shard ignores leases, so a lease worker
-// sharing its directory could double-claim the shard's slice.
+// normalized returns the store config with the lease defaults filled
+// in, or an error for an empty run directory. It is idempotent: the
+// scenario path normalizes, then hands the config to RunSweepStore,
+// which normalizes again.
 func (sc StoreConfig) normalized() (StoreConfig, error) {
 	if sc.Dir == "" {
 		return sc, errors.New("core: store: empty run directory")
 	}
-	if sc.NumShards > 1 && (sc.WorkerID != "" || sc.LeaseTTL != 0) {
-		return sc, errors.New("core: store: static sharding (Shard/NumShards) and lease claiming (WorkerID/LeaseTTL) are mutually exclusive")
+	if sc.WorkerID == "" {
+		sc.WorkerID = defaultWorkerID()
+	} else {
+		sc.WorkerID = sanitizeWorkerID(sc.WorkerID)
 	}
-	if sc.NumShards <= 0 {
-		sc.NumShards = 1
+	if sc.LeaseTTL <= 0 {
+		sc.LeaseTTL = DefaultLeaseTTL
 	}
-	if sc.Shard < 0 || sc.Shard >= sc.NumShards {
-		return sc, fmt.Errorf("core: store: shard %d out of range [0, %d)", sc.Shard, sc.NumShards)
-	}
-	// Lease defaults are filled only in lease mode, which also keeps
-	// normalized idempotent (the scenario path normalizes, then hands
-	// the config to RunSweepStore, which normalizes again).
-	if sc.NumShards == 1 {
-		if sc.WorkerID == "" {
-			sc.WorkerID = defaultWorkerID()
-		} else {
-			sc.WorkerID = sanitizeWorkerID(sc.WorkerID)
-		}
-		if sc.LeaseTTL <= 0 {
-			sc.LeaseTTL = DefaultLeaseTTL
-		}
-		if sc.LeaseTTL < minLeaseTTL {
-			sc.LeaseTTL = minLeaseTTL
-		}
+	if sc.LeaseTTL < minLeaseTTL {
+		sc.LeaseTTL = minLeaseTTL
 	}
 	return sc, nil
 }
@@ -401,7 +375,7 @@ func tracePath(dir, fp string) string { return filepath.Join(dir, fp+".trc") }
 // writeFileAtomic writes data to path via a same-directory temp file
 // and rename, so a concurrently merging process never observes a
 // partial file. The temp name is unique per writer (os.CreateTemp),
-// so even two processes mistakenly running the same shard id publish
+// so even two workers that both executed one spec publish
 // whole files -- last rename wins with identical deterministic
 // content -- rather than truncating each other's temp file.
 func writeFileAtomic(path string, data []byte) error {
@@ -490,17 +464,16 @@ func equalStrings(a, b []string) bool {
 
 // StoreRun reports what one RunSweepStore (or scenario-store)
 // invocation did. Ran and Skipped are spec indices in ascending
-// order; specs committed by other concurrent workers (or, in the
-// deprecated static mode, belonging to other shards) appear in
+// order; specs committed by other concurrent workers appear in
 // neither.
 type StoreRun struct {
 	Ran     []int // executed and persisted by this invocation
 	Skipped []int // outcome file already existed when this run started
 	// Reclaims counts claims this invocation took over from an
-	// expired lease left by a dead or stalled worker (lease mode).
+	// expired lease left by a dead or stalled worker.
 	Reclaims int
 	// Worker is this invocation's throughput accounting, as persisted
-	// to the manifest (lease mode only; zero value in static mode).
+	// to the manifest.
 	Worker  WorkerStats
 	Elapsed time.Duration
 	// Err records the context error when the run was cancelled; specs
@@ -555,9 +528,8 @@ func loadOutcome(dir, fp string) (*storedOutcome, error) {
 
 // runStore is the executor shared by the sweep and replay paths: it
 // opens the store (manifest check plus a stale-debris sweep) and
-// drains the pending specs, persisting outcomes as they complete.
-// The default path is the lease-based work-stealing drain; NumShards
-// > 1 selects the deprecated static partition. exec returns the
+// drains the pending specs through the lease-based work-stealing
+// drain, persisting outcomes as they complete. exec returns the
 // finished outcome plus its auxiliary text; traceFile (pre-resolved
 // per spec) is recorded in the outcome when non-empty. costs, one
 // per spec, ranks claim order (most expensive first, ties in spec
@@ -571,9 +543,6 @@ func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps [
 		return nil, err
 	}
 	sweepStale(store)
-	if store.NumShards > 1 {
-		return runStaticStore(ctx, workers, store, labels, fps, exec)
-	}
 	return runLeaseStore(ctx, workers, store, labels, fps, costs, exec)
 }
 
@@ -600,56 +569,6 @@ func (p *progressTracker) emit(i int, state string, reclaimed bool) {
 		Done: done, Total: p.total,
 		State: state, Reclaimed: reclaimed,
 	})
-}
-
-// runStaticStore is the deprecated PR 5 executor: this process runs
-// exactly its round-robin slice of the pending specs and returns
-// without waiting for other shards.
-func runStaticStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string,
-	exec func(worker, specIdx int) (StudyOutcome, string, string, error)) (*StoreRun, error) {
-	run := &StoreRun{}
-	prog := &progressTracker{store: store, labels: labels, total: len(fps)}
-	var mine []int
-	for i := range fps {
-		if i%store.NumShards != store.Shard {
-			continue
-		}
-		if _, err := os.Stat(outcomePath(store.Dir, fps[i])); err == nil {
-			run.Skipped = append(run.Skipped, i)
-			prog.emit(i, StoreSpecSkipped, false)
-			continue
-		}
-		mine = append(mine, i)
-	}
-	start := time.Now()
-	errs := make([]error, len(mine))
-	done := make([]bool, len(mine))
-	parallelEach(ctx, len(mine), workers, func(w, j int) {
-		i := mine[j]
-		out, aux, traceFile, err := exec(w, i)
-		if err == nil {
-			err = persistOutcome(store, fps[i], &out, aux, traceFile)
-		}
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		done[j] = true
-		prog.emit(i, StoreSpecRan, false)
-	})
-	run.Elapsed = time.Since(start)
-	run.Err = ctx.Err()
-	for j, ok := range done {
-		if ok {
-			run.Ran = append(run.Ran, mine[j])
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return run, err
-		}
-	}
-	return run, nil
 }
 
 // runLeaseStore is the work-stealing drain: every worker goroutine
@@ -831,11 +750,9 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 // goroutines (one reusable Arena each, exactly like RunSweep), and
 // every outcome is persisted the moment it completes -- so a killed
 // process loses at most its in-flight studies, and any other worker
-// sharing the directory reclaims them after the lease TTL. In the
-// default lease mode the call returns once every spec's outcome
-// exists (or ctx is cancelled); in the deprecated static-shard mode
-// it returns after this shard's slice. Combine the outcome files
-// with MergeSweepStore.
+// sharing the directory reclaims them after the lease TTL. The call
+// returns once every spec's outcome exists (or ctx is cancelled).
+// Combine the outcome files with MergeSweepStore.
 func RunSweepStore(ctx context.Context, cfg SweepConfig, store StoreConfig) (*StoreRun, error) {
 	store, err := store.normalized()
 	if err != nil {
@@ -947,13 +864,13 @@ type SweepMerge struct {
 	// Aux holds the restored per-spec auxiliary texts.
 	Aux []string
 	// Missing lists spec indices whose outcome file does not exist
-	// yet (still pending, or owned by a shard that has not run).
+	// yet (still pending, or in flight on another worker).
 	Missing []int
 }
 
 // MergeSweepStore loads every spec's outcome file from the run
 // directory and reconstructs the merged sweep. It never executes
-// anything, so it is safe to call concurrently with running shards:
+// anything, so it is safe to call concurrently with running workers:
 // a spec is either committed (its file parses) or missing.
 func MergeSweepStore(cfg SweepConfig, store StoreConfig) (*SweepMerge, error) {
 	store, err := store.normalized()
@@ -996,7 +913,7 @@ func mergeStore(store StoreConfig, specs []StudySpec, fps []string) (*SweepMerge
 	return m, nil
 }
 
-// ScenarioStoreRun is one sharded scenario invocation's outcome.
+// ScenarioStoreRun is one scenario-store invocation's outcome.
 type ScenarioStoreRun struct {
 	Run   *StoreRun
 	Merge *SweepMerge
@@ -1010,9 +927,10 @@ type ScenarioStoreRun struct {
 // RunScenarioStore lowers a scenario onto the persistent store: the
 // same study list and cache experiments as RunScenario, but each
 // study's report and cache-experiment text are persisted as they
-// complete, this process executes only its shard's pending slice,
-// and the merged result is reconstructed from the run directory.
-// Replay scenarios shard over their trace files the same way.
+// complete, this process drains the pending studies alongside any
+// other workers sharing the directory, and the merged result is
+// reconstructed from the run directory. Replay scenarios distribute
+// over their trace files the same way.
 func RunScenarioStore(ctx context.Context, spec *scenario.Spec, store StoreConfig) (*ScenarioStoreRun, error) {
 	store, keys, err := scenarioStoreKeys(spec, store)
 	if err != nil {
@@ -1173,12 +1091,4 @@ func cachePlanSalt(salt string, plan *scenario.ResolvedCache) string {
 		fmt.Fprintf(&b, "|combined=%+v", *plan.Combined)
 	}
 	return b.String()
-}
-
-// HasManifest reports whether dir already holds a run (the CLI's
-// -resume guard: starting a non-resume run in a populated directory
-// is refused there).
-func HasManifest(dir string) bool {
-	_, err := os.Stat(manifestPath(dir))
-	return err == nil
 }

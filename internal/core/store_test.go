@@ -41,71 +41,68 @@ func storeOutcomeMtimes(t *testing.T, dir string) map[string]time.Time {
 	return out
 }
 
-// TestSweepStoreShardResumeIdentical is the store's acceptance pin:
-// a sweep run as two shards -- one of them killed mid-run and then
-// resumed -- merges to output byte-identical to a single-process
-// RunSweep, and the resume re-executes only the missing specs (the
-// completed outcome files' mtimes stay untouched).
+// cancelAfterFirstRun returns a store config whose Progress callback
+// cancels the returned context once the worker commits its first
+// spec: run with Workers: 1, the worker stops between studies exactly
+// as a process killed between commits would, leaving the directory
+// half committed.
+func cancelAfterFirstRun(dir, worker string) (context.Context, context.CancelFunc, StoreConfig) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return ctx, cancel, StoreConfig{Dir: dir, WorkerID: worker, Progress: func(p StoreProgress) {
+		if p.State == StoreSpecRan {
+			cancel()
+		}
+	}}
+}
+
+// TestSweepStoreShardResumeIdentical is the store's acceptance pin: a
+// sweep split across lease workers -- two of them cancelled after one
+// commit each, then a third resuming the directory -- merges to output
+// byte-identical to a single-process RunSweep, and the resume
+// re-executes only the missing specs (the committed outcome files'
+// mtimes stay untouched).
 func TestSweepStoreShardResumeIdentical(t *testing.T) {
 	specs := sweepSpecs(6)
 	single := RunSweep(context.Background(), SweepConfig{Specs: specs, Workers: 1})
 
 	dir := t.TempDir()
-	// Shard 0 runs its whole slice (specs 0, 2, 4).
-	run0, err := RunSweepStore(context.Background(),
-		SweepConfig{Specs: specs, Workers: 2},
-		StoreConfig{Dir: dir, Shard: 0, NumShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(run0.Ran), 3; got != want {
-		t.Fatalf("shard 0 ran %d specs %v, want %d", got, run0.Ran, want)
-	}
-
-	// Shard 1 is "killed" after its first study commits: the context
-	// is cancelled from the per-study hook, so the worker stops
-	// between studies exactly as a SIGKILL between commits would.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	run1, err := RunSweepStore(ctx,
-		SweepConfig{
-			Specs:     specs,
-			Workers:   1,
-			PostStudy: func(i int, r *Result) { cancel() },
-		},
-		StoreConfig{Dir: dir, Shard: 1, NumShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run1.Err == nil {
-		t.Fatal("killed shard reported no context error")
-	}
-	if got, want := len(run1.Ran), 1; got != want {
-		t.Fatalf("killed shard committed %d specs %v, want %d", got, run1.Ran, want)
+	for _, worker := range []string{"w1", "w2"} {
+		ctx, cancel, store := cancelAfterFirstRun(dir, worker)
+		run, err := RunSweepStore(ctx, SweepConfig{Specs: specs, Workers: 1}, store)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Err == nil {
+			t.Fatalf("cancelled worker %s reported no context error", worker)
+		}
+		if got, want := len(run.Ran), 1; got != want {
+			t.Fatalf("cancelled worker %s committed %d specs %v, want %d", worker, got, run.Ran, want)
+		}
 	}
 
-	// The merge must report exactly the two uncommitted specs.
+	// The merge must report exactly the four uncommitted specs.
 	merge, err := MergeSweepStore(SweepConfig{Specs: specs}, StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(merge.Missing), 2; got != want {
+	if got, want := len(merge.Missing), 4; got != want {
 		t.Fatalf("%d specs missing %v, want %d", got, merge.Missing, want)
 	}
 
-	// Resume shard 1. Completed specs must not re-execute: their
-	// outcome files' mtimes are pinned across the resume.
+	// Resume. Completed specs must not re-execute: their outcome
+	// files' mtimes are pinned across the resume.
 	before := storeOutcomeMtimes(t, dir)
 	resumed, err := RunSweepStore(context.Background(),
 		SweepConfig{Specs: specs, Workers: 2},
-		StoreConfig{Dir: dir, Shard: 1, NumShards: 2})
+		StoreConfig{Dir: dir, WorkerID: "w3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(resumed.Ran), 2; got != want {
+	if got, want := len(resumed.Ran), 4; got != want {
 		t.Fatalf("resume ran %d specs %v, want %d", got, resumed.Ran, want)
 	}
-	if got, want := len(resumed.Skipped), 1; got != want {
+	if got, want := len(resumed.Skipped), 2; got != want {
 		t.Fatalf("resume skipped %d specs %v, want %d", got, resumed.Skipped, want)
 	}
 	after := storeOutcomeMtimes(t, dir)
@@ -123,7 +120,7 @@ func TestSweepStoreShardResumeIdentical(t *testing.T) {
 		t.Fatalf("specs still missing after resume: %v", merge.Missing)
 	}
 	if got, want := merge.Result.Format(), single.Format(); got != want {
-		t.Fatalf("sharded+resumed merge differs from single-process RunSweep (first diff near byte %d):\n%s", firstDiff(got, want), got)
+		t.Fatalf("split+resumed merge differs from single-process RunSweep (first diff near byte %d):\n%s", firstDiff(got, want), got)
 	}
 }
 
@@ -535,14 +532,15 @@ func TestSweepStoreSpillIdentical(t *testing.T) {
 }
 
 // TestScenarioStoreShardedIdentical: a simulation scenario lowered
-// onto the store and run as two shards reconstructs a result -- sweep
-// table and per-study cache experiments -- byte-identical to a
-// single-process RunScenario.
+// onto the store and split between two lease workers -- the first
+// cancelled after one study, the second draining the rest --
+// reconstructs a result (sweep table and per-study cache experiments)
+// byte-identical to a single-process RunScenario.
 func TestScenarioStoreShardedIdentical(t *testing.T) {
 	parse := func() *scenario.Spec {
 		spec, err := scenario.Parse([]byte(`{
 			"version": 1, "name": "store-sharded",
-			"seeds": [1, 2], "scales": [0.01],
+			"seeds": [1, 2], "scales": [0.01], "workers": 1,
 			"cache": {"fig8": {"buffers": [1, 10]}}
 		}`))
 		if err != nil {
@@ -556,31 +554,35 @@ func TestScenarioStoreShardedIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	for shard := 0; shard < 2; shard++ {
-		run, err := RunScenarioStore(context.Background(), parse(),
-			StoreConfig{Dir: dir, Shard: shard, NumShards: 2})
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
-		if got, want := len(run.Run.Ran), 1; got != want {
-			t.Fatalf("shard %d ran %d studies, want %d", shard, got, want)
-		}
-		if shard == 0 && run.Result != nil {
-			t.Fatal("half-run scenario produced a merged result")
-		}
-		if shard == 1 {
-			if run.Result == nil {
-				t.Fatalf("complete scenario produced no merged result (missing %v)", run.Merge.Missing)
-			}
-			if got, want := run.Result.Format(), baseline.Format(); got != want {
-				t.Fatalf("sharded scenario differs from RunScenario (first diff near byte %d)", firstDiff(got, want))
-			}
-		}
+	ctx, cancel, store := cancelAfterFirstRun(dir, "w1")
+	defer cancel()
+	run, err := RunScenarioStore(ctx, parse(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(run.Run.Ran), 1; got != want {
+		t.Fatalf("cancelled worker ran %d studies, want %d", got, want)
+	}
+	if run.Result != nil {
+		t.Fatal("half-run scenario produced a merged result")
+	}
+	run, err = RunScenarioStore(context.Background(), parse(), StoreConfig{Dir: dir, WorkerID: "w2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(run.Run.Ran), 1; got != want {
+		t.Fatalf("second worker ran %d studies, want %d", got, want)
+	}
+	if run.Result == nil {
+		t.Fatalf("complete scenario produced no merged result (missing %v)", run.Merge.Missing)
+	}
+	if got, want := run.Result.Format(), baseline.Format(); got != want {
+		t.Fatalf("split scenario differs from RunScenario (first diff near byte %d)", firstDiff(got, want))
 	}
 }
 
-// TestScenarioStoreReplay: replay scenarios shard over their trace
-// files through the same store, merging byte-identical to the
+// TestScenarioStoreReplay: replay scenarios distribute over their
+// trace files through the same store, merging byte-identical to the
 // in-memory replay path.
 func TestScenarioStoreReplay(t *testing.T) {
 	path := filepath.Join(corpusDir, "replay-smoke.json")
@@ -682,12 +684,6 @@ func TestStoreManifestPinsRun(t *testing.T) {
 	if _, err := RunSweepStore(context.Background(), SweepConfig{Specs: sweepSpecs(3)}, store); err == nil {
 		t.Fatal("store accepted a different sweep into the same directory")
 	}
-	if !HasManifest(dir) {
-		t.Fatal("HasManifest is false for a populated run directory")
-	}
-	if HasManifest(t.TempDir()) {
-		t.Fatal("HasManifest is true for an empty directory")
-	}
 }
 
 // TestStoreConfigValidation covers the store's rejected shapes.
@@ -700,16 +696,10 @@ func TestStoreConfigValidation(t *testing.T) {
 		store StoreConfig
 	}{
 		{"empty dir", SweepConfig{Specs: specs}, StoreConfig{}},
-		{"bad shard", SweepConfig{Specs: specs}, StoreConfig{Dir: t.TempDir(), Shard: 2, NumShards: 2}},
-		{"negative shard", SweepConfig{Specs: specs}, StoreConfig{Dir: t.TempDir(), Shard: -1, NumShards: 2}},
 		{"keep events", SweepConfig{Specs: specs, KeepEvents: true}, StoreConfig{Dir: t.TempDir()}},
 		{"keep reports", SweepConfig{Specs: specs, KeepReports: true}, StoreConfig{Dir: t.TempDir()}},
 		{"spill with post-study", SweepConfig{Specs: specs, PostStudy: func(int, *Result) {}},
 			StoreConfig{Dir: t.TempDir(), SpillTraces: true}},
-		{"static shard + worker id", SweepConfig{Specs: specs},
-			StoreConfig{Dir: t.TempDir(), NumShards: 2, WorkerID: "w1"}},
-		{"static shard + lease ttl", SweepConfig{Specs: specs},
-			StoreConfig{Dir: t.TempDir(), NumShards: 2, LeaseTTL: time.Second}},
 	}
 	for _, tc := range cases {
 		if _, err := RunSweepStore(ctx, tc.cfg, tc.store); err == nil {
@@ -851,7 +841,7 @@ func TestMergeScenarioStore(t *testing.T) {
 	parse := func() *scenario.Spec {
 		spec, err := scenario.Parse([]byte(`{
 			"version": 1, "name": "probe",
-			"seeds": [1, 2], "scales": [0.01]
+			"seeds": [1, 2], "scales": [0.01], "workers": 1
 		}`))
 		if err != nil {
 			t.Fatal(err)
@@ -875,9 +865,11 @@ func TestMergeScenarioStore(t *testing.T) {
 		t.Fatalf("merge-only probe reported an execution: %+v", probe.Run)
 	}
 
-	// Half-commit via a static shard, then probe again.
-	if _, err := RunScenarioStore(context.Background(), parse(),
-		StoreConfig{Dir: dir, Shard: 0, NumShards: 2}); err != nil {
+	// Half-commit through a worker cancelled after its first study,
+	// then probe again.
+	ctx, cancel, store := cancelAfterFirstRun(dir, "w1")
+	defer cancel()
+	if _, err := RunScenarioStore(ctx, parse(), store); err != nil {
 		t.Fatal(err)
 	}
 	probe, err = MergeScenarioStore(parse(), StoreConfig{Dir: dir})
@@ -889,7 +881,7 @@ func TestMergeScenarioStore(t *testing.T) {
 	}
 
 	if _, err := RunScenarioStore(context.Background(), parse(),
-		StoreConfig{Dir: dir, Shard: 1, NumShards: 2}); err != nil {
+		StoreConfig{Dir: dir, WorkerID: "w2"}); err != nil {
 		t.Fatal(err)
 	}
 	probe, err = MergeScenarioStore(parse(), StoreConfig{Dir: dir})

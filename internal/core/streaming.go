@@ -1,11 +1,11 @@
 // The streaming study pipeline. RunStudy materializes the whole trace
-// -- every collected block, the flattened sort scratch, and the merged
-// event stream -- before analysis starts, which caps study scale at
-// available RAM. RunStudyStreaming reproduces the CHARISMA
-// instrumentation's actual shape instead: the collector spills each
-// block to a file-backed sink the moment it arrives (recycling the
-// block's buffer), and analysis then streams the spilled trace back
-// through a per-node k-way merge into the incremental analyzer. Peak
+// -- every collected block and the merged event stream -- before
+// analysis starts, which caps study scale at available RAM.
+// RunStudyStreaming reproduces the CHARISMA instrumentation's actual
+// shape instead: the collector spills each block to a file-backed sink
+// the moment it arrives (recycling the block's buffer), and analysis
+// then streams the spilled trace back through the same per-node k-way
+// merge, reading the .trc block index, into the incremental analyzer. Peak
 // memory is O(per-node trace buffers + analyzer state) plus the
 // ~40 B/block spill index (~1% of the encoded trace) -- event storage
 // no longer grows with trace length -- and the resulting Report is

@@ -148,13 +148,14 @@ func TestStreamingSinkErrorPropagates(t *testing.T) {
 }
 
 // BenchmarkTracePath isolates the trace-handling stage the two study
-// pipelines differ in, over the identical collected trace: "batch"
-// postprocesses (flatten + sort scratch + merged stream) and analyzes
-// the in-memory blocks; "streaming" spills once outside the timed
-// region, then indexes, k-way-merges, and analyzes from the file.
-// The B/op gap is the per-study trace memory the streaming path no
-// longer allocates -- on top of never holding the collected blocks
-// (another ~EventSize x events) resident at all.
+// pipelines differ in, over the identical collected trace. Both run
+// the one k-way merge: "batch" merges the in-memory blocks into a
+// materialized stream and analyzes it; "streaming" spills once outside
+// the timed region, then indexes, merges, and analyzes from the file,
+// one decoded block per node at a time. The B/op gap is the merged
+// stream the streaming path never materializes -- on top of never
+// holding the collected blocks (another ~EventSize x events) resident
+// at all.
 func BenchmarkTracePath(b *testing.B) {
 	study := RunStudy(DefaultConfig(42, 0.05))
 	path := filepath.Join(b.TempDir(), "bench.trc")
@@ -198,10 +199,10 @@ func BenchmarkTracePath(b *testing.B) {
 
 // BenchmarkRunStudyStreaming measures the streaming pipeline's
 // allocation profile against BenchmarkRunStudy (bench_test.go, same
-// scale): the trace-proportional allocations -- collected blocks,
-// flatten scratch, sort keys, merged stream -- drop to a handful of
-// recycled per-node chunks plus the merge cursors. The trace itself
-// spills to a real file, as in production.
+// scale): the trace-proportional allocations -- collected blocks and
+// the merged stream -- drop to a handful of recycled per-node chunks
+// plus the merge cursors. The trace itself spills to a real file, as
+// in production.
 func BenchmarkRunStudyStreaming(b *testing.B) {
 	cfg := DefaultConfig(42, 0.05)
 	f, err := os.CreateTemp(b.TempDir(), "stream-*.trc")

@@ -14,7 +14,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cfs"
 	"repro/internal/disk"
@@ -526,45 +525,4 @@ func (m *Machine) TraceRecords() int64 {
 		n += b.Recorded()
 	}
 	return n
-}
-
-// ConcurrencyProfile computes, from the job records, how much wall
-// time the machine spent with each number of jobs running (Figure 1).
-// It covers [0, horizon).
-func (m *Machine) ConcurrencyProfile(horizon sim.Time) map[int]sim.Time {
-	type edge struct {
-		t sim.Time
-		d int
-	}
-	var edges []edge
-	for _, r := range m.jobRecords {
-		end := r.End
-		if end == 0 || end > horizon {
-			end = horizon
-		}
-		if r.Start >= horizon {
-			continue
-		}
-		edges = append(edges, edge{r.Start, +1}, edge{end, -1})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].d < edges[j].d // ends before starts at ties
-	})
-	profile := make(map[int]sim.Time)
-	var prev sim.Time
-	level := 0
-	for _, e := range edges {
-		if e.t > prev {
-			profile[level] += e.t - prev
-			prev = e.t
-		}
-		level += e.d
-	}
-	if prev < horizon {
-		profile[level] += horizon - prev
-	}
-	return profile
 }

@@ -236,29 +236,6 @@ func TestTraceTimestampsCorrected(t *testing.T) {
 	}
 }
 
-func TestConcurrencyProfile(t *testing.T) {
-	k := sim.New()
-	m := New(k, testConfig())
-	// Job A runs [0, 10s); job B runs [5s, 15s).
-	m.SubmitAt(0, JobSpec{Nodes: 1, Body: func(ctx *NodeCtx) { ctx.P.Sleep(10 * sim.Second) }})
-	m.SubmitAt(5*sim.Second, JobSpec{Nodes: 1, Body: func(ctx *NodeCtx) { ctx.P.Sleep(10 * sim.Second) }})
-	k.Run()
-	profile := m.ConcurrencyProfile(20 * sim.Second)
-	approx := func(got, want sim.Time) bool {
-		d := got - want
-		return d > -sim.Millisecond && d < sim.Millisecond
-	}
-	if !approx(profile[0], 5*sim.Second) {
-		t.Fatalf("idle time = %v", profile[0])
-	}
-	if !approx(profile[1], 10*sim.Second) {
-		t.Fatalf("1-job time = %v", profile[1])
-	}
-	if !approx(profile[2], 5*sim.Second) {
-		t.Fatalf("2-job time = %v", profile[2])
-	}
-}
-
 func TestTraceBufferingReducesMessages(t *testing.T) {
 	k := sim.New()
 	m := New(k, testConfig())

@@ -40,8 +40,8 @@ func BenchmarkKernelRunUntil(b *testing.B) {
 }
 
 // BenchmarkKernelSameInstant measures the After(0, ...) path used by
-// Wake, Yield, Spawn, and Chan.Send: events scheduled for the current
-// instant from inside a running event.
+// Wake, Sleep(0) and Spawn: events scheduled for the current instant
+// from inside a running event.
 func BenchmarkKernelSameInstant(b *testing.B) {
 	k := New()
 	b.ReportAllocs()
@@ -74,7 +74,7 @@ func BenchmarkProcSleepWake(b *testing.B) {
 }
 
 // BenchmarkProcSuspendWake measures the Suspend/Wake rendezvous used by
-// resources, wait groups, and shared-pointer turn-taking.
+// wait groups and shared-pointer turn-taking.
 func BenchmarkProcSuspendWake(b *testing.B) {
 	k := New()
 	var target *Proc
@@ -86,30 +86,7 @@ func BenchmarkProcSuspendWake(b *testing.B) {
 	k.Spawn("waker", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			target.Wake()
-			p.Yield()
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.Run()
-}
-
-// BenchmarkChanSendRecv measures the producer/consumer handoff through
-// a Chan between two processes, one Send and one Recv per op. Neither
-// the cache simulations nor the machine queue through a Chan; this
-// tracks the primitive's own cost.
-func BenchmarkChanSendRecv(b *testing.B) {
-	k := New()
-	c := NewChan[int](k)
-	k.Spawn("recv", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c.Recv(p)
-		}
-	})
-	k.Spawn("send", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c.Send(i)
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	b.ReportAllocs()

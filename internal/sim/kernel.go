@@ -9,8 +9,8 @@
 // process body, which runs until it blocks and then switches straight
 // back to that event. Exactly one of the kernel loop or a single
 // process runs at any instant, which keeps the simulation deterministic
-// without locks. Processes block with Sleep, Suspend, or Chan.Recv,
-// returning control to the kernel until the corresponding wakeup event
+// without locks. Processes block with Sleep, Suspend, or
+// WaitGroup.Wait, returning control to the kernel until the corresponding wakeup event
 // fires.
 package sim
 

@@ -84,10 +84,6 @@ func (p *Proc) Sleep(d Time) {
 	p.block()
 }
 
-// Yield lets all other events scheduled for the current instant run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Suspend blocks the process until another process or event calls Wake.
 // Calling Suspend while already suspended is impossible by construction
 // (the process is not running then).
@@ -109,99 +105,6 @@ func (p *Proc) Wake() {
 	p.suspended = false
 	p.k.After(0, p.stepFn)
 }
-
-// Chan is an unbounded, FIFO, deterministic message queue between
-// processes. Send never blocks; Recv blocks the receiving process
-// until an item is available. Multiple receivers are served in the
-// order they arrived.
-type Chan[T any] struct {
-	k       *Kernel
-	items   []T
-	waiters []*Proc
-}
-
-// NewChan returns an empty channel on kernel k.
-func NewChan[T any](k *Kernel) *Chan[T] {
-	return &Chan[T]{k: k}
-}
-
-// Len reports the number of queued items.
-func (c *Chan[T]) Len() int { return len(c.items) }
-
-// Send enqueues v and wakes the longest-waiting receiver, if any.
-// It may be called from any process or event handler.
-func (c *Chan[T]) Send(v T) {
-	c.items = append(c.items, v)
-	if len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		w.Wake()
-	}
-}
-
-// Recv dequeues the next item, blocking p until one arrives.
-func (c *Chan[T]) Recv(p *Proc) T {
-	for len(c.items) == 0 {
-		c.waiters = append(c.waiters, p)
-		p.Suspend()
-	}
-	v := c.items[0]
-	c.items = c.items[1:]
-	return v
-}
-
-// TryRecv dequeues an item if one is available without blocking.
-func (c *Chan[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(c.items) == 0 {
-		return zero, false
-	}
-	v := c.items[0]
-	c.items = c.items[1:]
-	return v, true
-}
-
-// Resource is a counted resource (semaphore) with FIFO queuing,
-// used to model contended devices such as disks.
-type Resource struct {
-	k        *Kernel
-	capacity int
-	inUse    int
-	waiters  []*Proc
-}
-
-// NewResource returns a resource with the given capacity (> 0).
-func NewResource(k *Kernel, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("sim: resource capacity must be positive")
-	}
-	return &Resource{k: k, capacity: capacity}
-}
-
-// Acquire blocks p until a unit of the resource is free, then claims it.
-func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.capacity {
-		r.waiters = append(r.waiters, p)
-		p.Suspend()
-	}
-	r.inUse++
-}
-
-// Release returns a unit of the resource and wakes the next waiter.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("sim: release of idle resource")
-	}
-	r.inUse--
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		w.Wake()
-	}
-}
-
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // WaitGroup lets a process wait for a set of operations to finish.
 type WaitGroup struct {

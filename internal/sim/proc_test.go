@@ -64,12 +64,14 @@ func TestProcDeterminism(t *testing.T) {
 	}
 }
 
+// TestProcYield: Sleep(0) yields, letting every other event already
+// scheduled for the current instant run before the process continues.
 func TestProcYield(t *testing.T) {
 	k := New()
 	var order []string
 	k.Spawn("first", func(p *Proc) {
 		order = append(order, "first-before")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "first-after")
 	})
 	k.Spawn("second", func(p *Proc) {
@@ -148,146 +150,6 @@ func TestProcName(t *testing.T) {
 		t.Fatal("kernel accessor wrong")
 	}
 	k.Run()
-}
-
-func TestChanSendRecv(t *testing.T) {
-	k := New()
-	ch := NewChan[int](k)
-	var got []int
-	k.Spawn("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Sleep(10)
-			ch.Send(i)
-		}
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, ch.Recv(p))
-		}
-	})
-	k.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestChanBuffersWhenNoReceiver(t *testing.T) {
-	k := New()
-	ch := NewChan[string](k)
-	k.Spawn("producer", func(p *Proc) {
-		ch.Send("a")
-		ch.Send("b")
-	})
-	var got []string
-	k.Spawn("lateConsumer", func(p *Proc) {
-		p.Sleep(100)
-		got = append(got, ch.Recv(p), ch.Recv(p))
-	})
-	k.Run()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestChanMultipleReceiversFIFO(t *testing.T) {
-	k := New()
-	ch := NewChan[int](k)
-	var winners []string
-	spawnReceiver := func(name string, delay Time) {
-		k.Spawn(name, func(p *Proc) {
-			p.Sleep(delay)
-			ch.Recv(p)
-			winners = append(winners, name)
-		})
-	}
-	spawnReceiver("early", 1)
-	spawnReceiver("late", 2)
-	k.Spawn("producer", func(p *Proc) {
-		p.Sleep(10)
-		ch.Send(1)
-		p.Sleep(10)
-		ch.Send(2)
-	})
-	k.Run()
-	if strings.Join(winners, ",") != "early,late" {
-		t.Fatalf("winners = %v", winners)
-	}
-}
-
-func TestChanTryRecv(t *testing.T) {
-	k := New()
-	ch := NewChan[int](k)
-	if _, ok := ch.TryRecv(); ok {
-		t.Fatal("TryRecv on empty channel succeeded")
-	}
-	ch.Send(9)
-	if ch.Len() != 1 {
-		t.Fatalf("len = %d", ch.Len())
-	}
-	v, ok := ch.TryRecv()
-	if !ok || v != 9 {
-		t.Fatalf("TryRecv = %v, %v", v, ok)
-	}
-}
-
-func TestResourceLimitsConcurrency(t *testing.T) {
-	k := New()
-	r := NewResource(k, 2)
-	maxInUse := 0
-	for i := 0; i < 5; i++ {
-		k.Spawn("user", func(p *Proc) {
-			r.Acquire(p)
-			if r.InUse() > maxInUse {
-				maxInUse = r.InUse()
-			}
-			p.Sleep(10)
-			r.Release()
-		})
-	}
-	k.Run()
-	if maxInUse != 2 {
-		t.Fatalf("max in use = %d, want 2", maxInUse)
-	}
-}
-
-func TestResourceFIFO(t *testing.T) {
-	k := New()
-	r := NewResource(k, 1)
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		k.Spawn("u", func(p *Proc) {
-			p.Sleep(Time(i)) // arrive in index order
-			r.Acquire(p)
-			order = append(order, i)
-			p.Sleep(100)
-			r.Release()
-		})
-	}
-	k.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("service order = %v", order)
-		}
-	}
-}
-
-func TestResourceReleaseIdlePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("releasing idle resource did not panic")
-		}
-	}()
-	NewResource(New(), 1).Release()
-}
-
-func TestResourceZeroCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero capacity did not panic")
-		}
-	}()
-	NewResource(New(), 0)
 }
 
 func TestWaitGroup(t *testing.T) {

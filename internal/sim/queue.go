@@ -10,8 +10,8 @@ package sim
 // heap; the extra sibling comparisons are cheap because all four
 // children share a cache line or two.
 //
-// The FIFO absorbs the After(0, ...) traffic generated by Wake, Yield,
-// Spawn, and Chan.Send. Those events always run at the instant they
+// The FIFO absorbs the After(0, ...) traffic generated by Wake,
+// Sleep(0) and Spawn. Those events always run at the instant they
 // are scheduled, in scheduling order, so a ring buffer serves them
 // without touching the heap at all. Ordering with respect to heap
 // events is preserved by construction: a heap event at time t was

@@ -7,18 +7,16 @@ package trace
 //   - NodeBuffer chunks: each buffer fill ships one []Event chunk to
 //     the collector; ReclaimTrace returns them for the next study.
 //   - The collector's block slice: the arrival-ordered []Block backing.
-//   - Postprocess scratch: the flattened working copy, the sort keys,
-//     and the merged output stream used by PostprocessInto.
+//
+// Postprocessing needs no scratch here: the merge reads the collected
+// blocks in place, and core.Arena pools its output stream through
+// AppendPostprocessed.
 //
 // An Arena is not safe for concurrent use; give each worker its own.
 // The zero value is ready to use.
 type Arena struct {
 	chunks [][]Event // free NodeBuffer chunks, any capacity
 	blocks []Block   // free collector backing, length 0
-
-	flat []Event   // postprocess: flattened, drift-corrected copy
-	keys []sortKey // postprocess: (time, index) sort keys
-	out  []Event   // postprocess: merged result, reused per call
 }
 
 // getChunk returns an empty event chunk with capacity >= limit,

@@ -1,6 +1,6 @@
 package trace
 
-import "sort"
+import "slices"
 
 // ClockFit is an affine map from one node's local clock onto the
 // collector's timebase: collector ~= Offset + Slope * local.
@@ -18,10 +18,7 @@ func (f ClockFit) Apply(local int64) int64 {
 var IdentityFit = ClockFit{Offset: 0, Slope: 1}
 
 // clockAcc accumulates one node's (SendLocal, RecvCollector) block
-// timestamp pairs for the least-squares clock fit. It is shared by
-// FitClocks (materialized traces) and Reader.fitClocks (streaming over
-// the block index): both accumulate in block order with identical
-// float arithmetic, so the fits are bit-identical.
+// timestamp pairs for the least-squares clock fit.
 type clockAcc struct {
 	n                        float64
 	sumX, sumY, sumXY, sumXX float64
@@ -64,8 +61,15 @@ func (a *clockAcc) fit() ClockFit {
 // least-squares line captures both offset and drift rate; with a
 // single block only the offset can be estimated.
 func FitClocks(t *Trace) map[uint16]ClockFit {
+	return fitClocks(t.index())
+}
+
+// fitClocks fits every node's clock from a block index, accumulating
+// the double timestamps in index order.
+func fitClocks(index []BlockInfo) map[uint16]ClockFit {
 	accs := make(map[uint16]*clockAcc)
-	for _, b := range t.Blocks {
+	for i := range index {
+		b := &index[i]
 		a := accs[b.Node]
 		if a == nil {
 			a = &clockAcc{}
@@ -83,101 +87,83 @@ func FitClocks(t *Trace) map[uint16]ClockFit {
 // Postprocess performs the paper's three postprocessing steps -- data
 // realignment, clock synchronization, and chronological sorting -- and
 // returns a single corrected, time-ordered event stream. Events keep
-// their original per-node order when corrected timestamps tie.
+// their original per-node order when corrected timestamps tie. The
+// trace's blocks are read, never modified.
+//
+// The stream comes out of the k-way merge in stream.go, which assumes
+// what every collected trace satisfies: each node's clock is monotone,
+// so its events, taken block by block in recording order, are already
+// in time order. A trace whose events go backwards within a node comes
+// out in that block order rather than sorted.
 func Postprocess(t *Trace) []Event {
-	return PostprocessInto(t, nil)
+	return AppendPostprocessed(nil, t)
 }
 
-// PostprocessInto is Postprocess drawing its working storage -- the
-// flattened copy, the sort keys, and the returned stream itself --
-// from the arena. The returned slice is owned by the arena: it is
-// valid only until the arena's next PostprocessInto call. A nil arena
-// allocates fresh storage (identical to Postprocess).
-func PostprocessInto(t *Trace, a *Arena) []Event {
-	fits := FitClocks(t)
-	return flattenSorted(t, func(node uint16) ClockFit {
-		if f, ok := fits[node]; ok {
-			return f
-		}
-		return IdentityFit
-	}, a)
+// AppendPostprocessed appends Postprocess's stream to dst and returns
+// the extended slice, growing dst at most once; pass a reused slice
+// (truncated to length 0) to postprocess study after study without
+// reallocating.
+func AppendPostprocessed(dst []Event, t *Trace) []Event {
+	return t.appendMerged(dst, true)
 }
 
-// PostprocessRaw flattens and sorts the trace on the raw local
-// timestamps with no clock correction. It exists to measure how much
-// event-order error the drift correction removes (an ablation: compare
-// its output with Postprocess on the same trace).
+// PostprocessRaw merges the trace on the raw local timestamps with no
+// clock correction. It exists to measure how much event-order error
+// the drift correction removes (an ablation: compare its output with
+// Postprocess on the same trace).
 func PostprocessRaw(t *Trace) []Event {
-	return flattenSorted(t, func(uint16) ClockFit { return IdentityFit }, nil)
+	return t.appendMerged(nil, false)
 }
 
-// sortKey orders one flattened event by (corrected time, flatten
-// index); see flattenSorted.
-type sortKey struct {
-	time int64
-	idx  int32
-}
-
-func flattenSorted(t *Trace, fitFor func(uint16) ClockFit, a *Arena) []Event {
+// appendMerged runs the merge over the trace's in-memory blocks,
+// handing it each block's events as they are: no copy, no encoding.
+func (t *Trace) appendMerged(dst []Event, corrected bool) []Event {
+	index := t.index()
+	var fits map[uint16]ClockFit
+	if corrected {
+		fits = fitClocks(index)
+	}
 	var n int
 	for _, b := range t.Blocks {
 		n += len(b.Events)
 	}
-	var events []Event
-	var keys []sortKey
-	var out []Event
-	if a != nil {
-		events = sliceFor(&a.flat, n)[:0]
-		keys = sliceFor(&a.keys, n)
-		out = sliceFor(&a.out, n)
-	} else {
-		events = make([]Event, 0, n)
-		keys = make([]sortKey, n)
-		out = make([]Event, n)
-	}
-	for _, b := range t.Blocks {
-		fit := fitFor(b.Node)
-		for _, ev := range b.Events {
-			ev.Time = fit.Apply(ev.Time)
-			events = append(events, ev)
-		}
-	}
-	// Sort compact (time, index) keys instead of the events themselves:
-	// the keys are a quarter the size of an Event and compare without
-	// reflection, and the index tiebreak yields exactly the order a
-	// stable sort of the events would. One pass then gathers the events
-	// into place.
-	for i := range events {
-		keys[i] = sortKey{time: events[i].Time, idx: int32(i)}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].time != keys[j].time {
-			return keys[i].time < keys[j].time
-		}
-		return keys[i].idx < keys[j].idx
-	})
-	for i, k := range keys {
-		out[i] = events[k.idx]
-	}
-	return out
+	dst = slices.Grow(dst, n)
+	// Neither the loader nor the emitter can fail.
+	_ = mergeBlocks(index, fits,
+		func(i int, _ []Event) ([]Event, error) { return t.Blocks[i].Events, nil },
+		func(ev *Event) error {
+			dst = append(dst, *ev)
+			return nil
+		})
+	return dst
 }
 
-// sliceFor resizes *s to length n, growing the backing array only when
-// the pooled capacity is insufficient, and returns it.
-func sliceFor[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
+// index describes the trace's blocks the way a Reader indexes a .trc
+// file, with flatten indices counted in block order.
+func (t *Trace) index() []BlockInfo {
+	index := make([]BlockInfo, len(t.Blocks))
+	var start int64
+	for i := range t.Blocks {
+		b := &t.Blocks[i]
+		index[i] = BlockInfo{
+			StartIdx:      start,
+			SendLocal:     b.SendLocal,
+			RecvCollector: b.RecvCollector,
+			Count:         uint32(len(b.Events)),
+			Node:          b.Node,
+		}
+		start += int64(len(b.Events))
 	}
-	*s = (*s)[:n]
-	return *s
+	return index
 }
 
-// OrderError counts adjacent inversions between a candidate event
-// ordering and the true ordering given by reference timestamps keyed
-// by (Node, Seq)-free identity; here we approximate by counting pairs
-// of data events from different nodes whose relative order differs
-// from their true simulation order. It is used by tests and the
-// drift-correction ablation: lower is better.
+// OrderError counts the adjacent pairs of candidate that trueTime
+// puts out of order: every i with trueTime(candidate[i-1]) >
+// trueTime(candidate[i]). trueTime recovers an event's true simulation
+// time from wherever the caller stashed it (tests and the postprocess
+// example keep it in a spare field). It scores the drift-correction
+// ablation: lower is better, and 0 means the candidate agrees with
+// true time.
 func OrderError(candidate []Event, trueTime func(Event) int64) int {
 	errors := 0
 	for i := 1; i < len(candidate); i++ {

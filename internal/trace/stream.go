@@ -1,29 +1,33 @@
-// Streaming trace access. The CHARISMA instrumentation shipped event
-// blocks off the compute nodes precisely because whole traces did not
-// fit anywhere at once; Reader honors the same constraint on replay.
-// It indexes a .trc file's block headers up front (a few dozen bytes
-// per block, never the payloads) and then iterates with bounded
-// memory: Blocks decodes one block at a time, and Events runs the full
-// postprocessing pipeline -- per-node clock-drift correction and
-// chronological merging -- via a k-way merge over the per-node block
-// streams, holding one decoded block per node (briefly two, when a
-// timestamp tie straddles a block boundary; see mergeCursor).
+// Streaming trace access and the postprocessing merge. The CHARISMA
+// instrumentation shipped event blocks off the compute nodes precisely
+// because whole traces did not fit anywhere at once; Reader honors the
+// same constraint on replay. It indexes a .trc file's block headers up
+// front (a few dozen bytes per block, never the payloads) and then
+// iterates with bounded memory: Blocks decodes one block at a time, and
+// Events runs the full postprocessing pipeline -- per-node clock-drift
+// correction and chronological merging -- holding one decoded block
+// per node (briefly two, when a timestamp tie straddles a block
+// boundary; see mergeCursor).
 //
-// For every trace whose per-node clocks are monotone -- every trace
-// the collector produces -- Events yields exactly the stream
-// Postprocess returns (stream_test.go and the core equivalence test
-// pin this): the merge key is (corrected time, flatten index), each
-// block is internally sorted by that key, the cursor window opens
-// every block that could still hold the minimum key, and a k-way
-// merge under those invariants equals a global sort.
+// That merge, mergeBlocks, is the only one: Postprocess runs it over a
+// collected trace's in-memory blocks, and Reader over a .trc block
+// index. Its key is (corrected time, flatten index), each node's
+// blocks taken in recording order are sorted by that key, and the
+// cursor window opens every block that could still hold a node's
+// minimum key, so for every trace whose per-node clocks are monotone
+// -- every trace the collector produces -- the k-way merge equals a
+// global stable sort by corrected time (reference_test.go keeps that
+// sort as the oracle).
 package trace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+	"slices"
 )
 
 // BlockInfo locates one block inside an encoded trace: its byte
@@ -205,83 +209,80 @@ func (r *Reader) Blocks(fn func(Block) error) error {
 	return nil
 }
 
-// fitClocks estimates the per-node clock maps from the block index,
-// accumulating the double timestamps in file order -- the same samples
-// in the same order as FitClocks over the materialized trace, so the
-// fits (and thus the corrected timestamps) are bit-identical.
-func (r *Reader) fitClocks() map[uint16]ClockFit {
-	accs := make(map[uint16]*clockAcc)
-	for i := range r.index {
-		b := &r.index[i]
-		a := accs[b.Node]
-		if a == nil {
-			a = &clockAcc{}
-			accs[b.Node] = a
-		}
-		a.add(b.SendLocal, b.RecvCollector)
-	}
-	fits := make(map[uint16]ClockFit, len(accs))
-	for node, a := range accs {
-		fits[node] = a.fit()
-	}
-	return fits
-}
+// blockLoader returns block i's events with their raw local
+// timestamps. buf is a spare slice that an earlier call returned and
+// the merge is done with; the loader may decode into it. The merge
+// only reads what the loader returns.
+type blockLoader func(i int, buf []Event) ([]Event, error)
 
-// openBlock is one decoded, not-yet-exhausted block inside a node
+// openBlock is one loaded, not-yet-exhausted block inside a node
 // cursor's window.
 type openBlock struct {
-	buf  []Event // decoded events, drift-corrected
-	pos  int     // head event
-	base int64   // StartIdx of the block
+	events []Event // raw local timestamps, as loaded
+	pos    int     // head event
+	base   int64   // StartIdx of the block
 }
 
-// mergeCursor is one node's position in the streaming merge: the
-// node's block list (in recording order), a window of decoded blocks,
-// and the sort key of the head event.
+// mergeCursor is one node's position in the merge: the node's block
+// list (in recording order), a window of loaded blocks, and a copy of
+// the head event carrying its corrected timestamp.
 //
 // The window is the subtlety that makes the merge exact rather than
 // approximate. A node's blocks, taken in recording (SendLocal) order,
 // partition its event stream into consecutive time ranges that can
 // touch at the boundary instants: every event in block k satisfies
 // fit(send[k-1]) <= time <= fit(send[k]). When the head event's
-// timestamp reaches the last opened block's corrected send stamp, the
-// *next* block may hold events at that same instant whose flatten
+// timestamp reaches the lower bound on the unopened blocks' events,
+// the *next* block may hold events at that same instant whose flatten
 // index is smaller (a small residual block can overtake a full one on
-// the network and land earlier in the file), so the cursor opens it
+// the network and land earlier in the trace), so the cursor opens it
 // and takes the minimum key across the window. In the steady state
 // the window is one block; at a boundary tie it is briefly two.
 type mergeCursor struct {
-	blocks []int32 // indices into Reader.index, in recording order
+	blocks []int32 // indices into the block index, in recording order
 	next   int     // next entry of blocks to open
 	window []openBlock
-	free   [][]Event // spare event buffers, reused across blocks
-	raw    []byte
+	free   [][]Event // spare event buffers, handed back to the loader
 	fit    ClockFit
-	// Corrected send stamp of the most recently opened block: events
-	// of every unopened block are >= this.
-	lastSend int64
+	// Corrected lower bound on the events of every unopened block.
+	bound int64
 
-	// Head sort key: (corrected time, flatten index), exactly the
-	// batch postprocessor's, plus which window entry holds it.
-	time int64
+	// The head event with its corrected timestamp, its flatten index
+	// (head.Time and idx are the merge key), and which window entry
+	// holds it.
+	head Event
 	idx  int64
 	wi   int
 }
 
 func (c *mergeCursor) less(d *mergeCursor) bool {
-	if c.time != d.time {
-		return c.time < d.time
+	if c.head.Time != d.head.Time {
+		return c.head.Time < d.head.Time
 	}
 	return c.idx < d.idx
 }
 
-// openNext decodes the node's next block into the window (skipping
+// merger is the k-way merge over one block source.
+type merger struct {
+	index []BlockInfo
+	load  blockLoader
+}
+
+// openNext loads the node's next block into the window (skipping
 // empty blocks) and updates the unopened-blocks lower bound.
-func (r *Reader) openNext(c *mergeCursor) error {
+func (m *merger) openNext(c *mergeCursor) error {
 	i := int(c.blocks[c.next])
 	c.next++
-	c.lastSend = c.fit.Apply(r.index[i].SendLocal)
-	if r.index[i].Count == 0 {
+	info := &m.index[i]
+	// Blocks flushed at one local instant sort in arrival order, and
+	// only the first of them recorded can hold events before that
+	// instant. So the bound rises to a send stamp only once every
+	// block carrying it is open; until then it stays at the previous
+	// stamp.
+	if c.next == len(c.blocks) || m.index[c.blocks[c.next]].SendLocal > info.SendLocal {
+		c.bound = c.fit.Apply(info.SendLocal)
+	}
+	if info.Count == 0 {
 		return nil
 	}
 	var buf []Event
@@ -289,26 +290,39 @@ func (r *Reader) openNext(c *mergeCursor) error {
 		buf = c.free[n-1]
 		c.free = c.free[:n-1]
 	}
-	var err error
-	c.raw, buf, err = r.loadBlock(i, c.raw, buf)
+	events, err := m.load(i, buf)
 	if err != nil {
 		return err
 	}
-	for j := range buf {
-		buf[j].Time = c.fit.Apply(buf[j].Time)
-	}
-	c.window = append(c.window, openBlock{buf: buf, base: r.index[i].StartIdx})
+	c.window = append(c.window, openBlock{events: events, base: info.StartIdx})
 	return nil
 }
 
+// pickHead makes the minimum (corrected time, index) key across the
+// window the cursor's head.
+func (c *mergeCursor) pickHead() {
+	c.wi = -1
+	var t int64
+	for k := range c.window {
+		w := &c.window[k]
+		tk, idx := c.fit.Apply(w.events[w.pos].Time), w.base+int64(w.pos)
+		if c.wi < 0 || tk < t || (tk == t && idx < c.idx) {
+			c.wi, t, c.idx = k, tk, idx
+		}
+	}
+	w := &c.window[c.wi]
+	c.head = w.events[w.pos]
+	c.head.Time = t
+}
+
 // advance drops exhausted window blocks and re-establishes the
-// cursor's head: the minimum (time, index) key across the window,
-// after opening every further block that could still hold a smaller
-// key. It returns false at the end of the node's stream.
-func (r *Reader) advance(c *mergeCursor) (bool, error) {
+// cursor's head, after opening every further block that could still
+// hold a smaller key. It returns false at the end of the node's
+// stream.
+func (m *merger) advance(c *mergeCursor) (bool, error) {
 	for k := 0; k < len(c.window); {
-		if c.window[k].pos >= len(c.window[k].buf) {
-			c.free = append(c.free, c.window[k].buf[:0])
+		if c.window[k].pos >= len(c.window[k].events) {
+			c.free = append(c.free, c.window[k].events[:0])
 			c.window = append(c.window[:k], c.window[k+1:]...)
 			continue
 		}
@@ -318,90 +332,80 @@ func (r *Reader) advance(c *mergeCursor) (bool, error) {
 		if c.next >= len(c.blocks) {
 			return false, nil
 		}
-		if err := r.openNext(c); err != nil {
+		if err := m.openNext(c); err != nil {
 			return false, err
 		}
 	}
-	head := func() {
-		c.wi = -1
-		for k := range c.window {
-			w := &c.window[k]
-			t, idx := w.buf[w.pos].Time, w.base+int64(w.pos)
-			if c.wi < 0 || t < c.time || (t == c.time && idx < c.idx) {
-				c.wi, c.time, c.idx = k, t, idx
-			}
-		}
-	}
-	head()
-	// An unopened block's events are all >= the last opened block's
-	// corrected send stamp; open until that bound clears the head.
-	for c.next < len(c.blocks) && c.lastSend <= c.time {
-		if err := r.openNext(c); err != nil {
+	c.pickHead()
+	// Open until the unopened blocks' bound clears the head.
+	for c.next < len(c.blocks) && c.bound <= c.head.Time {
+		if err := m.openNext(c); err != nil {
 			return false, err
 		}
-		head()
+		c.pickHead()
 	}
 	return true, nil
 }
 
-// Events streams the postprocessed trace: every record with its
-// timestamp mapped onto the collector timebase (the paper's clock
-// drift correction), merged into chronological order. For any trace
-// the collector produced, the stream is element-for-element identical
-// to Postprocess's, while decoding only one block per compute node at
-// a time -- beyond the block index, peak memory is O(node buffers),
-// not O(trace).
-//
-// fn receives a pointer into the merge's reused block storage; it must
-// not retain the pointer across calls. A non-nil error from fn aborts
-// the stream and is returned.
-func (r *Reader) Events(fn func(*Event) error) error {
-	return r.stream(fn, true)
+// step moves the cursor past its head event. In the steady state --
+// one open block with events left, and the unopened blocks' bound
+// above the new head -- that block's next event is the head; anything
+// else goes through advance.
+func (m *merger) step(c *mergeCursor) (bool, error) {
+	w := &c.window[c.wi]
+	w.pos++
+	if len(c.window) == 1 && w.pos < len(w.events) {
+		c.head = w.events[w.pos]
+		c.head.Time = c.fit.Apply(c.head.Time)
+		c.idx++
+		if c.next == len(c.blocks) || c.bound > c.head.Time {
+			return true, nil
+		}
+	}
+	return m.advance(c)
 }
 
-// RawEvents is Events without the clock correction: records merge on
-// their raw local-clock timestamps, matching PostprocessRaw (the
-// drift-correction ablation).
-func (r *Reader) RawEvents(fn func(*Event) error) error {
-	return r.stream(fn, false)
-}
-
-func (r *Reader) stream(fn func(*Event) error, corrected bool) error {
+// mergeBlocks streams the events of the indexed blocks to fn in
+// (corrected time, flatten index) order, each with its timestamp
+// mapped through its node's fit (IdentityFit for a node fits lacks;
+// nil fits merges on raw local time). fn receives a pointer to the
+// merge's copy of the event, valid only until fn returns. A non-nil
+// error from load or fn aborts the merge and is returned.
+func mergeBlocks(index []BlockInfo, fits map[uint16]ClockFit, load blockLoader, fn func(*Event) error) error {
+	m := merger{index: index, load: load}
 	// Group the blocks by node. Within a node, merge its blocks in
-	// recording order (by SendLocal) rather than file order: per-node
-	// blocks normally arrive in flush order, but a small residual
+	// recording order (by SendLocal) rather than arrival order: per-
+	// node blocks normally arrive in flush order, but a small residual
 	// block can overtake a full one on the simulated network, and
 	// recording order is what makes each node's event stream
 	// time-sorted (node clocks are monotone, so every record in a
 	// block is newer than the previous block's send stamp).
 	byNode := make(map[uint16]*mergeCursor)
 	var cursors []*mergeCursor
-	for i := range r.index {
-		n := r.index[i].Node
+	for i := range index {
+		n := index[i].Node
 		c := byNode[n]
 		if c == nil {
-			c = &mergeCursor{fit: IdentityFit}
+			fit, ok := fits[n]
+			if !ok {
+				fit = IdentityFit
+			}
+			c = &mergeCursor{fit: fit, bound: math.MinInt64}
 			byNode[n] = c
 			cursors = append(cursors, c)
 		}
 		c.blocks = append(c.blocks, int32(i))
 	}
-	if corrected {
-		for node, fit := range r.fitClocks() {
-			byNode[node].fit = fit
-		}
-	}
 	for _, c := range cursors {
-		blocks := c.blocks
-		sort.SliceStable(blocks, func(a, b int) bool {
-			return r.index[blocks[a]].SendLocal < r.index[blocks[b]].SendLocal
+		slices.SortStableFunc(c.blocks, func(a, b int32) int {
+			return cmp.Compare(index[a].SendLocal, index[b].SendLocal)
 		})
 	}
 
 	// Prime the heap with each node's first event.
 	heap := make([]*mergeCursor, 0, len(cursors))
 	for _, c := range cursors {
-		ok, err := r.advance(c)
+		ok, err := m.advance(c)
 		if err != nil {
 			return err
 		}
@@ -415,12 +419,10 @@ func (r *Reader) stream(fn func(*Event) error, corrected bool) error {
 
 	for len(heap) > 0 {
 		c := heap[0]
-		w := &c.window[c.wi]
-		if err := fn(&w.buf[w.pos]); err != nil {
+		if err := fn(&c.head); err != nil {
 			return err
 		}
-		w.pos++
-		ok, err := r.advance(c)
+		ok, err := m.step(c)
 		if err != nil {
 			return err
 		}
@@ -453,9 +455,46 @@ func siftDown(h []*mergeCursor, i int) {
 	}
 }
 
-// AllEvents materializes the postprocessed stream into one slice: the
-// streaming equivalent of Read followed by Postprocess, allocating the
-// event slice but never the raw blocks.
+// Events streams the postprocessed trace: every record with its
+// timestamp mapped onto the collector timebase (the paper's clock
+// drift correction), merged into chronological order. The stream is
+// element-for-element Postprocess's over the same blocks, while
+// decoding only one block per compute node at a time -- beyond the
+// block index, peak memory is O(node buffers), not O(trace).
+//
+// fn receives a pointer to the merge's copy of the event; it must not
+// retain the pointer across calls. A non-nil error from fn aborts the
+// stream and is returned.
+func (r *Reader) Events(fn func(*Event) error) error {
+	return r.stream(fn, true)
+}
+
+// RawEvents is Events without the clock correction: records merge on
+// their raw local-clock timestamps, matching PostprocessRaw (the
+// drift-correction ablation).
+func (r *Reader) RawEvents(fn func(*Event) error) error {
+	return r.stream(fn, false)
+}
+
+func (r *Reader) stream(fn func(*Event) error, corrected bool) error {
+	var fits map[uint16]ClockFit
+	if corrected {
+		fits = fitClocks(r.index)
+	}
+	// Blocks decode one at a time, so every cursor shares one payload
+	// buffer; each cursor recycles its own event buffers.
+	var raw []byte
+	return mergeBlocks(r.index, fits, func(i int, buf []Event) ([]Event, error) {
+		var events []Event
+		var err error
+		raw, events, err = r.loadBlock(i, raw, buf)
+		return events, err
+	}, fn)
+}
+
+// AllEvents materializes the postprocessed stream into one slice,
+// allocating the event slice but never more than one decoded block per
+// node.
 func (r *Reader) AllEvents() ([]Event, error) {
 	out := make([]Event, 0, r.events)
 	err := r.Events(func(ev *Event) error {

@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -137,30 +140,67 @@ func assertSameStream(t *testing.T, got, want []Event, label string) {
 	}
 }
 
-// TestReaderEventsMatchPostprocess pins the merge's contract: the
-// streamed, drift-corrected event sequence equals Postprocess's
-// output element for element, including cross-node ties.
-func TestReaderEventsMatchPostprocess(t *testing.T) {
-	tr := driftTrace()
+// assertMergeMatchesReference runs the merge over both block sources
+// -- the in-memory trace through Postprocess and PostprocessRaw, and
+// its .trc encoding through a Reader's Events, RawEvents and AllEvents
+// -- and compares every stream with the reference sort. It also checks
+// that postprocessing left the trace's blocks exactly as collected.
+func assertMergeMatchesReference(t *testing.T, tr *Trace, label string) {
+	t.Helper()
+	before := cloneBlocks(tr.Blocks)
+	want, wantRaw := ReferencePostprocess(tr, true), ReferencePostprocess(tr, false)
+	assertSameStream(t, Postprocess(tr), want, label+": Postprocess")
+	assertSameStream(t, PostprocessRaw(tr), wantRaw, label+": PostprocessRaw")
+	assertSameBlocks(t, tr.Blocks, before, label)
+
 	data := encodeTrace(t, tr)
 	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameStream(t, streamAll(t, rd, false), Postprocess(tr), "corrected")
-	assertSameStream(t, streamAll(t, rd, true), PostprocessRaw(tr), "raw")
-
+	assertSameStream(t, streamAll(t, rd, false), want, label+": Reader.Events")
+	assertSameStream(t, streamAll(t, rd, true), wantRaw, label+": Reader.RawEvents")
 	all, err := rd.AllEvents()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameStream(t, all, Postprocess(tr), "AllEvents")
+	assertSameStream(t, all, want, label+": Reader.AllEvents")
+}
+
+func cloneBlocks(blocks []Block) []Block {
+	out := make([]Block, len(blocks))
+	for i, b := range blocks {
+		out[i] = b
+		out[i].Events = append([]Event(nil), b.Events...)
+	}
+	return out
+}
+
+func assertSameBlocks(t *testing.T, got, want []Block, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d blocks, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Node != w.Node || g.SendLocal != w.SendLocal || g.RecvCollector != w.RecvCollector {
+			t.Fatalf("%s: block %d header changed: %+v", label, i, g)
+		}
+		assertSameStream(t, g.Events, w.Events, fmt.Sprintf("%s: block %d", label, i))
+	}
+}
+
+// TestReaderEventsMatchPostprocess pins the merge's contract on a
+// hand-built trace: both block sources, corrected and raw, equal the
+// reference sort element for element, including cross-node ties.
+func TestReaderEventsMatchPostprocess(t *testing.T) {
+	assertMergeMatchesReference(t, driftTrace(), "drift")
 }
 
 // TestReaderEventsOvertakenBlock: a node's small residual block can
 // overtake its previous full block on the network, landing earlier in
-// the file. The merge processes each node's blocks in recording
-// (SendLocal) order, so the stream still matches the batch sort.
+// the trace. The merge processes each node's blocks in recording
+// (SendLocal) order, so the stream still matches the reference sort.
 func TestReaderEventsOvertakenBlock(t *testing.T) {
 	tr := &Trace{Header: testHeader()}
 	tr.Blocks = []Block{
@@ -176,22 +216,16 @@ func TestReaderEventsOvertakenBlock(t *testing.T) {
 			{Type: EvWrite, Node: 6, Time: 400, File: 10, Size: 10},
 		}},
 	}
-	data := encodeTrace(t, tr)
-	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameStream(t, streamAll(t, rd, false), Postprocess(tr), "overtaken corrected")
-	assertSameStream(t, streamAll(t, rd, true), PostprocessRaw(tr), "overtaken raw")
+	assertMergeMatchesReference(t, tr, "overtaken")
 }
 
 // TestReaderEventsOvertakenBoundaryTie is the hard case: the
 // overtaking residual block's first event carries the same timestamp
 // as the overtaken block's last event (a buffer that fills and
 // flushes mid-instant, with the residual flushed at that same
-// instant). The batch sort tie-breaks on flatten index, putting the
-// overtaking (earlier-in-file) block's event first even though it was
-// recorded second; the cursor's block window must reproduce that.
+// instant). The reference sort tie-breaks on flatten index, putting
+// the overtaking (earlier-in-trace) block's event first even though it
+// was recorded second; the cursor's block window must reproduce that.
 func TestReaderEventsOvertakenBoundaryTie(t *testing.T) {
 	tr := &Trace{Header: testHeader()}
 	tr.Blocks = []Block{
@@ -206,13 +240,96 @@ func TestReaderEventsOvertakenBoundaryTie(t *testing.T) {
 			{Type: EvRead, Node: 5, Time: 1000, File: 9, Offset: 0, Size: 10},
 		}},
 	}
-	data := encodeTrace(t, tr)
-	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
+	assertMergeMatchesReference(t, tr, "boundary tie")
+}
+
+// randomTrace builds a collector-shaped trace: 1-16 nodes, each with a
+// monotone local clock at its own offset and drift, recording events
+// at nondecreasing instants (often the same one, so ties straddle
+// block boundaries) into a buffer of 1-6 records. Besides full blocks
+// the nodes flush residual and empty blocks, and every block reaches
+// the collector after a delay that grows with its size, so a residual
+// flushed just after a full block often arrives ahead of it.
+func randomTrace(r *rand.Rand) *Trace {
+	type sent struct {
+		blk    Block
+		arrive int64
 	}
-	assertSameStream(t, streamAll(t, rd, false), Postprocess(tr), "boundary tie corrected")
-	assertSameStream(t, streamAll(t, rd, true), PostprocessRaw(tr), "boundary tie raw")
+	var deliveries []sent
+	var seq int64
+	nodes := 1 + r.Intn(16)
+	for n := 0; n < nodes; n++ {
+		node := uint16(n * 7)
+		offset := r.Int63n(2_000_000) - 1_000_000
+		slope := 1 + (r.Float64()-0.5)*2e-3 // within +-1000 ppm
+		local := func(now int64) int64 { return offset + int64(slope*float64(now)) }
+		capacity := 1 + r.Intn(6)
+		var now int64
+		var pending []Event
+		flush := func() {
+			delay := 10 + int64(len(pending))*(20+r.Int63n(200))
+			deliveries = append(deliveries, sent{
+				blk:    Block{Node: node, SendLocal: local(now), Events: pending},
+				arrive: now + delay,
+			})
+			pending = nil
+		}
+		for e := r.Intn(60); e > 0; e-- {
+			switch r.Intn(4) {
+			case 0: // same instant as the previous record
+			case 1:
+				now++
+			default:
+				now += r.Int63n(5000)
+			}
+			seq++
+			pending = append(pending, Event{Type: EvRead, Node: node, Time: local(now), File: uint64(node), Offset: seq})
+			switch {
+			case len(pending) == capacity:
+				flush()
+			case r.Intn(8) == 0: // residual
+				flush()
+			}
+			if r.Intn(10) == 0 { // empty
+				flush()
+			}
+		}
+		flush()
+	}
+	sort.SliceStable(deliveries, func(i, j int) bool { return deliveries[i].arrive < deliveries[j].arrive })
+	tr := &Trace{Header: testHeader()}
+	for _, d := range deliveries {
+		d.blk.RecvCollector = d.arrive
+		tr.Blocks = append(tr.Blocks, d.blk)
+	}
+	return tr
+}
+
+// TestMergeRandomizedDifferential compares both block sources with the
+// reference sort on many random collector-shaped traces.
+func TestMergeRandomizedDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for i := 0; i < 400; i++ {
+		assertMergeMatchesReference(t, randomTrace(r), fmt.Sprintf("trace %d", i))
+	}
+}
+
+// TestAppendPostprocessed: the append form keeps dst's prefix, reuses
+// its capacity, and appends exactly Postprocess's stream.
+func TestAppendPostprocessed(t *testing.T) {
+	tr := driftTrace()
+	want := Postprocess(tr)
+	prefix := Event{Type: EvJobStart, Job: 99}
+	dst := make([]Event, 1, 64)
+	dst[0] = prefix
+	got := AppendPostprocessed(dst, tr)
+	if &got[0] != &dst[0] {
+		t.Fatal("AppendPostprocessed reallocated a slice with room to spare")
+	}
+	if got[0] != prefix {
+		t.Fatalf("prefix overwritten: %+v", got[0])
+	}
+	assertSameStream(t, got[1:], want, "appended")
 }
 
 func TestReaderEmptyTrace(t *testing.T) {
@@ -240,7 +357,8 @@ func TestOpenReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameStream(t, streamAll(t, rd, false), Postprocess(tr), "file-backed")
+	assertSameStream(t, streamAll(t, rd, false), ReferencePostprocess(tr, true), "file-backed")
+	assertSameStream(t, streamAll(t, rd, true), ReferencePostprocess(tr, false), "file-backed raw")
 	if err := rd.Close(); err != nil {
 		t.Fatal(err)
 	}
