@@ -22,6 +22,7 @@ import (
 	"repro/internal/cfs"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -505,6 +506,37 @@ func BenchmarkPostprocess(b *testing.B) {
 func BenchmarkAnalyze(b *testing.B) {
 	res := sharedStudy(b)
 	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		analysis.Analyze(res.Header, res.Events, res.Horizon)
+	}
+}
+
+var (
+	checkpointOnce  sync.Once
+	checkpointStudy *core.Result
+	checkpointErr   error
+)
+
+// BenchmarkAnalyzeCheckpoint is BenchmarkAnalyze on the checkpoint-heavy
+// corpus mix (seed 42, scale 0.1), whose shared checkpoint files make
+// Figure 7's sharing a large part of the analysis.
+func BenchmarkAnalyzeCheckpoint(b *testing.B) {
+	checkpointOnce.Do(func() {
+		spec, err := scenario.Load("testdata/scenarios/checkpoint-heavy.json")
+		if err != nil {
+			checkpointErr = err
+			return
+		}
+		cfg := core.ScenarioSpecs(spec)[0].Config
+		cfg.Seed, cfg.Scale = 42, 0.1
+		checkpointStudy = core.RunStudy(cfg)
+	})
+	if checkpointErr != nil {
+		b.Fatal(checkpointErr)
+	}
+	res := checkpointStudy
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analysis.Analyze(res.Header, res.Events, res.Horizon)
 	}

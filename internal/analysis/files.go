@@ -7,7 +7,9 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -86,12 +88,26 @@ func (s *nodeStream) record(off, size int64) {
 	s.count++
 	s.prevOff = off
 	s.prevEnd = off + size
-	if size > 0 {
-		if n := len(s.ranges); n > 0 && s.ranges[n-1].End == off {
-			s.ranges[n-1].End = off + size
-		} else {
-			s.ranges = append(s.ranges, span{off, off + size})
-		}
+	s.addRange(off, size)
+}
+
+// addRange tracks the byte range [off, off+size) for sharing,
+// coalescing it with the previous range when they touch. The end
+// saturates at math.MaxInt64, so a request near the top of the offset
+// space (a crafted .trc event, say) cannot wrap into a range that ends
+// before it starts.
+func (s *nodeStream) addRange(off, size int64) {
+	if size <= 0 {
+		return
+	}
+	end := off + size
+	if end < off {
+		end = math.MaxInt64
+	}
+	if n := len(s.ranges); n > 0 && s.ranges[n-1].End == off {
+		s.ranges[n-1].End = end
+	} else {
+		s.ranges = append(s.ranges, span{off, end})
 	}
 }
 
@@ -117,16 +133,7 @@ func (s *nodeStream) recordStrided(ev *trace.Event) {
 	s.count++
 	s.prevOff = ev.Offset
 	s.prevEnd = ev.Offset + int64(ev.Count-1)*ev.Stride + ev.Size
-	ev.Records(func(off, size int64) {
-		if size <= 0 {
-			return
-		}
-		if n := len(s.ranges); n > 0 && s.ranges[n-1].End == off {
-			s.ranges[n-1].End = off + size
-		} else {
-			s.ranges = append(s.ranges, span{off, off + size})
-		}
-	})
+	ev.Records(s.addRange)
 }
 
 // mergedRangesInto returns the node's accessed ranges as a disjoint,
@@ -137,7 +144,7 @@ func (s *nodeStream) mergedRangesInto(buf []span) []span {
 	if len(rs) <= 1 {
 		return rs
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
+	slices.SortFunc(rs, func(a, b span) int { return cmp.Compare(a.Start, b.Start) })
 	out := rs[:1]
 	for _, r := range rs[1:] {
 		last := &out[len(out)-1]
@@ -152,11 +159,31 @@ func (s *nodeStream) mergedRangesInto(buf []span) []span {
 	return out
 }
 
-// posEdge is a +1/-1 coverage transition at a byte position, used by
-// fileAcc.sharing's sweep over merged ranges.
+// posEdge is a +1/-1 coverage transition at a byte or block position,
+// used by fileAcc.sharing's sweeps over merged ranges.
 type posEdge struct {
 	pos   int64
 	delta int
+}
+
+// coverage sorts edges by position and integrates the depth between
+// them: union is the length covered at depth >= 1, shared the length
+// at depth >= 2. The order of edges at one position changes neither.
+func coverage(edges []posEdge) (union, shared int64) {
+	slices.SortFunc(edges, func(a, b posEdge) int { return cmp.Compare(a.pos, b.pos) })
+	depth := 0
+	var prev int64
+	for _, e := range edges {
+		if depth >= 1 {
+			union += e.pos - prev
+		}
+		if depth >= 2 {
+			shared += e.pos - prev
+		}
+		prev = e.pos
+		depth += e.delta
+	}
+	return union, shared
 }
 
 // fileAcc accumulates per-file state across the event stream.
@@ -175,14 +202,14 @@ type fileAcc struct {
 	reqSizes map[int64]struct{}
 
 	// open-concurrency tracking: how many handles each node holds now,
-	// and the max number of distinct nodes holding the file open at
-	// once (drives Figure 7's "concurrently opened" filter).
+	// how many nodes hold at least one, and the max number of distinct
+	// nodes holding the file open at once (drives Figure 7's
+	// "concurrently opened" filter).
 	openHandles  map[uint16]int
+	openNodes    int
 	maxOpenNodes int
 
 	createdByJobs map[uint32]bool
-	deletedByJobs map[uint32]bool
-	openedByJobs  map[uint32]bool
 	tempOpens     int // opens charged as temporary (Section 4.2)
 }
 
@@ -193,8 +220,6 @@ func newFileAcc(id uint64) *fileAcc {
 		reqSizes:      make(map[int64]struct{}),
 		openHandles:   make(map[uint16]int),
 		createdByJobs: make(map[uint32]bool),
-		deletedByJobs: make(map[uint32]bool),
-		openedByJobs:  make(map[uint32]bool),
 	}
 }
 
@@ -254,69 +279,40 @@ func (f *fileAcc) seqConsPct() (seqPct, consPct float64, ok bool) {
 }
 
 // sharing computes the fraction of accessed bytes and accessed blocks
-// touched by two or more distinct nodes.
+// touched by two or more distinct nodes, each with one sweep over
+// +1/-1 edges. A node's merged byte ranges give the byte edges; the
+// same ranges widened to whole blocks give the block edges, once a
+// run that meets the node's previous run in a boundary block is folded
+// into it. A node's runs are then disjoint, so the depth over a block
+// is the number of distinct nodes that touch it.
 func (f *fileAcc) sharing(blockBytes int64, s *Scratch) (bytePct, blockPct float64, ok bool) {
 	if len(f.streams) < 2 {
 		return 0, 0, false
 	}
-	var edges []posEdge
+	var edges, blockEdges []posEdge
 	var mbuf []span
 	if s != nil {
-		edges = s.shareEdges[:0]
-		mbuf = s.mergeBuf
+		edges, blockEdges, mbuf = s.shareEdges[:0], s.blockEdges[:0], s.mergeBuf
 	}
-	blocks := s.blockCounts()
 	for _, st := range f.streams {
-		nodeBlocks := s.nodeBlockSet()
 		merged := st.mergedRangesInto(mbuf[:0])
+		first := len(blockEdges)
 		for _, r := range merged {
 			edges = append(edges, posEdge{r.Start, +1}, posEdge{r.End, -1})
-			for b := r.Start / blockBytes; b <= (r.End-1)/blockBytes; b++ {
-				nodeBlocks[b] = struct{}{}
+			lo, hi := r.Start/blockBytes, (r.End-1)/blockBytes+1
+			if last := len(blockEdges) - 1; last > first && lo <= blockEdges[last].pos {
+				blockEdges[last].pos = hi
+			} else {
+				blockEdges = append(blockEdges, posEdge{lo, +1}, posEdge{hi, -1})
 			}
 		}
 		mbuf = merged
-		for b := range nodeBlocks {
-			blocks[b]++
-		}
 	}
 	if s != nil {
-		s.shareEdges = edges
-		s.mergeBuf = mbuf
+		s.shareEdges, s.blockEdges, s.mergeBuf = edges, blockEdges, mbuf
 	}
-	if len(edges) == 0 {
-		return 0, 0, false
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].pos != edges[j].pos {
-			return edges[i].pos < edges[j].pos
-		}
-		return edges[i].delta > edges[j].delta // starts before ends at ties
-	})
-	var union, shared int64
-	depth := 0
-	prev := edges[0].pos
-	for _, e := range edges {
-		if e.pos > prev {
-			if depth >= 1 {
-				union += e.pos - prev
-			}
-			if depth >= 2 {
-				shared += e.pos - prev
-			}
-			prev = e.pos
-		} else {
-			prev = e.pos
-		}
-		depth += e.delta
-	}
-	var blockUnion, blockShared int64
-	for _, nodes := range blocks {
-		blockUnion++
-		if nodes >= 2 {
-			blockShared++
-		}
-	}
+	union, shared := coverage(edges)
+	blockUnion, blockShared := coverage(blockEdges)
 	if union == 0 || blockUnion == 0 {
 		return 0, 0, false
 	}
@@ -331,21 +327,18 @@ func (f *fileAcc) observe(ev *trace.Event, s *Scratch) {
 	case trace.EvOpen:
 		f.opens++
 		f.openHandles[ev.Node]++
-		openNodes := 0
-		for _, n := range f.openHandles {
-			if n > 0 {
-				openNodes++
-			}
-		}
-		if openNodes > f.maxOpenNodes {
-			f.maxOpenNodes = openNodes
+		if f.openHandles[ev.Node] == 1 { // the node's first handle
+			f.openNodes++
+			f.maxOpenNodes = max(f.maxOpenNodes, f.openNodes)
 		}
 		if ev.Flags&trace.FlagCreate != 0 {
 			f.createdByJobs[ev.Job] = true
 		}
-		f.openedByJobs[ev.Job] = true
 	case trace.EvClose:
 		f.openHandles[ev.Node]--
+		if f.openHandles[ev.Node] == 0 { // the node's last handle
+			f.openNodes--
+		}
 		f.sizeAtClose = ev.Size
 		f.closed = true
 	case trace.EvRead:
@@ -372,7 +365,6 @@ func (f *fileAcc) observe(ev *trace.Event, s *Scratch) {
 		f.reqSizes[ev.Bytes()] = struct{}{}
 		f.stream(ev.Node, s).recordStrided(ev)
 	case trace.EvDelete:
-		f.deletedByJobs[ev.Job] = true
 		if f.createdByJobs[ev.Job] {
 			f.tempOpens = f.opens
 		}

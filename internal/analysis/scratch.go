@@ -32,9 +32,8 @@ type Scratch struct {
 
 	// Per-file statistic temporaries (distinctIntervals, sharing).
 	seenIntervals map[int64]struct{}
-	shareBlocks   map[int64]int
-	nodeBlocks    map[int64]struct{}
 	shareEdges    []posEdge
+	blockEdges    []posEdge
 	mergeBuf      []span
 }
 
@@ -98,15 +97,11 @@ func (s *Scratch) putAcc(f *fileAcc) {
 	clear(f.reqSizes)
 	clear(f.openHandles)
 	clear(f.createdByJobs)
-	clear(f.deletedByJobs)
-	clear(f.openedByJobs)
 	*f = fileAcc{
 		streams:       f.streams,
 		reqSizes:      f.reqSizes,
 		openHandles:   f.openHandles,
 		createdByJobs: f.createdByJobs,
-		deletedByJobs: f.deletedByJobs,
-		openedByJobs:  f.openedByJobs,
 	}
 	s.accFree = append(s.accFree, f)
 }
@@ -154,30 +149,6 @@ func (s *Scratch) seenMap() map[int64]struct{} {
 	}
 	clear(s.seenIntervals)
 	return s.seenIntervals
-}
-
-// blockCounts returns the cleared shared-block counting map.
-func (s *Scratch) blockCounts() map[int64]int {
-	if s == nil {
-		return make(map[int64]int)
-	}
-	if s.shareBlocks == nil {
-		s.shareBlocks = make(map[int64]int)
-	}
-	clear(s.shareBlocks)
-	return s.shareBlocks
-}
-
-// nodeBlockSet returns the cleared per-node block set.
-func (s *Scratch) nodeBlockSet() map[int64]struct{} {
-	if s == nil {
-		return make(map[int64]struct{})
-	}
-	if s.nodeBlocks == nil {
-		s.nodeBlocks = make(map[int64]struct{})
-	}
-	clear(s.nodeBlocks)
-	return s.nodeBlocks
 }
 
 // release returns the analyzer's per-study working state to the pools

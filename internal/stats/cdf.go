@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -63,7 +64,18 @@ func (c *CDF) sortSamples() {
 		return
 	}
 	es := c.entries
-	sort.Slice(es, func(i, j int) bool { return es[i].v < es[j].v })
+	slices.SortFunc(es, func(a, b wsample) int {
+		// Built from < and >, not cmp.Compare, which orders NaN below
+		// every value: a NaN sample keeps the position a plain
+		// a.v < b.v sort gives it, so no report changes.
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
 	// Coalesce runs of equal values in place.
 	out := 0
 	for i := 0; i < len(es); {
