@@ -433,11 +433,17 @@ func (h *Handle) transfer(p *sim.Proc, off, n int64, isWrite bool) {
 	// dispatch table. Blocks are visited in increasing order and each
 	// node's batch is appended in that order, so batches come out in
 	// deterministic (node id, file block) order by construction — no
-	// maps, no sort.
+	// maps, no sort. Block b lives on node b % nio, so a running stripe
+	// index replaces the per-block modulo.
 	ds := h.c.scratch()
 	involved := 0
+	lo := int(first % nio)
+	id := lo
 	for b := first; b <= last; b++ {
-		d := &ds[b%nio]
+		d := &ds[id]
+		if id++; id == len(ds) {
+			id = 0
+		}
 		db, allocated := h.f.blocks.get(b)
 		if isWrite && !allocated {
 			newBlock, err := d.io.allocBlock()
@@ -478,33 +484,44 @@ func (h *Handle) transfer(p *sim.Proc, off, n int64, isWrite bool) {
 		return
 	}
 
+	// The min(blocks, nio) striped nodes are [lo, hi) and, if the
+	// stripe wraps, [0, wrap). Visiting them in ascending id order
+	// schedules the sends in the order a scan of every node would.
+	k := int(min(last-first+1, nio))
+	hi := min(lo+k, len(ds))
+	striped := [2][]ioDispatch{ds[:lo+k-hi], ds[lo:hi]}
+
 	wg := &h.c.wg
 	wg.Add(involved)
 	now := p.Now()
-	for id := range ds {
-		d := &ds[id]
-		if len(d.batch) == 0 {
-			continue
+	for _, part := range striped {
+		for i := range part {
+			d := &part[i]
+			if len(d.batch) == 0 {
+				continue
+			}
+			reqBytes := reqHeaderBytes
+			if isWrite {
+				reqBytes += int(d.bytes)
+			}
+			d.respBytes = reqHeaderBytes
+			if !isWrite {
+				d.respBytes += int(d.bytes)
+			}
+			d.arrival = now + fs.tp.ToIONode(h.c.node, d.io.id, reqBytes)
+			fs.k.At(d.arrival, d.sendFn)
 		}
-		reqBytes := reqHeaderBytes
-		if isWrite {
-			reqBytes += int(d.bytes)
-		}
-		d.respBytes = reqHeaderBytes
-		if !isWrite {
-			d.respBytes += int(d.bytes)
-		}
-		d.arrival = now + fs.tp.ToIONode(h.c.node, id, reqBytes)
-		fs.k.At(d.arrival, d.sendFn)
 	}
 	wg.Wait(p)
 
 	// All batches were consumed before Wait returned (serve runs inside
-	// the request event); reset the table for the next call, keeping
-	// the backing arrays.
-	for id := range ds {
-		ds[id].batch = ds[id].batch[:0]
-		ds[id].bytes = 0
+	// the request event); reset the striped slots for the next call,
+	// keeping the backing arrays.
+	for _, part := range striped {
+		for i := range part {
+			part[i].batch = part[i].batch[:0]
+			part[i].bytes = 0
+		}
 	}
 }
 

@@ -3,8 +3,7 @@
 // same worker nearly allocation-free by keeping every layer's backing
 // storage alive between studies:
 //
-//   - the sim kernel's 4-ary event heap and same-instant FIFO arrays
-//     (sim.Kernel.Reset),
+//   - the sim kernel's event-queue bucket arrays (sim.Kernel.Reset),
 //   - the trace pipeline's node-buffer chunks and collector block
 //     slice (trace.Arena), and the postprocessed event stream,
 //   - the CFS block tables and per-client transfer dispatch tables

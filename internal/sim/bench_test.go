@@ -3,8 +3,9 @@ package sim
 import "testing"
 
 // BenchmarkKernelAt measures raw event scheduling + dispatch throughput:
-// each iteration schedules one future-time event; the queue is drained
-// in batches so heap push and pop costs are both on the path.
+// each iteration schedules one event 1-16 us ahead; the queue is
+// drained in batches of 1,024 so push and pop costs are both on the
+// path.
 func BenchmarkKernelAt(b *testing.B) {
 	k := New()
 	fn := func() {}
@@ -54,6 +55,56 @@ func BenchmarkKernelSameInstant(b *testing.B) {
 		}
 	}
 	k.After(0, fn)
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkKernelStudyMix measures the kernel on a fixed-seed schedule
+// shaped like a traced NAS study at scale 0.1, where the queue holds
+// about 220 events: 300 job arrivals 10 s or more ahead (each replaced
+// by another when it fires), and 100 clients, each of which loops
+// through a request arrival 10 us-1 ms ahead, a response 1-100 ms
+// ahead, a same-instant wake-up, and one time in 16 a sleep of 1-10 s.
+// One op is one dispatched event.
+func BenchmarkKernelStudyMix(b *testing.B) {
+	const arrivals, clients = 300, 100
+	k := New()
+	x := uint64(0x9e3779b97f4a7c15)
+	rnd := func(lo, hi Time) Time { // xorshift64*, uniform in [lo, hi)
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		return lo + Time((x*0x2545f4914f6cdd1d)>>33)%(hi-lo)
+	}
+	n := 0
+	count := func() {
+		if n++; n == b.N {
+			k.Stop()
+		}
+	}
+	var arrive func()
+	arrive = func() {
+		count()
+		k.After(rnd(arrivals*10*Second, arrivals*20*Second), arrive)
+	}
+	for i := 0; i < arrivals; i++ {
+		k.After(rnd(10*Second, arrivals*20*Second), arrive)
+	}
+	for i := 0; i < clients; i++ {
+		var send, finish, wake func()
+		send = func() { count(); k.After(rnd(Millisecond, 100*Millisecond), finish) }
+		finish = func() { count(); k.After(0, wake) }
+		wake = func() {
+			count()
+			if rnd(0, 16) == 0 {
+				k.After(rnd(Second, 10*Second), send)
+			} else {
+				k.After(rnd(10*Microsecond, Millisecond), send)
+			}
+		}
+		k.After(rnd(0, Millisecond), send)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
 }

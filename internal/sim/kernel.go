@@ -37,19 +37,23 @@ func (t Time) ToSeconds() float64 { return float64(t) / float64(Second) }
 // String renders the time as seconds with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.ToSeconds()) }
 
-// event is one scheduled callback, ordered by (t, seq).
+// event is one scheduled callback. Its place in the queue is its
+// scheduling order, so it carries no sequence number.
 type event struct {
-	t   Time
-	seq uint64
-	fn  func()
+	t  Time
+	fn func()
 }
 
 // Kernel is a discrete-event simulator. The zero value is ready to use.
+//
+// Events run in (time, scheduling order): of the events at one instant,
+// the one scheduled first runs first, including events scheduled at
+// the current instant from inside a running event. The queue is a radix
+// heap on event time (see queue.go), so scheduling is an append and
+// dispatch costs a few bucket moves per event, not a heap sift.
 type Kernel struct {
 	now     Time
-	heap    eventHeap // future events
-	fifo    eventFIFO // events scheduled for the current instant
-	seq     uint64
+	q       eventQueue
 	stopped bool
 }
 
@@ -57,18 +61,16 @@ type Kernel struct {
 func New() *Kernel { return &Kernel{} }
 
 // Reset returns the kernel to its initial state -- clock at zero, no
-// pending events, sequence counter rewound -- while keeping the event
-// heap's and FIFO's backing arrays. A kernel reused across simulations
+// pending events -- while keeping the queue's bucket arrays, cleared so
+// no closure stays reachable. A kernel reused across simulations
 // (see core.Arena) therefore stops allocating queue storage once the
 // first simulation has sized it. Resetting a kernel with live
 // processes is not supported; call it only after Run has drained the
 // queue.
 func (k *Kernel) Reset() {
 	k.now = 0
-	k.seq = 0
 	k.stopped = false
-	k.heap.reset()
-	k.fifo.reset()
+	k.q.reset()
 }
 
 // Now returns the current virtual time.
@@ -80,17 +82,7 @@ func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	k.seq++
-	e := event{t: t, seq: k.seq, fn: fn}
-	if t == k.now {
-		// Same-instant events run in scheduling order, after any heap
-		// events at this instant (those were scheduled earlier and have
-		// smaller sequence numbers). A FIFO serves them without heap
-		// sift costs.
-		k.fifo.push(e)
-		return
-	}
-	k.heap.push(e)
+	k.q.push(event{t: t, fn: fn})
 }
 
 // After schedules fn to run d after the current time. Negative delays
@@ -103,46 +95,32 @@ func (k *Kernel) After(d Time, fn func()) {
 }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return k.heap.len() + k.fifo.len() }
+func (k *Kernel) Pending() int { return k.q.len() }
 
 // Stop makes Run and RunUntil return after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events until the queue is empty or Stop is called.
+// Events after 1<<62-1 stay pending.
 func (k *Kernel) Run() { k.RunUntil(1<<62 - 1) }
 
-// RunUntil executes all events with time <= limit, then advances the
-// clock to limit (if it is not already past it). A panic in a process
-// body propagates out of RunUntil, annotated with the process name.
+// RunUntil executes all events with time <= limit, in order, until
+// none is left or Stop is called. It then advances the clock to limit
+// if the clock is behind it and no pending event is due by limit, so
+// the clock never passes an event that Stop left pending. A panic in a
+// process body propagates out of RunUntil, annotated with the process
+// name.
 func (k *Kernel) RunUntil(limit Time) {
 	k.stopped = false
 	for !k.stopped {
-		var e event
-		if k.fifo.len() > 0 {
-			f := k.fifo.front()
-			if k.heap.len() > 0 && k.heap.ev[0].t <= f.t {
-				// A heap event at the same instant was scheduled
-				// before any FIFO event at that instant (and so has a
-				// smaller sequence number); run it first.
-				e = k.heap.pop()
-			} else {
-				if f.t > limit {
-					break
-				}
-				e = k.fifo.pop()
-			}
-		} else if k.heap.len() > 0 {
-			if k.heap.ev[0].t > limit {
-				break
-			}
-			e = k.heap.pop()
-		} else {
+		e, ok := k.q.pop(limit)
+		if !ok {
 			break
 		}
 		k.now = e.t
 		e.fn()
 	}
-	if k.now < limit && limit < 1<<62-1 {
+	if k.now < limit && limit < 1<<62-1 && !k.q.due(limit) {
 		k.now = limit
 	}
 }
