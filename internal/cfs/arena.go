@@ -6,17 +6,18 @@ package cfs
 //
 //   - dense blockTable arrays: every file's block map; returned when a
 //     file is deleted mid-study and en masse by FileSystem.Recycle.
-//   - Clients: the per-(job, node) CFS library instances, whose
-//     per-I/O-node dispatch tables (with their event closures and
-//     request batches) are the transfer path's scratch state. The
-//     machine releases a client when its node program ends, so later
-//     jobs -- and later studies -- reuse the same tables.
+//   - file structs (with their open-group maps), returned by Recycle.
+//   - Handles, returned when their client is released at the end of
+//     its node program, and open groups, returned when their last
+//     member closes.
+//
+// Transfer state is not pooled here: each call borrows a record from
+// its file system for as long as it is in flight.
 //
 // An Arena is not safe for concurrent use; give each worker its own.
 // The zero value is ready to use.
 type Arena struct {
 	dense   [][]int64
-	clients []*Client
 	files   []*file
 	handles []*Handle
 	groups  []*openGroup
@@ -39,22 +40,6 @@ func (a *Arena) putDense(d []int64) {
 	if cap(d) > 0 {
 		a.dense = append(a.dense, d[:0])
 	}
-}
-
-// getClient returns a pooled client, or nil when the pool is empty.
-func (a *Arena) getClient() *Client {
-	if n := len(a.clients); n > 0 {
-		c := a.clients[n-1]
-		a.clients[n-1] = nil
-		a.clients = a.clients[:n-1]
-		return c
-	}
-	return nil
-}
-
-// putClient returns a client to the pool.
-func (a *Arena) putClient(c *Client) {
-	a.clients = append(a.clients, c)
 }
 
 // getFile returns a pooled file struct (cleared, with its groups map

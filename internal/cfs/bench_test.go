@@ -1,6 +1,7 @@
 package cfs
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -110,5 +111,53 @@ func BenchmarkTransferWrite(b *testing.B) {
 	k.Run()
 	if done != b.N {
 		b.Fatalf("completed %d of %d writes", done, b.N)
+	}
+}
+
+// BenchmarkTransferJobs follows machine.startJob: each op is one job
+// whose 16 node processes get fresh clients, read a shared input in a
+// 1-block and a 40-block call, write a file of their own in a 1-block
+// and a 40-block call, delete it, and Release. There is no arena, as
+// in a cold study. The single-client rows above never create a second
+// client, so they cannot show a cost paid per client.
+func BenchmarkTransferJobs(b *testing.B) {
+	const fileSize = 1 << 24
+	const nodes = 16
+	const span = 40 * 4096
+	fs := benchFS(b, fileSize)
+	k := fs.k
+	names := make([]string, nodes)
+	for i := range names {
+		names[i] = fmt.Sprintf("/out%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job := uint32(i + 1)
+		for node := 0; node < nodes; node++ {
+			k.Spawn(names[node], func(p *sim.Proc) {
+				c := NewClient(fs, job, node, nil)
+				in, err := c.Open(p, "/data", ORdOnly, Mode0)
+				if err != nil {
+					panic(err)
+				}
+				out, err := c.Open(p, names[node], OWrOnly|OCreate, Mode0)
+				if err != nil {
+					panic(err)
+				}
+				off := int64(i*nodes+node) * span % (fileSize - span)
+				in.ReadAt(p, off, 4096)
+				in.ReadAt(p, off, span)
+				out.Write(p, 4096)
+				out.Write(p, span)
+				in.Close(p)
+				out.Close(p)
+				if err := c.Delete(p, names[node]); err != nil {
+					panic(err)
+				}
+				c.Release()
+			})
+		}
+		k.Run()
 	}
 }

@@ -20,12 +20,6 @@ type Client struct {
 	node   int
 	tracer Tracer
 
-	// Transfer scratch state, reusable because a client's calls are
-	// serialized on its node's process (transfer blocks until the last
-	// response arrives). Indexed by I/O-node id; sized at first use.
-	dispatches []ioDispatch
-	wg         sim.WaitGroup
-
 	// handles tracks every handle this client opened, so Release can
 	// return them to the arena pool when the node program ends. Only
 	// maintained when the file system has an arena.
@@ -33,49 +27,19 @@ type Client struct {
 }
 
 // NewClient returns the CFS client for a (job, node) pair. The tracer
-// may be NopTracer{} to model an uninstrumented program. With an
-// arena on the file system, released clients are reused, dispatch
-// tables and all.
+// may be NopTracer{} to model an uninstrumented program.
 func NewClient(fs *FileSystem, job uint32, node int, tracer Tracer) *Client {
 	if tracer == nil {
 		tracer = NopTracer{}
 	}
-	if fs.arena != nil {
-		if c := fs.arena.getClient(); c != nil {
-			c.reinit(fs, job, node, tracer)
-			return c
-		}
-	}
 	return &Client{fs: fs, job: job, node: node, tracer: tracer}
 }
 
-// reinit rebinds a pooled client. The dispatch table's bound closures
-// stay valid -- they capture the dispatch slots, whose backing array
-// is retained -- so only the per-study references need refreshing.
-func (c *Client) reinit(fs *FileSystem, job uint32, node int, tracer Tracer) {
-	c.fs = fs
-	c.job = job
-	c.node = node
-	c.tracer = tracer
-	if len(c.dispatches) != fs.cfg.IONodes {
-		// A machine variant with a different I/O-node count; rebuild on
-		// first use.
-		c.dispatches = nil
-		return
-	}
-	for i := range c.dispatches {
-		d := &c.dispatches[i]
-		d.io = fs.ionodes[i]
-		d.batch = d.batch[:0]
-		d.bytes = 0
-	}
-}
-
-// Release returns the client to the file system's arena for reuse by
-// a later job, or a later study on the same arena. Call it only after
-// the node program has finished: the client, its handles, and any
-// in-flight transfers must all be done. Without an arena it is a
-// no-op.
+// Release returns the client's handles to the file system's arena for
+// reuse by a later job, or a later study on the same arena. Call it
+// only after the node program has finished: the client, its handles,
+// and any in-flight transfers must all be done. Without an arena it is
+// a no-op.
 func (c *Client) Release() {
 	a := c.fs.arena
 	if a == nil {
@@ -89,12 +53,6 @@ func (c *Client) Release() {
 		c.handles[i] = nil
 	}
 	c.handles = c.handles[:0]
-	c.fs = nil
-	c.tracer = nil
-	for i := range c.dispatches {
-		c.dispatches[i].io = nil
-	}
-	a.putClient(c)
 }
 
 // newHandle returns a zeroed handle bound to the client, pooled when
@@ -112,52 +70,109 @@ func (c *Client) newHandle() *Handle {
 	return &Handle{c: c}
 }
 
-// ioDispatch is the per-I/O-node leg of one transfer: the request
-// batch, its timing, and two closures bound once at initialization so
-// scheduling the request and response events never allocates.
-type ioDispatch struct {
-	c         *Client
+// xfer is one CFS call in flight: a leg per I/O node, the WaitGroup
+// the caller blocks on, and the latest response time scheduled so far.
+// A call borrows one from the file system (getXfer) and returns it once
+// Wait does, so records are bounded by the peak number of calls in
+// flight, whichever clients make them.
+type xfer struct {
+	fs     *FileSystem
+	node   int // the calling compute node
+	legs   []leg
+	wg     sim.WaitGroup
+	latest sim.Time
+	doneFn func() // wg.Done, bound once
+}
+
+// leg is the part of one call that one I/O node serves: its blocks in
+// increasing file-block order, and the request's timing. The file,
+// direction and stripe stride are held once for all of its blocks.
+type leg struct {
+	x         *xfer
 	io        *IONode
-	batch     []blockRequest
+	file      uint64
+	write     bool
+	stride    int64 // I/O nodes in the stripe; a block's readahead is fileBlock+stride
+	blocks    []legBlock
 	bytes     int64    // payload bytes of this call that this node owns
 	arrival   sim.Time // request arrival at the I/O node
 	respBytes int
-	sendFn    func() // runs at arrival: serve the batch, schedule response
-	doneFn    func() // runs when the response reaches the compute node
+	sendFn    func() // l.send, bound once so scheduling the request never allocates
 }
 
-// send runs at the I/O node when the request message arrives.
-func (d *ioDispatch) send() {
-	fs := d.c.fs
-	done := d.io.serve(d.arrival, d.batch)
-	fs.k.At(done+fs.tp.FromIONode(d.io.id, d.c.node, d.respBytes), d.doneFn)
+// legBlock is one block of a leg.
+type legBlock struct {
+	fileBlock int64
+	diskBlock int64 // -1 for an unallocated read (zero fill)
+	nextDisk  int64 // disk block of the readahead candidate, or -1
 }
 
-// finish runs at the compute node when the response arrives.
-func (d *ioDispatch) finish() { d.c.wg.Done() }
-
-// scratch returns the client's per-I/O-node dispatch table, building
-// it on first use (the node count is fixed at mount time).
-func (c *Client) scratch() []ioDispatch {
-	if c.dispatches == nil {
-		nio := c.fs.cfg.IONodes
-		c.dispatches = make([]ioDispatch, nio)
-		// One shared backing array seeds every node's batch (requests
-		// are overwhelmingly small, so most batches hold one or two
-		// blocks); a batch that outgrows its window reallocates
-		// independently thanks to the capacity-limited slicing.
+// getXfer borrows a transfer record for a call from the given compute
+// node, building one when the free list is empty.
+func (fs *FileSystem) getXfer(node int) *xfer {
+	var x *xfer
+	if n := len(fs.xfers); n > 0 {
+		x = fs.xfers[n-1]
+		fs.xfers = fs.xfers[:n-1]
+	} else {
+		x = &xfer{fs: fs, legs: make([]leg, len(fs.ionodes))}
+		x.doneFn = x.wg.Done
+		// One shared backing array seeds every leg (calls are
+		// overwhelmingly small, so most legs hold one or two blocks); a
+		// leg that outgrows its window reallocates independently thanks
+		// to the capacity-limited slicing.
 		const seedCap = 4
-		backing := make([]blockRequest, nio*seedCap)
-		for i := range c.dispatches {
-			d := &c.dispatches[i]
-			d.c = c
-			d.io = c.fs.ionodes[i]
-			d.batch = backing[i*seedCap : i*seedCap : (i+1)*seedCap]
-			d.sendFn = d.send
-			d.doneFn = d.finish
+		backing := make([]legBlock, len(x.legs)*seedCap)
+		for i := range x.legs {
+			l := &x.legs[i]
+			l.x = x
+			l.io = fs.ionodes[i]
+			l.stride = int64(len(fs.ionodes))
+			l.blocks = backing[i*seedCap : i*seedCap : (i+1)*seedCap]
+			l.sendFn = l.send
 		}
 	}
-	return c.dispatches
+	x.node = node
+	x.latest = 0
+	return x
+}
+
+// post sends leg l's request message, leaving the compute node at now.
+func (x *xfer) post(l *leg, now sim.Time, file uint64, write bool, reqBytes, respBytes int) {
+	l.file, l.write = file, write
+	l.respBytes = respBytes
+	l.arrival = now + x.fs.tp.ToIONode(x.node, l.io.id, reqBytes)
+	x.fs.k.At(l.arrival, l.sendFn)
+}
+
+// send runs at the I/O node when the request message arrives: it
+// serves the leg, empties it for the record's next call, and delivers
+// the response. A response landing before one this call has already
+// scheduled cannot be the last to arrive, so it counts down at once
+// instead of scheduling an event that would wake nobody. Ties still
+// schedule: of two events at one instant the later-scheduled runs
+// last, and it must be the one that wakes the caller.
+func (l *leg) send() {
+	x := l.x
+	t := l.io.serve(l)
+	t += x.fs.tp.FromIONode(l.io.id, x.node, l.respBytes)
+	l.blocks = l.blocks[:0]
+	l.bytes = 0
+	if t < x.latest {
+		x.wg.Done()
+		return
+	}
+	x.latest = t
+	x.fs.k.At(t, x.doneFn)
+}
+
+// wait blocks p until every posted leg's response has arrived, then
+// returns the record to the free list. The event that wakes p is the
+// last the call scheduled (scheduled times never decrease), so none is
+// left pending that could touch the record.
+func (x *xfer) wait(p *sim.Proc) {
+	x.wg.Wait(p)
+	x.fs.xfers = append(x.fs.xfers, x)
 }
 
 // newGroup returns an empty open group, pooled when the file system
@@ -428,25 +443,26 @@ func (h *Handle) transfer(p *sim.Proc, off, n int64, isWrite bool) {
 	nio := int64(fs.cfg.IONodes)
 	first := off / bs
 	last := (off + n - 1) / bs
+	prefetch := !isWrite && fs.cfg.IONode.Prefetch
 
-	// Group blocks by owning I/O node into the client's reusable
-	// dispatch table. Blocks are visited in increasing order and each
-	// node's batch is appended in that order, so batches come out in
-	// deterministic (node id, file block) order by construction — no
-	// maps, no sort. Block b lives on node b % nio, so a running stripe
-	// index replaces the per-block modulo.
-	ds := h.c.scratch()
+	// Group blocks by owning I/O node into the record's legs. Blocks
+	// are visited in increasing order and each leg is appended in that
+	// order, so legs come out in deterministic (node id, file block)
+	// order by construction -- no maps, no sort. Block b lives on node
+	// b % nio, so a running stripe index replaces the per-block modulo.
+	x := fs.getXfer(h.c.node)
+	legs := x.legs
 	involved := 0
 	lo := int(first % nio)
 	id := lo
 	for b := first; b <= last; b++ {
-		d := &ds[id]
-		if id++; id == len(ds) {
+		l := &legs[id]
+		if id++; id == len(legs) {
 			id = 0
 		}
 		db, allocated := h.f.blocks.get(b)
 		if isWrite && !allocated {
-			newBlock, err := d.io.allocBlock()
+			newBlock, err := l.io.allocBlock()
 			if err != nil {
 				// Volume exhaustion: model the write as failing to
 				// reach disk but still costing the request. The
@@ -463,24 +479,21 @@ func (h *Handle) transfer(p *sim.Proc, off, n int64, isWrite bool) {
 		// Bytes of this request that land in block b.
 		bStart, bEnd := b*bs, (b+1)*bs
 		s, e := max64(off, bStart), min64(off+n, bEnd)
-		if len(d.batch) == 0 {
+		if len(l.blocks) == 0 {
 			involved++
 		}
-		d.bytes += e - s
-		req := blockRequest{
-			file: h.f.id, fileBlock: b, diskBlock: db, isWrite: isWrite,
-			nextFileBlock: -1, nextDiskBlock: -1,
-		}
-		if !isWrite && fs.cfg.IONode.Prefetch {
+		l.bytes += e - s
+		next := int64(-1)
+		if prefetch {
 			// The next block on the same I/O node's stripe.
-			nb := b + nio
-			if ndb, ok := h.f.blocks.get(nb); ok {
-				req.nextFileBlock, req.nextDiskBlock = nb, ndb
+			if ndb, ok := h.f.blocks.get(b + nio); ok {
+				next = ndb
 			}
 		}
-		d.batch = append(d.batch, req)
+		l.blocks = append(l.blocks, legBlock{fileBlock: b, diskBlock: db, nextDisk: next})
 	}
 	if involved == 0 {
+		x.wait(p) // nothing posted: returns the record at once
 		return
 	}
 
@@ -488,41 +501,27 @@ func (h *Handle) transfer(p *sim.Proc, off, n int64, isWrite bool) {
 	// stripe wraps, [0, wrap). Visiting them in ascending id order
 	// schedules the sends in the order a scan of every node would.
 	k := int(min(last-first+1, nio))
-	hi := min(lo+k, len(ds))
-	striped := [2][]ioDispatch{ds[:lo+k-hi], ds[lo:hi]}
+	hi := min(lo+k, len(legs))
+	striped := [2][]leg{legs[:lo+k-hi], legs[lo:hi]}
 
-	wg := &h.c.wg
-	wg.Add(involved)
+	x.wg.Add(involved)
 	now := p.Now()
 	for _, part := range striped {
 		for i := range part {
-			d := &part[i]
-			if len(d.batch) == 0 {
+			l := &part[i]
+			if len(l.blocks) == 0 {
 				continue
 			}
-			reqBytes := reqHeaderBytes
+			reqBytes, respBytes := reqHeaderBytes, reqHeaderBytes
 			if isWrite {
-				reqBytes += int(d.bytes)
+				reqBytes += int(l.bytes)
+			} else {
+				respBytes += int(l.bytes)
 			}
-			d.respBytes = reqHeaderBytes
-			if !isWrite {
-				d.respBytes += int(d.bytes)
-			}
-			d.arrival = now + fs.tp.ToIONode(h.c.node, d.io.id, reqBytes)
-			fs.k.At(d.arrival, d.sendFn)
+			x.post(l, now, h.f.id, isWrite, reqBytes, respBytes)
 		}
 	}
-	wg.Wait(p)
-
-	// All batches were consumed before Wait returned (serve runs inside
-	// the request event); reset the striped slots for the next call,
-	// keeping the backing arrays.
-	for _, part := range striped {
-		for i := range part {
-			part[i].batch = part[i].batch[:0]
-			part[i].bytes = 0
-		}
-	}
+	x.wait(p)
 }
 
 // Close releases the handle. The file's size is recorded in the trace,

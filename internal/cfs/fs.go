@@ -95,8 +95,19 @@ func (t *blockTable) get(b int64) (int64, bool) {
 // set records the disk block for file block b.
 func (t *blockTable) set(b, db int64) {
 	if b < denseBlockLimit {
-		for int64(len(t.dense)) <= b {
-			t.dense = append(t.dense, -1)
+		if n := int64(len(t.dense)); b >= n {
+			if b >= int64(cap(t.dense)) {
+				// Double, so a file written block by block regrows
+				// O(log n) times.
+				c := min(max(2*int64(cap(t.dense)), b+1, 64), denseBlockLimit)
+				d := make([]int64, n, c)
+				copy(d, t.dense)
+				t.dense = d
+			}
+			t.dense = t.dense[:b+1]
+			for i := n; i < b; i++ {
+				t.dense[i] = -1
+			}
 		}
 		t.dense[b] = db
 		return
@@ -150,7 +161,8 @@ type FileSystem struct {
 	cfg     Config
 	tp      Transport
 	ionodes []*IONode
-	arena   *Arena // optional cross-study pools; nil allocates fresh
+	arena   *Arena  // optional cross-study pools; nil allocates fresh
+	xfers   []*xfer // free transfer records, reused LIFO
 
 	byName map[string]*file
 	byID   map[uint64]*file
@@ -178,9 +190,9 @@ func New(k *sim.Kernel, cfg Config, tp Transport) *FileSystem {
 	return fs
 }
 
-// SetArena makes the file system draw block tables and clients from
-// the given cross-study pool. Call it right after New, before any
-// file is created.
+// SetArena makes the file system draw block tables, files, handles
+// and open groups from the given cross-study pool. Call it right after
+// New, before any file is created.
 func (fs *FileSystem) SetArena(a *Arena) { fs.arena = a }
 
 // Recycle returns every file's storage -- block tables, open groups,
@@ -265,14 +277,23 @@ func (fs *FileSystem) Preload(name string, size int64) (uint64, error) {
 	if size < 0 {
 		return 0, ErrBadRequest
 	}
+	// Check every I/O node's share of the stripe before touching
+	// anything, so a preload that does not fit changes nothing.
+	nBlocks := (size + int64(fs.cfg.BlockBytes) - 1) / int64(fs.cfg.BlockBytes)
+	nio := int64(fs.cfg.IONodes)
+	for i, io := range fs.ionodes {
+		need := nBlocks / nio
+		if int64(i) < nBlocks%nio {
+			need++
+		}
+		if io.freeBlocks() < need {
+			return 0, ErrNoSpace
+		}
+	}
 	f := fs.create(name, 0)
 	f.size = size
-	nBlocks := (size + int64(fs.cfg.BlockBytes) - 1) / int64(fs.cfg.BlockBytes)
 	for b := int64(0); b < nBlocks; b++ {
-		db, err := fs.ioNodeFor(b).allocBlock()
-		if err != nil {
-			return 0, err
-		}
+		db, _ := fs.ioNodeFor(b).allocBlock() // cannot fail: checked above
 		f.blocks.set(b, db)
 	}
 	return f.id, nil

@@ -139,46 +139,39 @@ func (n *IONode) allocBlock() (int64, error) {
 	return b, nil
 }
 
+// freeBlocks reports how many blocks allocBlock can still hand out.
+func (n *IONode) freeBlocks() int64 {
+	return int64(len(n.freeList)) + n.disk.Blocks() - n.nextFree
+}
+
 // freeBlock returns a disk block to the allocator.
 func (n *IONode) freeBlock(b int64) { n.freeList = append(n.freeList, b) }
 
-// blockRequest is one block-granularity operation at this I/O node.
-type blockRequest struct {
-	file      uint64
-	fileBlock int64 // block index within the file
-	diskBlock int64 // physical block, -1 for unallocated reads (zero fill)
-	isWrite   bool
-	// Readahead candidate: the file's next block on this node's
-	// stripe, or -1. Filled by the client only when prefetching is on.
-	nextFileBlock int64
-	nextDiskBlock int64
-}
-
-// serve processes a batch of block requests arriving at arrivalTime
-// and returns the time the response leaves the node. The batch is the
-// set of blocks one client operation needs from this node; CFS sent
-// one message per I/O node per operation.
-func (n *IONode) serve(arrival sim.Time, batch []blockRequest) sim.Time {
-	start := arrival
+// serve processes one call's leg, whose request arrived at l.arrival,
+// and returns the time the response leaves the node. A leg is the set
+// of blocks one client operation needs from this node; CFS sent one
+// message per I/O node per operation.
+func (n *IONode) serve(l *leg) sim.Time {
+	start := l.arrival
 	if n.busyUntil > start {
 		start = n.busyUntil // queue behind earlier requests
 	}
 	if n.fault != nil {
-		start = n.fault.Admit(start, len(batch))
+		start = n.fault.Admit(start, len(l.blocks))
 	}
 	t := start + n.overheadPerRequest
 	var readahead sim.Time
-	for _, r := range batch {
+	for _, b := range l.blocks {
 		n.requests++
-		id := cache.BlockID{File: r.file, Block: r.fileBlock}
-		if r.isWrite {
+		id := cache.BlockID{File: l.file, Block: b.fileBlock}
+		if l.write {
 			// Write-through: the block enters the cache and is
 			// written to disk.
 			n.cache.Access(id)
-			t += n.disk.ServiceTime(r.diskBlock, 1, true)
+			t += n.disk.ServiceTime(b.diskBlock, 1, true)
 			continue
 		}
-		if r.diskBlock < 0 {
+		if b.diskBlock < 0 {
 			// Read of a never-written block: zero fill, memory speed.
 			t += n.cacheHitTime
 			continue
@@ -188,15 +181,16 @@ func (n *IONode) serve(arrival sim.Time, batch []blockRequest) sim.Time {
 			t += n.cacheHitTime
 			continue
 		}
-		t += n.disk.ServiceTime(r.diskBlock, 1, false)
-		if n.prefetch && r.nextDiskBlock >= 0 {
-			next := cache.BlockID{File: r.file, Block: r.nextFileBlock}
+		t += n.disk.ServiceTime(b.diskBlock, 1, false)
+		if n.prefetch && b.nextDisk >= 0 {
+			// The file's next block on this node's stripe.
+			next := cache.BlockID{File: l.file, Block: b.fileBlock + l.stride}
 			if !n.cache.Contains(next) {
 				n.cache.Access(next)
 				// Readahead runs after the response leaves: it keeps
 				// the disk busy but is off the request's critical
 				// path, which is where its benefit comes from.
-				readahead += n.disk.ServiceTime(r.nextDiskBlock, 1, false)
+				readahead += n.disk.ServiceTime(b.nextDisk, 1, false)
 				n.prefetches++
 			}
 		}
@@ -212,7 +206,7 @@ func (n *IONode) serve(arrival sim.Time, batch []blockRequest) sim.Time {
 	}
 	n.busyUntil = t + readahead
 	n.batches++
-	n.waitTotal += start - arrival
+	n.waitTotal += start - l.arrival
 	n.serviceTotal += (t - start) + readahead
 	return t
 }

@@ -131,16 +131,18 @@ func (h *Handle) transferStrided(p *sim.Proc, off, recBytes, stride int64, count
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
 
-	// Group by I/O node into the client's reusable dispatch table (see
-	// transfer): blocks are already sorted, so batches come out in
-	// deterministic order without maps or a second sort.
-	ds := h.c.scratch()
+	// Group by I/O node into a borrowed transfer record (see transfer):
+	// blocks are already sorted, so legs come out in deterministic
+	// order without maps or a second sort.
+	nio := int64(fs.cfg.IONodes)
+	x := fs.getXfer(h.c.node)
+	legs := x.legs
 	involved := 0
 	for _, b := range blocks {
-		d := &ds[b%int64(fs.cfg.IONodes)]
+		l := &legs[b%nio]
 		db, allocated := h.f.blocks.get(b)
 		if isWrite && !allocated {
-			newBlock, err := d.io.allocBlock()
+			newBlock, err := l.io.allocBlock()
 			if err != nil {
 				continue
 			}
@@ -151,42 +153,32 @@ func (h *Handle) transferStrided(p *sim.Proc, off, recBytes, stride int64, count
 		if !allocated {
 			db = -1
 		}
-		if len(d.batch) == 0 {
+		if len(l.blocks) == 0 {
 			involved++
 		}
-		d.batch = append(d.batch, blockRequest{
-			file: h.f.id, fileBlock: b, diskBlock: db, isWrite: isWrite,
-			nextFileBlock: -1, nextDiskBlock: -1,
-		})
+		l.blocks = append(l.blocks, legBlock{fileBlock: b, diskBlock: db, nextDisk: -1})
 	}
 	if involved == 0 {
+		x.wait(p) // nothing posted: returns the record at once
 		return
 	}
 
 	perNodePayload := payload / int64(involved) // even split approximation
-	wg := &h.c.wg
-	wg.Add(involved)
+	x.wg.Add(involved)
 	now := p.Now()
-	for id := range ds {
-		d := &ds[id]
-		if len(d.batch) == 0 {
+	for i := range legs {
+		l := &legs[i]
+		if len(l.blocks) == 0 {
 			continue
 		}
 		reqBytes := reqHeaderBytes + 16 // pattern descriptor
+		respBytes := reqHeaderBytes
 		if isWrite {
 			reqBytes += int(perNodePayload)
+		} else {
+			respBytes += int(perNodePayload)
 		}
-		d.respBytes = reqHeaderBytes
-		if !isWrite {
-			d.respBytes += int(perNodePayload)
-		}
-		d.arrival = now + fs.tp.ToIONode(h.c.node, id, reqBytes)
-		fs.k.At(d.arrival, d.sendFn)
+		x.post(l, now, h.f.id, isWrite, reqBytes, respBytes)
 	}
-	wg.Wait(p)
-
-	for id := range ds {
-		ds[id].batch = ds[id].batch[:0]
-		ds[id].bytes = 0
-	}
+	x.wait(p)
 }

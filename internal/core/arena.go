@@ -6,7 +6,7 @@
 //   - the sim kernel's event-queue bucket arrays (sim.Kernel.Reset),
 //   - the trace pipeline's node-buffer chunks and collector block
 //     slice (trace.Arena), and the postprocessed event stream,
-//   - the CFS block tables and per-client transfer dispatch tables
+//   - the CFS block tables, file structs, handles and open groups
 //     (cfs.Arena),
 //   - the analyzer's file accumulators, job maps, and -- once a report
 //     is recycled -- its CDFs and histograms (analysis.Scratch).

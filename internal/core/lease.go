@@ -114,7 +114,9 @@ func leaseExpired(path string, ttl time.Duration) bool {
 // The reap renames the dead lease to a scratch name, which exactly
 // one racing worker wins (rename removes the source atomically);
 // losers simply report unclaimed and move on to the next spec.
-// reclaimed is true when the claim took over an expired lease.
+// reclaimed is true when this call reaped an expired lease. The reaper
+// usually holds the claim then, but a sibling's fast path can take the
+// freed slot first; either way the spec was taken over exactly once.
 func tryClaim(dir, fp, owner string, ttl time.Duration) (claimed, reclaimed bool, err error) {
 	path := leasePath(dir, fp)
 	data := leaseBytes(owner, fp, time.Now().Add(ttl))
@@ -129,10 +131,7 @@ func tryClaim(dir, fp, owner string, ttl time.Duration) (claimed, reclaimed bool
 		return false, false, nil
 	}
 	ok, err = createLease(path, data)
-	if err != nil || !ok {
-		return ok, false, err
-	}
-	return true, true, nil
+	return ok, true, err
 }
 
 // reapLease renames the lease at path, which its caller found expired,
@@ -292,8 +291,8 @@ type WorkerStats struct {
 	SimSeconds float64
 	// WallSeconds is the worker's total wall time in the run loop.
 	WallSeconds float64
-	// Reclaims counts claims taken over from an expired lease left by
-	// a dead or stalled worker.
+	// Reclaims counts expired leases, left by a dead or stalled
+	// worker, that this worker reaped.
 	Reclaims int
 }
 

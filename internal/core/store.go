@@ -469,8 +469,8 @@ func equalStrings(a, b []string) bool {
 type StoreRun struct {
 	Ran     []int // executed and persisted by this invocation
 	Skipped []int // outcome file already existed when this run started
-	// Reclaims counts claims this invocation took over from an
-	// expired lease left by a dead or stalled worker.
+	// Reclaims counts expired leases, left by a dead or stalled
+	// worker, that this invocation reaped.
 	Reclaims int
 	// Worker is this invocation's throughput accounting, as persisted
 	// to the manifest.
@@ -557,8 +557,8 @@ type progressTracker struct {
 }
 
 // emit records one spec's outcome becoming known and notifies the
-// callback. Callers guarantee exactly-once per spec (the committed
-// flags' compare-and-swap).
+// callback. Callers guarantee exactly-once per spec (the spec states'
+// compare-and-swap).
 func (p *progressTracker) emit(i int, state string, reclaimed bool) {
 	done := int(p.done.Add(1))
 	if p.store.Progress == nil {
@@ -570,6 +570,13 @@ func (p *progressTracker) emit(i int, state string, reclaimed bool) {
 		State: state, Reclaimed: reclaimed,
 	})
 }
+
+// A spec's state within one runLeaseStore call.
+const (
+	specPending   int32 = iota // no outcome known yet
+	specRunning                // claimed and executing in this process
+	specCommitted              // outcome known to exist; progress emitted
+)
 
 // runLeaseStore is the work-stealing drain: every worker goroutine
 // walks the pending specs in descending estimated cost, claims the
@@ -591,16 +598,24 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 	prog := &progressTracker{store: store, labels: labels, total: n}
 	start := time.Now()
 
-	// committed[i] memoizes "outcome i exists" so each worker pass
+	// state[i] moves pending -> running -> committed, or straight to
+	// committed when outcome i is found on disk, so each worker pass
 	// stats only still-pending specs. Transitions go through
 	// CompareAndSwap so the progress tracker fires exactly once per
-	// spec even when two workers observe the same commit.
-	committed := make([]atomic.Bool, n)
+	// spec even when two workers observe the same commit. A spec this
+	// process is running is never observed: its outcome appears, and
+	// its lease is released, before its runner marks it committed.
+	state := make([]atomic.Int32, n)
 	for i := range fps {
 		if _, err := os.Stat(outcomePath(store.Dir, fps[i])); err == nil {
-			committed[i].Store(true)
+			state[i].Store(specCommitted)
 			run.Skipped = append(run.Skipped, i)
 			prog.emit(i, StoreSpecSkipped, false)
+		}
+	}
+	observe := func(i int) {
+		if state[i].CompareAndSwap(specPending, specCommitted) {
+			prog.emit(i, StoreSpecObserved, false)
 		}
 	}
 
@@ -649,13 +664,15 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 					if runCtx.Err() != nil {
 						return
 					}
-					if committed[i].Load() {
+					switch state[i].Load() {
+					case specCommitted:
+						continue
+					case specRunning:
+						pending = true
 						continue
 					}
 					if _, err := os.Stat(outcomePath(store.Dir, fps[i])); err == nil {
-						if committed[i].CompareAndSwap(false, true) {
-							prog.emit(i, StoreSpecObserved, false)
-						}
+						observe(i)
 						continue
 					}
 					pending = true
@@ -663,6 +680,14 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 					if err != nil {
 						fail(fmt.Errorf("core: store: claiming %s: %w", fps[i], err))
 						return
+					}
+					if reclaimed {
+						// Counted where the lease was reaped, even if a
+						// sibling's claim took the freed slot first.
+						store.logf("%s reclaimed %s from an expired lease", owner, fps[i])
+						mu.Lock()
+						reclaims++
+						mu.Unlock()
 					}
 					if !claimed {
 						continue
@@ -673,13 +698,15 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 					// second stat is conclusive.
 					if _, err := os.Stat(outcomePath(store.Dir, fps[i])); err == nil {
 						releaseLease(store.Dir, fps[i])
-						if committed[i].CompareAndSwap(false, true) {
-							prog.emit(i, StoreSpecObserved, false)
-						}
+						observe(i)
 						continue
 					}
-					if reclaimed {
-						store.logf("%s reclaimed %s from an expired lease", owner, fps[i])
+					if !state[i].CompareAndSwap(specPending, specRunning) {
+						// A sibling got here first: it observed the
+						// outcome landing since our stat, or runs the
+						// spec under the lease we took over as expired.
+						releaseLease(store.Dir, fps[i])
+						continue
 					}
 					stopHB := heartbeatLease(store.Dir, fps[i], owner, store.LeaseTTL)
 					out, aux, traceFile, err := exec(w, i)
@@ -692,16 +719,12 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 						fail(err)
 						return
 					}
-					if committed[i].CompareAndSwap(false, true) {
-						prog.emit(i, StoreSpecRan, reclaimed)
-					}
+					state[i].Store(specCommitted)
+					prog.emit(i, StoreSpecRan, reclaimed)
 					progress = true
 					mu.Lock()
 					run.Ran = append(run.Ran, i)
 					simSeconds += out.Horizon.ToSeconds()
-					if reclaimed {
-						reclaims++
-					}
 					close(commitSig)
 					commitSig = make(chan struct{})
 					mu.Unlock()

@@ -142,8 +142,9 @@ func (t transport) FromIONode(ioNode, computeNode, bytes int) sim.Time {
 
 // Arena bundles the cross-study pools a worker threads through every
 // machine it builds: the trace pipeline's chunk and scratch pools and
-// the file system's block-table and client pools. See core.Arena. The
-// zero value is ready to use; an Arena is not safe for concurrent use.
+// the file system's block-table, file, handle and open-group pools.
+// See core.Arena. The zero value is ready to use; an Arena is not safe
+// for concurrent use.
 type Arena struct {
 	Trace trace.Arena
 	CFS   cfs.Arena
@@ -433,9 +434,9 @@ func (m *Machine) startJob(qj queuedJob, base int) {
 			if spec.Body != nil {
 				spec.Body(ctx)
 			}
-			// The node program is done: its client (and the client's
-			// transfer dispatch tables) can serve the next job. With no
-			// arena on the file system this is a no-op.
+			// The node program is done: its client's handles can serve
+			// the next job. With no arena on the file system this is a
+			// no-op.
 			client.Release()
 			m.nodeDone(rj, node)
 		})
