@@ -565,7 +565,7 @@ func BenchmarkRunStudy(b *testing.B) {
 // headline multi-core number (see PERFORMANCE.md, "Sweep scaling").
 func BenchmarkRunSweep(b *testing.B) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	specs := core.CrossSpecs(seeds, []float64{benchScale}, nil, nil)
+	specs := core.CrossSpecs(seeds, []float64{benchScale})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

@@ -109,6 +109,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -370,15 +371,11 @@ func runStudy(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faul
 	}
 
 	if cfg.traceOut != "" {
-		f, err := os.Create(cfg.traceOut)
-		if err != nil {
+		err := trace.WriteFile(cfg.traceOut, func(f *os.File) error {
+			_, err := res.Trace.WriteTo(f)
 			return err
-		}
-		if _, err := res.Trace.WriteTo(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing trace: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "charisma: wrote %d events to %s\n", len(res.Events), cfg.traceOut)
@@ -424,7 +421,7 @@ func runPredict(ctx context.Context, stdout io.Writer, cfg appConfig, faultsCfg 
 		if err != nil {
 			return err
 		}
-		specs = core.CrossSpecs(seedList, scaleList, nil, nil)
+		specs = core.CrossSpecs(seedList, scaleList)
 		for i := range specs {
 			specs[i].Config.Faults = faultsCfg
 		}
@@ -651,7 +648,7 @@ func runSweep(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faul
 	if err != nil {
 		return err
 	}
-	specs := core.CrossSpecs(seedList, scaleList, nil, nil)
+	specs := core.CrossSpecs(seedList, scaleList)
 	if faultsCfg != nil {
 		// Every study of the sweep runs on the same degraded machine;
 		// the store fingerprint covers the faults, so a faulted run

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 // update rewrites the checked-in golden files under cmd/charisma/
@@ -116,6 +117,32 @@ func TestFig8And9(t *testing.T) {
 	code, _, stderr = app("-fig", "12", "-scale", "0.01")
 	if code == 0 || !strings.Contains(stderr, "no such figure") {
 		t.Fatalf("-fig 12: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestTraceOutErrorLeavesNothing: -trace into a directory that does
+// not exist is an error exit that creates nothing, and a good path
+// gets a trace that reads back.
+func TestTraceOutErrorLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	code, _, stderr := app("-scale", "0.01", "-trace", filepath.Join(dir, "no", "such", "t.trc"))
+	if code != 1 {
+		t.Fatalf("uncreatable -trace: exit %d, stderr %q", code, stderr)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed -trace left %d entries behind", len(entries))
+	}
+	out := filepath.Join(dir, "t.trc")
+	if code, _, stderr = app("-scale", "0.01", "-trace", out); code != 0 {
+		t.Fatalf("-trace: exit %d, stderr %q", code, stderr)
+	}
+	rd, err := trace.OpenReader(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if !strings.Contains(stderr, fmt.Sprintf("wrote %d events", rd.EventCount())) {
+		t.Fatalf("stderr %q does not report the %d events written", stderr, rd.EventCount())
 	}
 }
 

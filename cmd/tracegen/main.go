@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -38,35 +39,15 @@ func main() {
 // failure the partial file is removed so a short write never leaves a
 // truncated trace that a later analysis run would trip over.
 func run(w io.Writer, out string, seed uint64, scale float64) error {
-	f, err := os.Create(out)
+	var res *core.StreamResult
+	err := trace.WriteFile(out, func(f *os.File) (err error) {
+		res, err = core.RunStudyStreaming(core.DefaultConfig(seed, scale), f)
+		return err
+	})
 	if err != nil {
 		return err
-	}
-	res, err := core.RunStudyStreaming(core.DefaultConfig(seed, scale), f)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("writing trace: %w (%s)", err, cleanupPartial(out))
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing trace: %w (%s)", err, cleanupPartial(out))
 	}
 	fmt.Fprintf(w, "tracegen: %s: %d bytes, %d blocks, %d events (%.1f simulated hours)\n",
 		out, res.TraceBytes, res.TraceBlocks, res.EventCount, res.Horizon.ToSeconds()/3600)
 	return nil
-}
-
-// cleanupPartial removes the truncated output after a failed write,
-// but only a regular file: pointing -o at a device or pipe must never
-// unlink it. Returns a note for the error message including how many
-// bytes had landed.
-func cleanupPartial(out string) string {
-	fi, err := os.Lstat(out)
-	if err != nil || !fi.Mode().IsRegular() {
-		return "left " + out + " in place"
-	}
-	landed := fmt.Sprintf("%d bytes landed", fi.Size())
-	if err := os.Remove(out); err != nil {
-		return "could not remove partial " + out + ", " + landed
-	}
-	return "removed partial " + out + ", " + landed
 }

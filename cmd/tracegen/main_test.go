@@ -49,30 +49,16 @@ func TestRunWritesReadableTrace(t *testing.T) {
 	}
 }
 
-// TestRunErrorPaths: an uncreatable path errors without panicking,
-// and cleanupPartial never unlinks non-regular files.
+// TestRunErrorPaths: an uncreatable path errors without panicking and
+// creates nothing. The clean-up of a partial or non-regular output is
+// trace.WriteFile's, tested in internal/trace.
 func TestRunErrorPaths(t *testing.T) {
+	dir := t.TempDir()
 	var msg bytes.Buffer
-	if err := run(&msg, filepath.Join(t.TempDir(), "no", "such", "dir", "t.trc"), 1, 0.01); err == nil {
+	if err := run(&msg, filepath.Join(dir, "no", "such", "dir", "t.trc"), 1, 0.01); err == nil {
 		t.Fatal("uncreatable path accepted")
 	}
-
-	dir := t.TempDir()
-	reg := filepath.Join(dir, "partial.trc")
-	if err := os.WriteFile(reg, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if note := cleanupPartial(reg); !strings.Contains(note, "removed") {
-		t.Fatalf("regular file not removed: %q", note)
-	}
-	if _, err := os.Stat(reg); !os.IsNotExist(err) {
-		t.Fatal("partial regular file still present")
-	}
-
-	if note := cleanupPartial(dir); strings.Contains(note, "removed partial") {
-		t.Fatalf("non-regular target reported removed: %q", note)
-	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatal("cleanup removed a directory")
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed run left %d entries behind", len(entries))
 	}
 }

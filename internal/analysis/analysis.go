@@ -89,23 +89,11 @@ type Report struct {
 
 // Analyze computes a Report from a postprocessed (time-ordered) event
 // stream. The horizon is the duration of the traced period; pass the
-// simulation end time, or 0 to use the last event's timestamp.
+// simulation end time, or 0 to use the last event's timestamp. It is
+// a loop over the incremental analyzer (see Online), so the streaming
+// and batch paths produce identical reports by construction.
 func Analyze(header trace.Header, events []trace.Event, horizon sim.Time) *Report {
-	return AnalyzeInto(nil, header, events, horizon)
-}
-
-// AnalyzeInto is Analyze drawing its working state -- file
-// accumulators, job bookkeeping, statistic objects -- from the given
-// scratch pool, which a worker reuses across studies (see core.Arena).
-// The returned Report borrows pooled CDFs and histograms: once it is
-// discarded, return them with ReclaimReport. A nil scratch allocates
-// everything fresh (identical to Analyze).
-//
-// Both batch entry points are loops over the incremental analyzer
-// (see Online), so the streaming and batch paths produce identical
-// reports by construction.
-func AnalyzeInto(s *Scratch, header trace.Header, events []trace.Event, horizon sim.Time) *Report {
-	o := OnlineInto(s, header)
+	o := NewOnline(header)
 	for i := range events {
 		o.Observe(&events[i])
 	}

@@ -9,8 +9,8 @@ import (
 
 // Online is the incremental analyzer: it consumes a postprocessed
 // (time-ordered) event stream one record at a time and produces
-// exactly the Report the batch Analyze entry points do -- Analyze and
-// AnalyzeInto are thin loops over it, so the two paths cannot drift.
+// exactly the Report the batch Analyze does -- Analyze is a thin loop
+// over it, so the two paths cannot drift.
 // Its working state is the per-file accumulators and job bookkeeping,
 // never the event stream itself, which is what lets core's streaming
 // study pipeline analyze traces far larger than memory.
@@ -35,9 +35,12 @@ func NewOnline(header trace.Header) *Online {
 	return OnlineInto(nil, header)
 }
 
-// OnlineInto is NewOnline drawing its working state from the given
-// scratch pool (see AnalyzeInto for the pooling contract). A nil
-// scratch allocates everything fresh.
+// OnlineInto is NewOnline drawing its working state -- file
+// accumulators, job bookkeeping, statistic objects -- from the given
+// scratch pool, which a worker reuses across studies (see core.Arena).
+// The Report that Finish returns borrows pooled CDFs and histograms:
+// once it is discarded, return them with ReclaimReport. A nil scratch
+// allocates everything fresh (identical to NewOnline).
 func OnlineInto(s *Scratch, header trace.Header) *Online {
 	o := &Online{
 		s: s,

@@ -5,7 +5,7 @@
 //
 //   - the sim kernel's event-queue bucket arrays (sim.Kernel.Reset),
 //   - the trace pipeline's node-buffer chunks and collector block
-//     slice (trace.Arena), and the postprocessed event stream,
+//     slice (trace.Arena), and the merged event stream a study keeps,
 //   - the CFS block tables, file structs, handles and open groups
 //     (cfs.Arena),
 //   - the analyzer's file accumulators, job maps, and -- once a report
@@ -29,7 +29,9 @@ type Arena struct {
 	kernel  *sim.Kernel
 	mach    machine.Arena
 	scratch analysis.Scratch
-	events  []trace.Event // the last study's Result.Events, reused
+	// events is the last kept merged stream, reused: Result.Events, or
+	// a sweep study's stream for its cache plan.
+	events []trace.Event
 }
 
 // NewArena returns an empty arena; its pools fill as studies run.

@@ -18,14 +18,16 @@
 // fans specs across worker goroutines with one reusable Arena each
 // and merges outcomes deterministically in spec order:
 //
-//	specs := core.CrossSpecs([]uint64{1, 2, 3, 4}, []float64{0.05}, nil, nil)
+//	specs := core.CrossSpecs([]uint64{1, 2, 3, 4}, []float64{0.05})
 //	sweep := core.RunSweep(ctx, core.SweepConfig{Specs: specs})
 //	fmt.Print(sweep.Format())
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/cachesim"
@@ -117,7 +119,6 @@ func RunStudy(cfg Config) *Result {
 // studyParams resolves a normalized config into the workload and
 // machine configurations a study runs: overrides applied, the seed
 // stamped onto both, and the large-scale disk-capacity adjustment.
-// It is shared by the batch and streaming study pipelines.
 func studyParams(cfg Config) (workload.Params, machine.Config) {
 	wp := workload.Default(cfg.Seed)
 	if cfg.Workload != nil {
@@ -146,45 +147,130 @@ func studyParams(cfg Config) (workload.Params, machine.Config) {
 	return wp, mc
 }
 
-// runStudy is the study pipeline shared by RunStudy (a == nil,
-// everything freshly allocated) and Arena.RunStudy (storage drawn
-// from and returned to the arena's pools).
-func runStudy(cfg Config, a *Arena) *Result {
+// simulate is the first of the two steps every simulated study runs;
+// analyze is the second. It resolves the config, builds the machine,
+// runs the workload and finishes tracing, and returns the machine, the
+// horizon, the collected trace and a Reader over its blocks. With a
+// non-nil arena the machine is built on its pools (the kernel reset,
+// the file system recycled once the trace is collected). With a
+// non-nil sink the collector spills every block through it as it
+// arrives, on a private arena whose trace chunks cycle block by block;
+// the trace then holds only the header, and the Reader reads the
+// spill back. Only a spill can fail.
+func simulate(cfg Config, a *Arena, sink StreamSink) (*machine.Machine, sim.Time, *trace.Trace, *trace.Reader, error) {
 	cfg = cfg.normalized()
 	wp, mc := studyParams(cfg)
 
 	var k *sim.Kernel
 	var mach *machine.Arena
-	if a != nil {
+	switch {
+	case a != nil:
 		a.kernel.Reset()
-		k = a.kernel
-		mach = &a.mach
-	} else {
+		k, mach = a.kernel, &a.mach
+	case sink != nil:
+		k, mach = sim.New(), &machine.Arena{}
+	default:
 		k = sim.New()
 	}
 	m := machine.NewWith(k, mc, mach)
-	gen := workload.NewGenerator(wp)
-	horizon := gen.Install(m)
+	var w *trace.Writer
+	if sink != nil {
+		var err error
+		if w, err = trace.NewWriter(sink, m.TraceHeader()); err != nil {
+			return nil, 0, nil, nil, fmt.Errorf("core: starting trace spill: %w", err)
+		}
+		m.SetTraceSink(w)
+	}
+	horizon := workload.NewGenerator(wp).Install(m)
 	k.Run()
 	tr := m.FinishTracing()
-	var events []trace.Event
-	var report *analysis.Report
 	if a != nil {
 		// The trace is collected: the file system's block tables can
 		// serve the next study even while this one is analyzed.
 		m.FS().Recycle()
-		a.events = trace.AppendPostprocessed(a.events[:0], tr)
-		events = a.events
-		report = analysis.AnalyzeInto(&a.scratch, tr.Header, events, horizon)
-	} else {
-		events = trace.Postprocess(tr)
-		report = analysis.Analyze(tr.Header, events, horizon)
 	}
+	if sink == nil {
+		return m, horizon, tr, tr.Reader(), nil
+	}
+	err := m.TraceSinkErr()
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		return nil, 0, nil, nil, fmt.Errorf("core: spilling trace: %w", err)
+	}
+	// The writer's block index carries the byte offsets and the double
+	// timestamps, so reading the spill back needs no scan pass.
+	rd, err := w.Reader(sink)
+	if err != nil {
+		return nil, 0, nil, nil, fmt.Errorf("core: reopening spilled trace: %w", err)
+	}
+	return m, horizon, tr, rd, nil
+}
+
+// analyzeBatch is how many merged events analyze hands the analyzer
+// at a time. Observing inside the merge's callback, event by event,
+// interleaves the two working sets and runs slower.
+const analyzeBatch = 4096
+
+// analyze is the one merge pass: it runs rd's drift-corrected k-way
+// merge once and feeds the stream to an online analyzer in batches,
+// drawing the analyzer's working state from scratch (nil allocates it
+// fresh). With a non-nil keep, the stream is also collected into
+// *keep, reusing its capacity and growing it at most once, and each
+// batch is a window of it. horizon 0 means the last event's time. The
+// only error is a .trc read or decode failure, so it is always nil
+// for a Reader over collected blocks.
+func analyze(rd *trace.Reader, horizon sim.Time, scratch *analysis.Scratch, keep *[]trace.Event) (*analysis.Report, error) {
+	o := analysis.OnlineInto(scratch, rd.Header())
+	var buf []trace.Event
+	if keep != nil {
+		buf = slices.Grow((*keep)[:0], int(rd.EventCount()))
+	} else {
+		buf = make([]trace.Event, 0, analyzeBatch)
+	}
+	next := 0 // first event of buf the analyzer has not seen
+	observe := func() {
+		for i := next; i < len(buf); i++ {
+			o.Observe(&buf[i])
+		}
+		if keep == nil {
+			buf = buf[:0]
+		}
+		next = len(buf)
+	}
+	err := rd.Events(func(ev *trace.Event) error {
+		if buf = append(buf, *ev); len(buf)-next == analyzeBatch {
+			observe()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	observe()
+	if keep != nil {
+		*keep = buf
+	}
+	return o.Finish(horizon), nil
+}
+
+// runStudy is RunStudy (a == nil, everything freshly allocated) and
+// Arena.RunStudy (storage drawn from and returned to the arena's
+// pools). Both keep the merged stream as Result.Events.
+func runStudy(cfg Config, a *Arena) *Result {
+	m, horizon, tr, rd, _ := simulate(cfg, a, nil) // no sink: cannot fail
+	keep := new([]trace.Event)
+	var scratch *analysis.Scratch
+	if a != nil {
+		keep, scratch = &a.events, &a.scratch
+	}
+	report, _ := analyze(rd, horizon, scratch, keep) // collected blocks: cannot fail
 	report.Degradation = m.FaultReport()
 	return &Result{
 		Header:        tr.Header,
 		Trace:         tr,
-		Events:        events,
+		Events:        *keep,
 		Report:        report,
 		Horizon:       horizon,
 		TraceRecords:  m.TraceRecords(),

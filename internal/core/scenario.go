@@ -1,10 +1,10 @@
 // Lowering declarative scenarios onto the sweep engine: RunScenario
 // turns a validated scenario.Spec into the deterministic StudySpec
-// list (seed x scale x workload-mix x machine-preset), runs it
-// through RunSweep, and then runs the spec's trace-driven cache
-// experiments on every study's event stream. Like the sweep itself,
-// a scenario's formatted output is byte-identical at any worker
-// count; the golden corpus under testdata/scenarios/ pins it.
+// list (seed x scale x workload-mix x machine-preset) and runs it
+// through RunSweep with the spec's cache plan, so the trace-driven
+// cache experiments run on every study's event stream. Like the sweep
+// itself, a scenario's formatted output is byte-identical at any
+// worker count; the golden corpus under testdata/scenarios/ pins it.
 package core
 
 import (
@@ -16,22 +16,17 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/cachesim"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// ScenarioResult is a scenario's complete output.
+// ScenarioResult is a scenario's complete output. Each outcome's
+// CacheText holds its cache-experiment sections.
 type ScenarioResult struct {
 	Spec  *scenario.Spec
 	Sweep *SweepResult
-	// CacheTexts holds the formatted cache-experiment sections, one
-	// per outcome (empty when the spec runs no cache experiments or
-	// the study did not run).
-	CacheTexts []string
 }
 
 // RunScenario validates spec, lowers it onto the sweep engine, and
@@ -50,26 +45,14 @@ func RunScenario(ctx context.Context, spec *scenario.Spec) (*ScenarioResult, err
 	if spec.IsReplay() {
 		return runReplayScenario(ctx, spec)
 	}
-	plan := spec.CachePlan()
-	specs := ScenarioSpecs(spec)
-	// Cache experiments run inside the sweep workers, on each study's
-	// arena-backed event stream right after the study finishes: only
-	// the formatted text survives, so the scenario never holds more
-	// event slices than it has workers. Each study's text depends on
-	// its events alone, which keeps worker-count invariance.
-	texts := make([]string, len(specs))
-	var post func(i int, r *Result)
-	if plan != nil {
-		post = func(i int, r *Result) {
-			texts[i] = cacheExperimentText(plan, r.Events, r.BlockBytes())
-		}
-	}
+	// Each study's cache text depends on its events alone, which keeps
+	// worker-count invariance.
 	sweep := RunSweep(ctx, SweepConfig{
-		Specs:     specs,
-		Workers:   spec.Workers,
-		PostStudy: post,
+		Specs:   ScenarioSpecs(spec),
+		Workers: spec.Workers,
+		Cache:   spec.CachePlan(),
 	})
-	return &ScenarioResult{Spec: spec, Sweep: sweep, CacheTexts: texts}, sweep.Err
+	return &ScenarioResult{Spec: spec, Sweep: sweep}, sweep.Err
 }
 
 // runReplayScenario lowers a replay scenario: each recorded trace
@@ -89,25 +72,23 @@ func runReplayScenario(ctx context.Context, spec *scenario.Spec) (*ScenarioResul
 		workers = len(paths)
 	}
 	sweep := &SweepResult{Outcomes: make([]StudyOutcome, len(paths)), Workers: workers}
-	texts := make([]string, len(paths))
 	errs := make([]error, len(paths))
 	for i, path := range paths {
 		sweep.Outcomes[i].Spec = StudySpec{Label: replayLabel(path)}
 	}
 	start := time.Now()
 	parallelEach(ctx, len(paths), workers, func(_, i int) {
-		out, text, err := replayStudy(paths[i], plan)
+		out, err := replayStudy(paths[i], plan)
 		if err != nil {
 			errs[i] = fmt.Errorf("core: replay %s: %w", sweep.Outcomes[i].Spec.Label, err)
 			return
 		}
 		out.Spec = sweep.Outcomes[i].Spec
 		sweep.Outcomes[i] = out
-		texts[i] = text
 	})
 	sweep.Elapsed = time.Since(start)
 	sweep.Err = ctx.Err()
-	res := &ScenarioResult{Spec: spec, Sweep: sweep, CacheTexts: texts}
+	res := &ScenarioResult{Spec: spec, Sweep: sweep}
 	for _, err := range errs {
 		if err != nil {
 			return res, err
@@ -121,39 +102,39 @@ func replayLabel(path string) string {
 	return "replay=" + strings.TrimSuffix(filepath.Base(path), ".trc")
 }
 
-// replayStudy runs one recorded trace through analysis and the cache
-// experiments. The event stream is materialized once (the cache
-// simulations make several passes over it); the raw blocks never are.
-func replayStudy(path string, plan *scenario.ResolvedCache) (StudyOutcome, string, error) {
+// replayStudy runs one recorded trace through the merge pass and the
+// cache experiments. The event stream is kept only for the cache plan
+// (the cache simulations make several passes over it); the raw blocks
+// are never materialized. A recorded trace carries no simulation end
+// time, so the horizon is the last event's.
+func replayStudy(path string, plan *scenario.ResolvedCache) (StudyOutcome, error) {
 	rd, err := trace.OpenReader(path)
 	if err != nil {
-		return StudyOutcome{}, "", err
+		return StudyOutcome{}, err
 	}
 	defer rd.Close()
-	events, err := rd.AllEvents()
+	var events []trace.Event
+	var keep *[]trace.Event
+	if plan != nil {
+		keep = &events
+	}
+	report, err := analyze(rd, 0, nil, keep)
 	if err != nil {
-		return StudyOutcome{}, "", err
+		return StudyOutcome{}, err
 	}
-	header := rd.Header()
-	var horizon sim.Time
-	if len(events) > 0 {
-		horizon = sim.Time(events[len(events)-1].Time)
-	}
-	report := analysis.Analyze(header, events, horizon)
 	out := StudyOutcome{
 		Done:          true,
 		ReportText:    report.Format(),
-		Header:        header,
-		Horizon:       horizon,
-		EventCount:    len(events),
-		TraceRecords:  int64(len(events)),
+		Header:        rd.Header(),
+		Horizon:       report.Horizon,
+		EventCount:    int(rd.EventCount()),
+		TraceRecords:  rd.EventCount(),
 		TraceMessages: int64(rd.NumBlocks()),
 	}
-	text := ""
 	if plan != nil {
-		text = cacheExperimentText(plan, events, header.BlockSize())
+		out.CacheText = cacheExperimentText(plan, events, rd.Header().BlockSize())
 	}
-	return out, text, nil
+	return out, nil
 }
 
 // ScenarioSpecs builds the deterministic study list a scenario runs:
@@ -308,16 +289,16 @@ func (r *ScenarioResult) Format() string {
 	b.WriteString("\n")
 	b.WriteString(r.Sweep.Format())
 	for i := range r.Sweep.Outcomes {
-		if r.CacheTexts[i] == "" {
+		o := &r.Sweep.Outcomes[i]
+		if o.CacheText == "" {
 			continue
 		}
-		o := &r.Sweep.Outcomes[i]
 		label := o.Spec.Label
 		if label == "" {
 			label = fmt.Sprintf("spec %d", i)
 		}
 		fmt.Fprintf(&b, "\n=== cache experiments: %s ===\n\n", label)
-		b.WriteString(r.CacheTexts[i])
+		b.WriteString(o.CacheText)
 	}
 	return b.String()
 }

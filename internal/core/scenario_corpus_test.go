@@ -214,7 +214,7 @@ func TestScenarioFig8ByteIdentical(t *testing.T) {
 	}
 
 	legacySweep := RunSweep(context.Background(), SweepConfig{
-		Specs: CrossSpecs([]uint64{42}, []float64{0.01}, nil, nil),
+		Specs: CrossSpecs([]uint64{42}, []float64{0.01}),
 	})
 	if !strings.Contains(got, legacySweep.Format()) {
 		t.Fatal("scenario fig8 sweep section differs from the equivalent CrossSpecs sweep")
@@ -315,7 +315,7 @@ func TestRunScenarioCancelled(t *testing.T) {
 		if res.Sweep.Outcomes[i].Done {
 			t.Fatalf("outcome %d ran under a cancelled context", i)
 		}
-		if res.CacheTexts[i] != "" {
+		if res.Sweep.Outcomes[i].CacheText != "" {
 			t.Fatalf("outcome %d has cache text without running", i)
 		}
 	}

@@ -72,20 +72,9 @@ type StoreConfig struct {
 	// temp-file sweeps, orphaned-lease removal, reclaims). nil
 	// discards them.
 	Log io.Writer
-	// SpillTraces additionally writes each study's trace to
-	// <fingerprint>.trc through the streaming pipeline (the study then
-	// runs with bounded trace memory, see RunStudyStreaming). It is
-	// incompatible with KeepEvents/KeepReports/PostStudy, which need
-	// the in-memory event stream.
-	SpillTraces bool
 	// Salt is an optional caller salt folded into every fingerprint on
 	// top of the built-in code-version salt.
 	Salt string
-	// AuxText, when non-nil, is called after spec i completes and its
-	// return value is persisted with the outcome and restored by the
-	// merge (the scenario engine stores its per-study cache-experiment
-	// text this way).
-	AuxText func(i int) string
 	// Progress, when non-nil, is called once per spec as this run
 	// learns its outcome exists: found already committed at open
 	// (StoreSpecSkipped), committed by this process (StoreSpecRan), or
@@ -348,29 +337,25 @@ func replayFingerprint(salt, label, path string) (string, error) {
 
 // storedOutcome is the JSON schema of one outcome file. Writing it is
 // the commit point of a study: a spec is "done" exactly when its
-// outcome file exists and parses.
+// outcome file exists and parses. CacheText keeps the key AuxText,
+// the name existing run directories were written with: under any
+// other key their outcomes would merge with empty cache sections.
 type storedOutcome struct {
 	StoreVersion  int
 	Fingerprint   string
 	Label         string
 	ReportText    string
-	AuxText       string `json:",omitempty"`
+	CacheText     string `json:"AuxText,omitempty"`
 	Header        trace.Header
 	Horizon       int64
 	EventCount    int
 	TraceRecords  int64
 	TraceMessages int64
 	DiskOps       int64
-	// TraceFile names the sibling spilled trace ("<fp>.trc") when the
-	// run spilled traces.
-	TraceFile string `json:",omitempty"`
 }
 
 // outcomePath returns the outcome file for a fingerprint.
 func outcomePath(dir, fp string) string { return filepath.Join(dir, fp+".json") }
-
-// tracePath returns the spilled-trace file for a fingerprint.
-func tracePath(dir, fp string) string { return filepath.Join(dir, fp+".trc") }
 
 // writeFileAtomic writes data to path via a same-directory temp file
 // and rename, so a concurrently merging process never observes a
@@ -481,22 +466,21 @@ type StoreRun struct {
 	Err error
 }
 
-// persistOutcome writes one completed outcome (and optionally its
-// spilled trace name) as the study's commit record.
-func persistOutcome(store StoreConfig, fp string, out *StudyOutcome, aux, traceFile string) error {
+// persistOutcome writes one completed outcome as the study's commit
+// record.
+func persistOutcome(store StoreConfig, fp string, out *StudyOutcome) error {
 	doc := storedOutcome{
 		StoreVersion:  storeVersion,
 		Fingerprint:   fp,
 		Label:         out.Spec.Label,
 		ReportText:    out.ReportText,
-		AuxText:       aux,
+		CacheText:     out.CacheText,
 		Header:        out.Header,
 		Horizon:       int64(out.Horizon),
 		EventCount:    out.EventCount,
 		TraceRecords:  out.TraceRecords,
 		TraceMessages: out.TraceMessages,
 		DiskOps:       out.DiskOps,
-		TraceFile:     traceFile,
 	}
 	data, err := json.Marshal(&doc)
 	if err != nil {
@@ -529,13 +513,11 @@ func loadOutcome(dir, fp string) (*storedOutcome, error) {
 // runStore is the executor shared by the sweep and replay paths: it
 // opens the store (manifest check plus a stale-debris sweep) and
 // drains the pending specs through the lease-based work-stealing
-// drain, persisting outcomes as they complete. exec returns the
-// finished outcome plus its auxiliary text; traceFile (pre-resolved
-// per spec) is recorded in the outcome when non-empty. costs, one
-// per spec, ranks claim order (most expensive first, ties in spec
-// order).
+// drain, persisting outcomes as they complete. exec runs one spec on
+// one worker and returns its finished outcome. costs, one per spec,
+// ranks claim order (most expensive first, ties in spec order).
 func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
-	exec func(worker, specIdx int) (StudyOutcome, string, string, error)) (*StoreRun, error) {
+	exec func(worker, specIdx int) (StudyOutcome, error)) (*StoreRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -591,7 +573,7 @@ const (
 // via atomic rename, so the merge guarantee never depends on the
 // lease protocol being airtight.
 func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
-	exec func(worker, specIdx int) (StudyOutcome, string, string, error)) (*StoreRun, error) {
+	exec func(worker, specIdx int) (StudyOutcome, error)) (*StoreRun, error) {
 	order := costOrder(costs)
 	n := len(fps)
 	run := &StoreRun{}
@@ -709,9 +691,9 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 						continue
 					}
 					stopHB := heartbeatLease(store.Dir, fps[i], owner, store.LeaseTTL)
-					out, aux, traceFile, err := exec(w, i)
+					out, err := exec(w, i)
 					if err == nil {
-						err = persistOutcome(store, fps[i], &out, aux, traceFile)
+						err = persistOutcome(store, fps[i], &out)
 					}
 					stopHB()
 					releaseLease(store.Dir, fps[i])
@@ -771,44 +753,26 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 // whose outcome file already exists are skipped, the rest are
 // claimed one at a time (most expensive first) by cfg.Workers
 // goroutines (one reusable Arena each, exactly like RunSweep), and
-// every outcome is persisted the moment it completes -- so a killed
-// process loses at most its in-flight studies, and any other worker
-// sharing the directory reclaims them after the lease TTL. The call
-// returns once every spec's outcome exists (or ctx is cancelled).
-// Combine the outcome files with MergeSweepStore.
+// every outcome -- with its cache text under cfg.Cache -- is persisted
+// the moment it completes, so a killed process loses at most its
+// in-flight studies, and any other worker sharing the directory
+// reclaims them after the lease TTL. The call returns once every
+// spec's outcome exists (or ctx is cancelled). Combine the outcome
+// files with MergeSweepStore.
 func RunSweepStore(ctx context.Context, cfg SweepConfig, store StoreConfig) (*StoreRun, error) {
 	store, err := store.normalized()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.KeepEvents || cfg.KeepReports {
-		return nil, errors.New("core: store: KeepEvents/KeepReports are incompatible with a persistent store (outcome files hold text and counters only)")
-	}
-	if store.SpillTraces && cfg.PostStudy != nil {
-		return nil, errors.New("core: store: SpillTraces is incompatible with PostStudy (the streaming path materializes no event stream)")
-	}
 	labels, fps := specKeys(store.Salt, cfg.Specs)
 	arenas := make([]*Arena, workerCount(cfg.Workers, len(cfg.Specs)))
 	return runStore(ctx, cfg.Workers, store, labels, fps, specCosts(cfg.Specs),
-		func(w, i int) (StudyOutcome, string, string, error) {
-			if store.SpillTraces {
-				out, err := spillSpec(cfg.Specs[i], store, fps[i])
-				return out, auxFor(store, i), fps[i] + ".trc", err
-			}
+		func(w, i int) (StudyOutcome, error) {
 			if arenas[w] == nil {
 				arenas[w] = NewArena()
 			}
-			out := runSpec(arenas[w], cfg, cfg.Specs[i], i)
-			return out, auxFor(store, i), "", nil
+			return runSpec(arenas[w], cfg.Cache, cfg.Specs[i]), nil
 		})
-}
-
-// auxFor evaluates the store's AuxText hook for spec i.
-func auxFor(store StoreConfig, i int) string {
-	if store.AuxText == nil {
-		return ""
-	}
-	return store.AuxText(i)
 }
 
 // specKeys fingerprints a spec list.
@@ -836,46 +800,6 @@ func workerCount(workers, n int) int {
 	return workers
 }
 
-// spillSpec runs one spec through the streaming study pipeline,
-// writing its trace to <fp>.trc (via a temp name, renamed before the
-// outcome commits). The outcome carries the same report text and
-// counters the batch path produces (TestSweepStoreSpillIdentical pins
-// the merged bytes against RunSweep).
-func spillSpec(spec StudySpec, store StoreConfig, fp string) (StudyOutcome, error) {
-	final := tracePath(store.Dir, fp)
-	f, err := os.CreateTemp(store.Dir, fp+".trc.tmp*")
-	if err != nil {
-		return StudyOutcome{}, fmt.Errorf("core: store: spilling trace: %w", err)
-	}
-	tmp := f.Name()
-	res, err := RunStudyStreaming(spec.Config, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return StudyOutcome{}, err
-	}
-	if err := os.Chmod(tmp, 0o644); err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return StudyOutcome{}, fmt.Errorf("core: store: spilling trace: %w", err)
-	}
-	return StudyOutcome{
-		Spec:          spec,
-		Done:          true,
-		ReportText:    res.Report.Format(),
-		Header:        res.Header,
-		Horizon:       res.Horizon,
-		EventCount:    int(res.EventCount),
-		TraceRecords:  res.TraceRecords,
-		TraceMessages: res.TraceMessages,
-		DiskOps:       res.DiskOps,
-	}, nil
-}
-
 // SweepMerge is the reconstruction of a (possibly still running)
 // stored sweep.
 type SweepMerge struct {
@@ -884,8 +808,6 @@ type SweepMerge struct {
 	// When Missing is empty, Result.Format() is byte-identical to a
 	// single-process RunSweep over the same specs.
 	Result *SweepResult
-	// Aux holds the restored per-spec auxiliary texts.
-	Aux []string
 	// Missing lists spec indices whose outcome file does not exist
 	// yet (still pending, or in flight on another worker).
 	Missing []int
@@ -906,10 +828,7 @@ func MergeSweepStore(cfg SweepConfig, store StoreConfig) (*SweepMerge, error) {
 
 // mergeStore loads outcomes for an already-fingerprinted spec list.
 func mergeStore(store StoreConfig, specs []StudySpec, fps []string) (*SweepMerge, error) {
-	m := &SweepMerge{
-		Result: &SweepResult{Outcomes: make([]StudyOutcome, len(specs))},
-		Aux:    make([]string, len(specs)),
-	}
+	m := &SweepMerge{Result: &SweepResult{Outcomes: make([]StudyOutcome, len(specs))}}
 	for i := range specs {
 		m.Result.Outcomes[i].Spec = specs[i]
 		doc, err := loadOutcome(store.Dir, fps[i])
@@ -924,6 +843,7 @@ func mergeStore(store StoreConfig, specs []StudySpec, fps []string) (*SweepMerge
 			Spec:          specs[i],
 			Done:          true,
 			ReportText:    doc.ReportText,
+			CacheText:     doc.CacheText,
 			Header:        doc.Header,
 			Horizon:       sim.Time(doc.Horizon),
 			EventCount:    doc.EventCount,
@@ -931,7 +851,6 @@ func mergeStore(store StoreConfig, specs []StudySpec, fps []string) (*SweepMerge
 			TraceMessages: doc.TraceMessages,
 			DiskOps:       doc.DiskOps,
 		}
-		m.Aux[i] = doc.AuxText
 	}
 	return m, nil
 }
@@ -959,32 +878,24 @@ func RunScenarioStore(ctx context.Context, spec *scenario.Spec, store StoreConfi
 	if err != nil {
 		return nil, err
 	}
+	// The cache experiments run on the worker right after each study,
+	// exactly as in RunScenario; the store persists their text with
+	// the outcome so a resumed or merging process never re-simulates a
+	// finished study to recover it.
 	plan := spec.CachePlan()
 	var run *StoreRun
 	if spec.IsReplay() {
 		run, err = runStore(ctx, spec.Workers, store, keys.labels, keys.fps, keys.costs,
-			func(_, i int) (StudyOutcome, string, string, error) {
-				out, text, err := replayStudy(keys.paths[i], plan)
+			func(_, i int) (StudyOutcome, error) {
+				out, err := replayStudy(keys.paths[i], plan)
 				if err != nil {
-					return out, "", "", fmt.Errorf("core: replay %s: %w", keys.labels[i], err)
+					return out, fmt.Errorf("core: replay %s: %w", keys.labels[i], err)
 				}
 				out.Spec = keys.specs[i]
-				return out, text, "", nil
+				return out, nil
 			})
 	} else {
-		// The cache experiments run on the worker right after each
-		// study, exactly as in RunScenario; the store persists their
-		// text with the outcome so a resumed or merging process never
-		// re-simulates a finished study to recover it.
-		texts := make([]string, len(keys.specs))
-		sweepCfg := SweepConfig{Specs: keys.specs, Workers: spec.Workers}
-		if plan != nil {
-			sweepCfg.PostStudy = func(i int, r *Result) {
-				texts[i] = cacheExperimentText(plan, r.Events, r.BlockBytes())
-			}
-		}
-		store.AuxText = func(i int) string { return texts[i] }
-		run, err = RunSweepStore(ctx, sweepCfg, store)
+		run, err = RunSweepStore(ctx, SweepConfig{Specs: keys.specs, Workers: spec.Workers, Cache: plan}, store)
 	}
 	if err != nil {
 		return &ScenarioStoreRun{Run: run}, err
@@ -995,7 +906,7 @@ func RunScenarioStore(ctx context.Context, spec *scenario.Spec, store StoreConfi
 	}
 	out := &ScenarioStoreRun{Run: run, Merge: merge}
 	if len(merge.Missing) == 0 {
-		out.Result = &ScenarioResult{Spec: spec, Sweep: merge.Result, CacheTexts: merge.Aux}
+		out.Result = &ScenarioResult{Spec: spec, Sweep: merge.Result}
 	}
 	return out, nil
 }
@@ -1025,9 +936,6 @@ func scenarioStoreKeys(spec *scenario.Spec, store StoreConfig) (StoreConfig, *sc
 	store, err := store.normalized()
 	if err != nil {
 		return store, nil, err
-	}
-	if store.AuxText != nil {
-		return store, nil, errors.New("core: store: AuxText is owned by the scenario lowering")
 	}
 	// The cache plan shapes each study's persisted text but is not
 	// part of the StudySpec, so fold it into the fingerprint salt:
@@ -1081,7 +989,7 @@ func MergeScenarioStore(spec *scenario.Spec, store StoreConfig) (*ScenarioStoreR
 	}
 	out := &ScenarioStoreRun{Merge: merge}
 	if len(merge.Missing) == 0 {
-		out.Result = &ScenarioResult{Spec: spec, Sweep: merge.Result, CacheTexts: merge.Aux}
+		out.Result = &ScenarioResult{Spec: spec, Sweep: merge.Result}
 	}
 	return out, nil
 }

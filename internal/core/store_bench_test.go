@@ -24,7 +24,7 @@ func BenchmarkSweepStoreClaim(b *testing.B) {
 		if err != nil || !claimed {
 			b.Fatalf("claim %d: claimed=%v err=%v", i, claimed, err)
 		}
-		if err := persistOutcome(store, fp, &out, "", ""); err != nil {
+		if err := persistOutcome(store, fp, &out); err != nil {
 			b.Fatal(err)
 		}
 		releaseLease(dir, fp)

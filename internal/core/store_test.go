@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -256,6 +255,8 @@ func TestSweepStoreWorkStealingReclaimIdentical(t *testing.T) {
 // (ctx cancel, not SIGKILL) releases every lease it holds on the way
 // out, so a successor picks up the remaining specs immediately --
 // zero reclaims, no TTL wait -- and the merge is still byte-identical.
+// The cancel lands inside exec, while the worker holds the spec's
+// lease.
 func TestSweepStoreLeaseCancelReleases(t *testing.T) {
 	specs := sweepSpecs(5)
 	single := RunSweep(context.Background(), SweepConfig{Specs: specs, Workers: 1})
@@ -263,13 +264,21 @@ func TestSweepStoreLeaseCancelReleases(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	run1, err := RunSweepStore(ctx,
-		SweepConfig{
-			Specs:     specs,
-			Workers:   1,
-			PostStudy: func(i int, r *Result) { cancel() },
-		},
-		StoreConfig{Dir: dir, WorkerID: "w1", LeaseTTL: time.Minute})
+	store, err := StoreConfig{Dir: dir, WorkerID: "w1", LeaseTTL: time.Minute}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, fps := specKeys(store.Salt, specs)
+	arena := NewArena()
+	run1, err := runStore(ctx, 1, store, labels, fps, specCosts(specs),
+		func(_, i int) (StudyOutcome, error) {
+			leases, _ := filepath.Glob(filepath.Join(dir, "*.lease"))
+			if len(leases) != 1 {
+				t.Errorf("exec holds %d leases, want 1", len(leases))
+			}
+			cancel()
+			return runSpec(arena, nil, specs[i]), nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +321,7 @@ func TestSweepStoreLeaseCancelReleases(t *testing.T) {
 // descending estimated cost (scale x horizon), so the most expensive
 // study starts first instead of becoming the tail.
 func TestLeaseStoreClaimsCostOrder(t *testing.T) {
-	specs := CrossSpecs([]uint64{1}, []float64{0.01, 0.05, 0.02}, nil, nil)
+	specs := CrossSpecs([]uint64{1}, []float64{0.01, 0.05, 0.02})
 	labels, fps := specKeys("", specs)
 	store, err := StoreConfig{Dir: t.TempDir(), WorkerID: "w", LeaseTTL: time.Minute}.normalized()
 	if err != nil {
@@ -320,9 +329,9 @@ func TestLeaseStoreClaimsCostOrder(t *testing.T) {
 	}
 	var got []int
 	_, err = runStore(context.Background(), 1, store, labels, fps, specCosts(specs),
-		func(_, i int) (StudyOutcome, string, string, error) {
+		func(_, i int) (StudyOutcome, error) {
 			got = append(got, i)
-			return StudyOutcome{Spec: specs[i], Done: true}, "", "", nil
+			return StudyOutcome{Spec: specs[i], Done: true}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +351,7 @@ func TestLeaseStoreClaimsCostOrder(t *testing.T) {
 // commit, so the run returns promptly instead of after a full poll
 // interval (2 s at the default 30 s TTL).
 func TestLeaseStoreWakesOnInProcessCommit(t *testing.T) {
-	specs := CrossSpecs([]uint64{1}, []float64{0.01, 0.02}, nil, nil)
+	specs := CrossSpecs([]uint64{1}, []float64{0.01, 0.02})
 	labels, fps := specKeys("", specs)
 	store, err := StoreConfig{Dir: t.TempDir(), WorkerID: "w"}.normalized()
 	if err != nil {
@@ -353,12 +362,12 @@ func TestLeaseStoreWakesOnInProcessCommit(t *testing.T) {
 	var mu sync.Mutex
 	var lastExec time.Time
 	_, err = runStore(context.Background(), 2, store, labels, fps, specCosts(specs),
-		func(_, i int) (StudyOutcome, string, string, error) {
+		func(_, i int) (StudyOutcome, error) {
 			time.Sleep(time.Duration(20+180*i) * time.Millisecond)
 			mu.Lock()
 			lastExec = time.Now()
 			mu.Unlock()
-			return StudyOutcome{Spec: specs[i], Done: true}, "", "", nil
+			return StudyOutcome{Spec: specs[i], Done: true}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +388,7 @@ func TestLeaseStoreNoDuplicateExecution(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	specs := CrossSpecs(seeds, []float64{0.01}, nil, nil)
+	specs := CrossSpecs(seeds, []float64{0.01})
 	labels, fps := specKeys("", specs)
 	for round := 0; round < 30; round++ {
 		store, err := StoreConfig{Dir: t.TempDir(), WorkerID: "w", LeaseTTL: time.Minute}.normalized()
@@ -389,11 +398,11 @@ func TestLeaseStoreNoDuplicateExecution(t *testing.T) {
 		execs := make([]int, len(specs))
 		var mu sync.Mutex
 		run, err := runStore(context.Background(), 4, store, labels, fps, specCosts(specs),
-			func(_, i int) (StudyOutcome, string, string, error) {
+			func(_, i int) (StudyOutcome, error) {
 				mu.Lock()
 				execs[i]++
 				mu.Unlock()
-				return StudyOutcome{Spec: specs[i], Done: true}, "", "", nil
+				return StudyOutcome{Spec: specs[i], Done: true}, nil
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -489,45 +498,6 @@ func TestStoreStaleSweep(t *testing.T) {
 		if !strings.Contains(log.String(), want) {
 			t.Errorf("open sweep did not log %q: %q", want, log.String())
 		}
-	}
-}
-
-// TestSweepStoreSpillIdentical: the streaming-spill path commits the
-// same report text and counters as the batch path, and every
-// <fingerprint>.trc is a readable trace whose event count matches
-// its outcome.
-func TestSweepStoreSpillIdentical(t *testing.T) {
-	specs := sweepSpecs(2)
-	single := RunSweep(context.Background(), SweepConfig{Specs: specs, Workers: 1})
-
-	dir := t.TempDir()
-	store := StoreConfig{Dir: dir, SpillTraces: true}
-	if _, err := RunSweepStore(context.Background(), SweepConfig{Specs: specs}, store); err != nil {
-		t.Fatal(err)
-	}
-	merge, err := MergeSweepStore(SweepConfig{Specs: specs}, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merge.Missing) != 0 {
-		t.Fatalf("missing specs: %v", merge.Missing)
-	}
-	if got, want := merge.Result.Format(), single.Format(); got != want {
-		t.Fatalf("spilled merge differs from batch RunSweep (first diff near byte %d)", firstDiff(got, want))
-	}
-	for i, spec := range specs {
-		fp := SpecFingerprint("", spec)
-		rd, err := trace.OpenReader(filepath.Join(dir, fp+".trc"))
-		if err != nil {
-			t.Fatalf("spec %d spilled trace unreadable: %v", i, err)
-		}
-		if got, want := int(rd.EventCount()), merge.Result.Outcomes[i].EventCount; got != want {
-			t.Errorf("spec %d: trace holds %d events, outcome says %d", i, got, want)
-		}
-		if got, want := rd.Header().Seed, spec.Config.Seed; got != want {
-			t.Errorf("spec %d: trace seed %d, want %d", i, got, want)
-		}
-		rd.Close()
 	}
 }
 
@@ -696,10 +666,6 @@ func TestStoreConfigValidation(t *testing.T) {
 		store StoreConfig
 	}{
 		{"empty dir", SweepConfig{Specs: specs}, StoreConfig{}},
-		{"keep events", SweepConfig{Specs: specs, KeepEvents: true}, StoreConfig{Dir: t.TempDir()}},
-		{"keep reports", SweepConfig{Specs: specs, KeepReports: true}, StoreConfig{Dir: t.TempDir()}},
-		{"spill with post-study", SweepConfig{Specs: specs, PostStudy: func(int, *Result) {}},
-			StoreConfig{Dir: t.TempDir(), SpillTraces: true}},
 	}
 	for _, tc := range cases {
 		if _, err := RunSweepStore(ctx, tc.cfg, tc.store); err == nil {
@@ -712,7 +678,7 @@ func TestStoreConfigValidation(t *testing.T) {
 // specs collide, and every axis of the configuration -- plus the
 // caller salt -- separates them.
 func TestSpecFingerprint(t *testing.T) {
-	base := CrossSpecs([]uint64{1}, []float64{0.05}, nil, nil)[0]
+	base := CrossSpecs([]uint64{1}, []float64{0.05})[0]
 	if SpecFingerprint("", base) != SpecFingerprint("", base) {
 		t.Fatal("identical specs fingerprint differently")
 	}

@@ -19,10 +19,9 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/machine"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // StudySpec is one study in a sweep: a label for reports plus the
@@ -38,22 +37,13 @@ type SweepConfig struct {
 	// Workers is the worker-goroutine count; <= 0 uses GOMAXPROCS.
 	// The merged result is identical for every worker count.
 	Workers int
-	// KeepEvents copies each study's postprocessed event stream into
-	// its outcome (for feeding cache experiments); costs one event
-	// slice per study.
-	KeepEvents bool
-	// KeepReports retains each study's full Report instead of
-	// recycling its statistics storage into the worker arena.
-	KeepReports bool
-	// PostStudy, when non-nil, runs on the worker goroutine right
-	// after study i completes, before its arena storage is recycled.
-	// It must not retain r or anything reachable from it (r.Events
-	// and r.Report are arena-backed) and must write only to
-	// index-i-owned state; anything derived deterministically from
-	// one study keeps the sweep's worker-count invariance. This is
-	// how the scenario engine runs per-study cache experiments
-	// without holding every study's event stream in memory at once.
-	PostStudy func(i int, r *Result)
+	// Cache, when non-nil, is the cache-experiment plan every study
+	// runs on its own merged stream, on the worker right after its
+	// analysis; the text lands in StudyOutcome.CacheText. Only these
+	// studies keep the stream (in the worker arena), so a sweep never
+	// holds more event slices than it has workers. The run store does
+	// not fingerprint the plan: RunScenarioStore folds it into the salt.
+	Cache *scenario.ResolvedCache
 }
 
 // StudyOutcome is one study's results within a sweep.
@@ -62,10 +52,11 @@ type StudyOutcome struct {
 	// Done is false when the sweep was cancelled before this spec ran.
 	Done bool
 
-	ReportText string           // Report.Format(), always retained
-	Report     *analysis.Report // non-nil only with KeepReports
-	Events     []trace.Event    // non-nil only with KeepEvents
-	Header     trace.Header
+	ReportText string // Report.Format()
+	// CacheText is the formatted cache-experiment sections (empty when
+	// the sweep runs no cache plan).
+	CacheText string
+	Header    trace.Header
 
 	Horizon       sim.Time
 	EventCount    int
@@ -115,80 +106,62 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 		if arenas[w] == nil {
 			arenas[w] = NewArena()
 		}
-		res.Outcomes[i] = runSpec(arenas[w], cfg, cfg.Specs[i], i)
+		res.Outcomes[i] = runSpec(arenas[w], cfg.Cache, cfg.Specs[i])
 	})
 	res.Elapsed = time.Since(start)
 	res.Err = ctx.Err()
 	return res
 }
 
-// runSpec runs one study on the worker's arena, copies out what the
-// sweep retains, and recycles the rest.
-func runSpec(a *Arena, sc SweepConfig, spec StudySpec, i int) StudyOutcome {
-	r := a.RunStudy(spec.Config)
-	if sc.PostStudy != nil {
-		sc.PostStudy(i, r)
+// runSpec runs one study on the worker's arena, keeping the merged
+// stream only for the cache plan, and returns the arena's storage
+// once the outcome holds the study's text and counters.
+func runSpec(a *Arena, plan *scenario.ResolvedCache, spec StudySpec) StudyOutcome {
+	m, horizon, tr, rd, _ := simulate(spec.Config, a, nil) // no sink: cannot fail
+	var keep *[]trace.Event
+	if plan != nil {
+		keep = &a.events
 	}
+	report, _ := analyze(rd, horizon, &a.scratch, keep) // collected blocks: cannot fail
+	a.mach.Trace.ReclaimTrace(tr)
+	report.Degradation = m.FaultReport()
 	out := StudyOutcome{
 		Spec:          spec,
 		Done:          true,
-		ReportText:    r.Report.Format(),
-		Header:        r.Header,
-		Horizon:       r.Horizon,
-		EventCount:    len(r.Events),
-		TraceRecords:  r.TraceRecords,
-		TraceMessages: r.TraceMessages,
-		DiskOps:       r.DiskOps,
+		ReportText:    report.Format(),
+		Header:        rd.Header(),
+		Horizon:       horizon,
+		EventCount:    int(rd.EventCount()),
+		TraceRecords:  m.TraceRecords(),
+		TraceMessages: m.TraceMessages(),
+		DiskOps:       m.FS().TotalDiskOps(),
 	}
-	if sc.KeepEvents {
-		out.Events = append([]trace.Event(nil), r.Events...)
+	analysis.ReclaimReport(&a.scratch, report)
+	if plan != nil {
+		out.CacheText = cacheExperimentText(plan, a.events, rd.Header().BlockSize())
 	}
-	if sc.KeepReports {
-		out.Report = r.Report
-		r.Report = nil // keep Recycle from reclaiming it
-	}
-	a.Recycle(r)
 	return out
 }
 
 // CrossSpecs builds the deterministic spec list for a sweep over the
-// cross product seed x scale x workload-variant x machine-variant,
-// in that nesting order (seeds outermost). Empty seeds default to
-// {42}, empty scales to {0.1}; nil workload and machine slices mean
-// "calibrated default" and contribute no label component.
-func CrossSpecs(seeds []uint64, scales []float64, workloads []*workload.Params, machines []*machine.Config) []StudySpec {
+// cross product seed x scale (seeds outermost) of calibrated studies
+// on the NAS machine. Empty seeds default to {42}, empty scales to
+// {0.1}. Scenarios (ScenarioSpecs) add workload and machine axes.
+func CrossSpecs(seeds []uint64, scales []float64) []StudySpec {
 	if len(seeds) == 0 {
 		seeds = []uint64{42}
 	}
 	if len(scales) == 0 {
 		scales = []float64{0.1}
 	}
-	wls := []*workload.Params{nil}
-	if len(workloads) > 0 {
-		wls = workloads
-	}
-	mcs := []*machine.Config{nil}
-	if len(machines) > 0 {
-		mcs = machines
-	}
-	specs := make([]StudySpec, 0, len(seeds)*len(scales)*len(wls)*len(mcs))
+	specs := make([]StudySpec, 0, len(seeds)*len(scales))
 	for _, seed := range seeds {
 		for _, scale := range scales {
-			for wi, wl := range wls {
-				for mi, mc := range mcs {
-					cfg := Config{Seed: seed, Scale: scale, Workload: wl, Machine: mc}.normalized()
-					// Label the clamped scale, so a sub-MinScale input
-					// is visibly the study that actually runs.
-					label := fmt.Sprintf("seed=%d scale=%g", seed, cfg.Scale)
-					if len(workloads) > 0 {
-						label += fmt.Sprintf(" wl=%d", wi)
-					}
-					if len(machines) > 0 {
-						label += fmt.Sprintf(" mc=%d", mi)
-					}
-					specs = append(specs, StudySpec{Label: label, Config: cfg})
-				}
-			}
+			cfg := Config{Seed: seed, Scale: scale}.normalized()
+			// Label the clamped scale, so a sub-MinScale input is
+			// visibly the study that actually runs.
+			label := fmt.Sprintf("seed=%d scale=%g", seed, cfg.Scale)
+			specs = append(specs, StudySpec{Label: label, Config: cfg})
 		}
 	}
 	return specs

@@ -11,7 +11,7 @@ func sweepSpecs(n int) []StudySpec {
 	for i := 1; i <= n; i++ {
 		seeds = append(seeds, uint64(i))
 	}
-	return CrossSpecs(seeds, []float64{MinScale}, nil, nil)
+	return CrossSpecs(seeds, []float64{MinScale})
 }
 
 // TestRunSweepWorkerCountInvariance is the sweep engine's core
@@ -44,23 +44,19 @@ func TestRunSweepWorkerCountInvariance(t *testing.T) {
 
 // TestSweepMatchesStandaloneStudy checks that a study run on a warm,
 // shared worker arena inside a sweep produces exactly the report and
-// event stream a standalone cold RunStudy produces.
+// counters a standalone cold RunStudy produces.
+// (TestArenaStudyDeterminism compares the event streams.)
 func TestSweepMatchesStandaloneStudy(t *testing.T) {
 	specs := sweepSpecs(3)
-	res := RunSweep(context.Background(), SweepConfig{Specs: specs, Workers: 1, KeepEvents: true})
+	res := RunSweep(context.Background(), SweepConfig{Specs: specs, Workers: 1})
 	for i, spec := range specs {
 		standalone := RunStudy(spec.Config)
 		o := &res.Outcomes[i]
 		if o.ReportText != standalone.Report.Format() {
 			t.Fatalf("spec %d (%s): sweep report differs from standalone RunStudy", i, spec.Label)
 		}
-		if len(o.Events) != len(standalone.Events) {
-			t.Fatalf("spec %d: event count %d vs standalone %d", i, len(o.Events), len(standalone.Events))
-		}
-		for j := range o.Events {
-			if o.Events[j] != standalone.Events[j] {
-				t.Fatalf("spec %d: event %d differs: %+v vs %+v", i, j, o.Events[j], standalone.Events[j])
-			}
+		if o.EventCount != len(standalone.Events) {
+			t.Fatalf("spec %d: event count %d vs standalone %d", i, o.EventCount, len(standalone.Events))
 		}
 		if o.DiskOps != standalone.DiskOps || o.TraceRecords != standalone.TraceRecords ||
 			o.TraceMessages != standalone.TraceMessages {
@@ -114,33 +110,6 @@ func TestArenaDifferentSeedsAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestRunSweepPostStudy checks the per-study hook: it fires exactly
-// once per spec with that study's live result, regardless of worker
-// count, and index-owned writes are race-free under -race.
-func TestRunSweepPostStudy(t *testing.T) {
-	specs := sweepSpecs(6)
-	for _, workers := range []int{1, 4} {
-		events := make([]int, len(specs))
-		seeds := make([]uint64, len(specs))
-		RunSweep(context.Background(), SweepConfig{
-			Specs:   specs,
-			Workers: workers,
-			PostStudy: func(i int, r *Result) {
-				events[i]++
-				seeds[i] = r.Header.Seed
-			},
-		})
-		for i := range specs {
-			if events[i] != 1 {
-				t.Fatalf("workers=%d: PostStudy ran %d times for spec %d", workers, events[i], i)
-			}
-			if seeds[i] != specs[i].Config.Seed {
-				t.Fatalf("workers=%d: spec %d saw result for seed %d", workers, i, seeds[i])
-			}
-		}
-	}
-}
-
 // TestRunSweepCancelled checks that a pre-cancelled context runs
 // nothing and marks every outcome undone.
 func TestRunSweepCancelled(t *testing.T) {
@@ -177,7 +146,7 @@ func TestScaleClampUnified(t *testing.T) {
 // TestCrossSpecs checks the deterministic ordering and labeling of
 // the sweep spec generator.
 func TestCrossSpecs(t *testing.T) {
-	specs := CrossSpecs([]uint64{1, 2}, []float64{0.01, 0.05}, nil, nil)
+	specs := CrossSpecs([]uint64{1, 2}, []float64{0.01, 0.05})
 	if len(specs) != 4 {
 		t.Fatalf("expected 4 specs, got %d", len(specs))
 	}
@@ -190,7 +159,7 @@ func TestCrossSpecs(t *testing.T) {
 			t.Fatalf("spec %d label %q, want %q", i, spec.Label, want[i])
 		}
 	}
-	if defaults := CrossSpecs(nil, nil, nil, nil); len(defaults) != 1 ||
+	if defaults := CrossSpecs(nil, nil); len(defaults) != 1 ||
 		defaults[0].Config.Seed != 42 || defaults[0].Config.Scale != 0.1 {
 		t.Fatalf("default CrossSpecs wrong: %+v", defaults)
 	}

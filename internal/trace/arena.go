@@ -9,8 +9,8 @@ package trace
 //   - The collector's block slice: the arrival-ordered []Block backing.
 //
 // Postprocessing needs no scratch here: the merge reads the collected
-// blocks in place, and core.Arena pools its output stream through
-// AppendPostprocessed.
+// blocks in place (Trace.Reader), and core.Arena pools the merged
+// stream it keeps.
 //
 // An Arena is not safe for concurrent use; give each worker its own.
 // The zero value is ready to use.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Magic begins every CHARISMA trace file, making it self-descriptive
@@ -215,4 +216,33 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	}
 	err = tw.Flush()
 	return tw.BytesWritten(), err
+}
+
+// WriteFile creates the file at path and hands it to write, which
+// writes the trace (Trace.WriteTo, or a streaming study spilling
+// through it). If write or closing the file fails, no truncated trace
+// is left behind for a later analysis to trip over: the partial file
+// is removed -- but only a regular file, so a device or a pipe at
+// path is never unlinked -- and the error says what became of it and
+// how many bytes had landed.
+func WriteFile(path string, write func(*os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		return nil
+	}
+	fi, serr := os.Lstat(path)
+	if serr != nil || !fi.Mode().IsRegular() {
+		return fmt.Errorf("writing %s: %w (left in place)", path, err)
+	}
+	if rerr := os.Remove(path); rerr != nil {
+		return fmt.Errorf("writing %s: %w (could not remove the partial file, %d bytes landed)", path, err, fi.Size())
+	}
+	return fmt.Errorf("writing %s: %w (removed the partial file, %d bytes landed)", path, err, fi.Size())
 }

@@ -1,7 +1,5 @@
 package trace
 
-import "slices"
-
 // ClockFit is an affine map from one node's local clock onto the
 // collector's timebase: collector ~= Offset + Slope * local.
 type ClockFit struct {
@@ -96,15 +94,9 @@ func fitClocks(index []BlockInfo) map[uint16]ClockFit {
 // in time order. A trace whose events go backwards within a node comes
 // out in that block order rather than sorted.
 func Postprocess(t *Trace) []Event {
-	return AppendPostprocessed(nil, t)
-}
-
-// AppendPostprocessed appends Postprocess's stream to dst and returns
-// the extended slice, growing dst at most once; pass a reused slice
-// (truncated to length 0) to postprocess study after study without
-// reallocating.
-func AppendPostprocessed(dst []Event, t *Trace) []Event {
-	return t.appendMerged(dst, true)
+	// A Reader over in-memory blocks has nothing to fail on.
+	events, _ := t.Reader().collect(true)
+	return events
 }
 
 // PostprocessRaw merges the trace on the raw local timestamps with no
@@ -112,30 +104,21 @@ func AppendPostprocessed(dst []Event, t *Trace) []Event {
 // the drift correction removes (an ablation: compare its output with
 // Postprocess on the same trace).
 func PostprocessRaw(t *Trace) []Event {
-	return t.appendMerged(nil, false)
+	events, _ := t.Reader().collect(false)
+	return events
 }
 
-// appendMerged runs the merge over the trace's in-memory blocks,
-// handing it each block's events as they are: no copy, no encoding.
-func (t *Trace) appendMerged(dst []Event, corrected bool) []Event {
+// Reader returns a Reader over the collected blocks, so a collected
+// trace and a .trc file are read through one type. Its blocks load as
+// they are -- no copy, no encoding -- and nothing is written into the
+// trace. The Reader is valid while t.Blocks is.
+func (t *Trace) Reader() *Reader {
 	index := t.index()
-	var fits map[uint16]ClockFit
-	if corrected {
-		fits = fitClocks(index)
+	var events int64
+	if n := len(index); n > 0 {
+		events = index[n-1].StartIdx + int64(index[n-1].Count)
 	}
-	var n int
-	for _, b := range t.Blocks {
-		n += len(b.Events)
-	}
-	dst = slices.Grow(dst, n)
-	// Neither the loader nor the emitter can fail.
-	_ = mergeBlocks(index, fits,
-		func(i int, _ []Event) ([]Event, error) { return t.Blocks[i].Events, nil },
-		func(ev *Event) error {
-			dst = append(dst, *ev)
-			return nil
-		})
-	return dst
+	return &Reader{header: t.Header, index: index, events: events, blocks: t.Blocks}
 }
 
 // index describes the trace's blocks the way a Reader indexes a .trc

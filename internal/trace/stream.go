@@ -9,15 +9,15 @@
 // per node (briefly two, when a timestamp tie straddles a block
 // boundary; see mergeCursor).
 //
-// That merge, mergeBlocks, is the only one: Postprocess runs it over a
-// collected trace's in-memory blocks, and Reader over a .trc block
-// index. Its key is (corrected time, flatten index), each node's
-// blocks taken in recording order are sorted by that key, and the
-// cursor window opens every block that could still hold a node's
-// minimum key, so for every trace whose per-node clocks are monotone
-// -- every trace the collector produces -- the k-way merge equals a
-// global stable sort by corrected time (reference_test.go keeps that
-// sort as the oracle).
+// That merge, mergeBlocks, is the only one, and Reader is its only
+// block source: Trace.Reader serves a collected trace's in-memory
+// blocks, and NewReader a .trc block index. Its key is (corrected
+// time, flatten index), each node's blocks taken in recording order
+// are sorted by that key, and the cursor window opens every block that
+// could still hold a node's minimum key, so for every trace whose
+// per-node clocks are monotone -- every trace the collector produces
+// -- the k-way merge equals a global stable sort by corrected time
+// (reference_test.go keeps that sort as the oracle).
 package trace
 
 import (
@@ -43,12 +43,13 @@ type BlockInfo struct {
 	Node          uint16
 }
 
-// Reader provides bounded-memory access to an encoded trace. Obtain
-// one with NewReader, OpenReader, or Writer.Reader. A Reader is not
-// safe for concurrent use.
+// Reader provides bounded-memory access to a trace's blocks: an
+// encoded trace (NewReader, OpenReader, Writer.Reader) or a collected
+// one (Trace.Reader). A Reader is not safe for concurrent use.
 type Reader struct {
 	r      io.ReaderAt
 	closer io.Closer
+	blocks []Block // the collected blocks, when r is nil
 	header Header
 	index  []BlockInfo
 	events int64
@@ -157,9 +158,19 @@ func (r *Reader) EventCount() int64 { return r.events }
 // NumBlocks returns the number of blocks in the trace.
 func (r *Reader) NumBlocks() int { return len(r.index) }
 
+// Size returns the trace's encoded size in bytes: the length of its
+// .trc file, or what Trace.WriteTo writes.
+func (r *Reader) Size() int64 {
+	return headerSize + int64(len(r.index))*blockHeaderSize + r.events*EventSize
+}
+
 // loadBlock reads and decodes block i, reusing raw and events as
-// backing storage when they are large enough.
+// backing storage when they are large enough. A collected trace's
+// block comes back as it is.
 func (r *Reader) loadBlock(i int, raw []byte, events []Event) ([]byte, []Event, error) {
+	if r.r == nil {
+		return raw, r.blocks[i].Events, nil
+	}
 	info := &r.index[i]
 	need := int(info.Count) * EventSize
 	if cap(raw) < need {
@@ -184,8 +195,8 @@ func (r *Reader) loadBlock(i int, raw []byte, events []Event) ([]byte, []Event, 
 }
 
 // Blocks calls fn with each block in file (arrival) order, decoding
-// one block at a time. The Block's Events slice is reused between
-// calls; fn must not retain it.
+// one block at a time. The Block's Events slice may be reused between
+// calls or be the trace's own; fn must neither retain nor modify it.
 func (r *Reader) Blocks(fn func(Block) error) error {
 	var raw []byte
 	var buf []Event
@@ -495,12 +506,16 @@ func (r *Reader) stream(fn func(*Event) error, corrected bool) error {
 // AllEvents materializes the postprocessed stream into one slice,
 // allocating the event slice but never more than one decoded block per
 // node.
-func (r *Reader) AllEvents() ([]Event, error) {
+func (r *Reader) AllEvents() ([]Event, error) { return r.collect(true) }
+
+// collect materializes the merged stream, corrected or raw, growing
+// the slice once.
+func (r *Reader) collect(corrected bool) ([]Event, error) {
 	out := make([]Event, 0, r.events)
-	err := r.Events(func(ev *Event) error {
+	err := r.stream(func(ev *Event) error {
 		out = append(out, *ev)
 		return nil
-	})
+	}, corrected)
 	if err != nil {
 		return nil, err
 	}

@@ -130,13 +130,8 @@ func streamAll(t *testing.T, rd *Reader, raw bool) []Event {
 
 func assertSameStream(t *testing.T, got, want []Event, label string) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d events, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: event %d differs:\ngot  %+v\nwant %+v", label, i, got[i], want[i])
-		}
+	if err := sameEvents(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -144,7 +139,8 @@ func assertSameStream(t *testing.T, got, want []Event, label string) {
 // -- the in-memory trace through Postprocess and PostprocessRaw, and
 // its .trc encoding through a Reader's Events, RawEvents and AllEvents
 // -- and compares every stream with the reference sort. It also checks
-// that postprocessing left the trace's blocks exactly as collected.
+// that postprocessing left the trace's blocks exactly as collected,
+// and that the trace's own Reader reads like the .trc one.
 func assertMergeMatchesReference(t *testing.T, tr *Trace, label string) {
 	t.Helper()
 	before := cloneBlocks(tr.Blocks)
@@ -152,6 +148,9 @@ func assertMergeMatchesReference(t *testing.T, tr *Trace, label string) {
 	assertSameStream(t, Postprocess(tr), want, label+": Postprocess")
 	assertSameStream(t, PostprocessRaw(tr), wantRaw, label+": PostprocessRaw")
 	assertSameBlocks(t, tr.Blocks, before, label)
+	if err := CompareTraceReader(tr); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 
 	data := encodeTrace(t, tr)
 	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
@@ -167,6 +166,119 @@ func assertMergeMatchesReference(t *testing.T, tr *Trace, label string) {
 	assertSameStream(t, all, want, label+": Reader.AllEvents")
 }
 
+// CompareTraceReader checks tr.Reader() against a Reader over tr's
+// .trc encoding: the same header, event and block counts, encoded
+// size, Blocks sequence, and Events and RawEvents streams. The
+// in-memory Reader must hand out the trace's own event slices, and
+// leave every block as it was. It is exported to the external test
+// package, which runs it on whole studies.
+func CompareTraceReader(tr *Trace) error {
+	before := cloneBlocks(tr.Blocks)
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		return err
+	}
+	file, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		return err
+	}
+	mem := tr.Reader()
+	if mem.Header() != file.Header() || mem.EventCount() != file.EventCount() ||
+		mem.NumBlocks() != file.NumBlocks() || mem.Size() != file.Size() || file.Size() != int64(buf.Len()) {
+		return fmt.Errorf("trace Reader indexes %+v, %d events, %d blocks, %d bytes; .trc Reader %+v, %d, %d, %d (encoding is %d bytes)",
+			mem.Header(), mem.EventCount(), mem.NumBlocks(), mem.Size(),
+			file.Header(), file.EventCount(), file.NumBlocks(), file.Size(), buf.Len())
+	}
+
+	var memBlocks, fileBlocks []Block
+	i := 0
+	err = mem.Blocks(func(b Block) error {
+		if len(b.Events) > 0 && &b.Events[0] != &tr.Blocks[i].Events[0] {
+			return fmt.Errorf("trace Reader copied block %d", i)
+		}
+		i++
+		memBlocks = append(memBlocks, b)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	err = file.Blocks(func(b Block) error {
+		b.Events = append([]Event(nil), b.Events...)
+		fileBlocks = append(fileBlocks, b)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if err := sameBlocks(memBlocks, fileBlocks); err != nil {
+		return fmt.Errorf("Blocks: %w", err)
+	}
+
+	gather := func(stream func(func(*Event) error) error) ([]Event, error) {
+		var out []Event
+		err := stream(func(ev *Event) error {
+			out = append(out, *ev)
+			return nil
+		})
+		return out, err
+	}
+	streams := []struct {
+		name      string
+		mem, file func(func(*Event) error) error
+	}{
+		{"Events", mem.Events, file.Events},
+		{"RawEvents", mem.RawEvents, file.RawEvents},
+	}
+	for _, s := range streams {
+		got, err := gather(s.mem)
+		if err != nil {
+			return err
+		}
+		want, err := gather(s.file)
+		if err != nil {
+			return err
+		}
+		if err := sameEvents(got, want); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+	}
+	if err := sameBlocks(tr.Blocks, before); err != nil {
+		return fmt.Errorf("trace Reader changed the trace: %w", err)
+	}
+	return nil
+}
+
+// sameBlocks reports the first difference between two block lists.
+func sameBlocks(got, want []Block) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d blocks, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Node != w.Node || g.SendLocal != w.SendLocal || g.RecvCollector != w.RecvCollector {
+			return fmt.Errorf("block %d header %+v, want %+v", i, g, w)
+		}
+		if err := sameEvents(g.Events, w.Events); err != nil {
+			return fmt.Errorf("block %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// sameEvents reports the first difference between two event lists.
+func sameEvents(got, want []Event) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("event %d is %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
 func cloneBlocks(blocks []Block) []Block {
 	out := make([]Block, len(blocks))
 	for i, b := range blocks {
@@ -178,15 +290,8 @@ func cloneBlocks(blocks []Block) []Block {
 
 func assertSameBlocks(t *testing.T, got, want []Block, label string) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d blocks, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.Node != w.Node || g.SendLocal != w.SendLocal || g.RecvCollector != w.RecvCollector {
-			t.Fatalf("%s: block %d header changed: %+v", label, i, g)
-		}
-		assertSameStream(t, g.Events, w.Events, fmt.Sprintf("%s: block %d", label, i))
+	if err := sameBlocks(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -312,24 +417,6 @@ func TestMergeRandomizedDifferential(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		assertMergeMatchesReference(t, randomTrace(r), fmt.Sprintf("trace %d", i))
 	}
-}
-
-// TestAppendPostprocessed: the append form keeps dst's prefix, reuses
-// its capacity, and appends exactly Postprocess's stream.
-func TestAppendPostprocessed(t *testing.T) {
-	tr := driftTrace()
-	want := Postprocess(tr)
-	prefix := Event{Type: EvJobStart, Job: 99}
-	dst := make([]Event, 1, 64)
-	dst[0] = prefix
-	got := AppendPostprocessed(dst, tr)
-	if &got[0] != &dst[0] {
-		t.Fatal("AppendPostprocessed reallocated a slice with room to spare")
-	}
-	if got[0] != prefix {
-		t.Fatalf("prefix overwritten: %+v", got[0])
-	}
-	assertSameStream(t, got[1:], want, "appended")
 }
 
 func TestReaderEmptyTrace(t *testing.T) {

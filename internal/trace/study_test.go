@@ -14,8 +14,9 @@ import (
 // mixes -- the calibrated NAS mix, read-mostly and checkpoint-heavy --
 // and compares both merge block sources with the reference sort on
 // each collected trace: Postprocess and PostprocessRaw over the
-// in-memory blocks, and a Reader over their .trc encoding. The
-// collected blocks must come out of it untouched.
+// in-memory blocks, and a Reader over their .trc encoding, which the
+// trace's own Reader must match. The collected blocks must come out
+// of it untouched.
 func TestStudyMergeMatchesReference(t *testing.T) {
 	mixes := []*core.Config{{}} // the NAS mix
 	for _, name := range []string{"read-mostly", "checkpoint-heavy"} {
@@ -56,6 +57,9 @@ func TestStudyMergeMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			same(t, all, want, label+": Reader")
+			if err := trace.CompareTraceReader(res.Trace); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 
 			// Postprocessing left every block exactly as collected.
 			for i, b := range collected {
