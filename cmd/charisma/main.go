@@ -361,17 +361,29 @@ func runList(stdout io.Writer) error {
 func runStudy(ctx context.Context, stdout, stderr io.Writer, cfg appConfig, faultsCfg *faults.Config) error {
 	studyCfg := core.DefaultConfig(cfg.seed, cfg.scale)
 	studyCfg.Faults = faultsCfg
-	resCh := make(chan *core.Result, 1)
-	go func() { resCh <- core.RunStudy(studyCfg) }()
 	var res *core.Result
-	select {
-	case res = <-resCh:
-	case <-ctx.Done():
-		return fmt.Errorf("interrupted: %w", ctx.Err())
+	study := func() error {
+		resCh := make(chan *core.Result, 1)
+		go func() { resCh <- core.RunStudy(studyCfg) }()
+		select {
+		case res = <-resCh:
+			return nil
+		case <-ctx.Done():
+			return fmt.Errorf("interrupted: %w", ctx.Err())
+		}
 	}
-
-	if cfg.traceOut != "" {
+	if cfg.traceOut == "" {
+		if err := study(); err != nil {
+			return err
+		}
+	} else {
+		// The study runs inside WriteFile, so a path that cannot be
+		// created fails before any simulating, and an interrupted
+		// study's empty file is removed with the partial-trace rule.
 		err := trace.WriteFile(cfg.traceOut, func(f *os.File) error {
+			if err := study(); err != nil {
+				return err
+			}
 			_, err := res.Trace.WriteTo(f)
 			return err
 		})

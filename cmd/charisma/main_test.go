@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -117,6 +119,28 @@ func TestFig8And9(t *testing.T) {
 	code, _, stderr = app("-fig", "12", "-scale", "0.01")
 	if code == 0 || !strings.Contains(stderr, "no such figure") {
 		t.Fatalf("-fig 12: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestTraceOutFailsBeforeStudy: -trace creates its output before the
+// study runs, so an uncreatable path is reported as such even when the
+// study never gets to run (an already-cancelled context), and an
+// interrupted study leaves no trace file behind.
+func TestTraceOutFailsBeforeStudy(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := appConfig{scale: 0.01, seed: 1, traceOut: filepath.Join(dir, "no", "such", "t.trc")}
+	err := run(ctx, cfg, io.Discard, io.Discard)
+	if !errors.Is(err, fs.ErrNotExist) || strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("uncreatable -trace under a cancelled study: err = %v, want the path error", err)
+	}
+	cfg.traceOut = filepath.Join(dir, "t.trc")
+	if err := run(ctx, cfg, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("cancelled study with -trace: err = %v, want interrupted", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("interrupted -trace study left %d entries behind", len(entries))
 	}
 }
 

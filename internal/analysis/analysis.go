@@ -100,15 +100,6 @@ func Analyze(header trace.Header, events []trace.Event, horizon sim.Time) *Repor
 	return o.Finish(horizon)
 }
 
-func fileFor(s *Scratch, files map[uint64]*fileAcc, id uint64) *fileAcc {
-	f := files[id]
-	if f == nil {
-		f = s.getAcc(id)
-		files[id] = f
-	}
-	return f
-}
-
 func newClassCDFs(s *Scratch) map[FileClass]*stats.CDF {
 	m := make(map[FileClass]*stats.CDF, numClasses)
 	for c := Untouched; c < numClasses; c++ {

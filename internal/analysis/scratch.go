@@ -1,40 +1,21 @@
 package analysis
 
-import (
-	"repro/internal/sim"
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
-// Scratch pools the analyzer's working state across studies: the
-// per-file accumulators with their maps and request streams, the job
-// bookkeeping maps, the concurrency edge list, and -- via
-// ReclaimReport -- the CDFs and histograms a discarded Report carried.
-// A worker that analyzes many traces back to back (see core.Arena)
-// allocates this state once and clears it between studies.
+// Scratch pools the analyzer's working state across studies: one
+// dense state (see Online), emptied when the next analyzer takes it,
+// and -- via ReclaimReport -- the CDFs and histograms a discarded
+// Report carried. A worker that analyzes many traces back to back (see
+// core.Arena) allocates this state once and reuses it.
 //
-// All methods accept a nil receiver and then fall back to fresh
+// Its pool methods accept a nil receiver and then fall back to fresh
 // allocation, so the scratch-threaded code paths serve the one-shot
 // Analyze entry point unchanged. A Scratch is not safe for concurrent
 // use; give each worker its own. The zero value is ready to use.
 type Scratch struct {
-	files    map[uint64]*fileAcc
-	accFree  []*fileAcc
-	strFree  []*nodeStream
-	jobStart map[uint32]sim.Time
-	jobNodes map[uint32]int
-	jobFiles map[uint32]map[uint64]struct{}
-	setFree  []map[uint64]struct{}
-	edges    []edge
-	ids      []uint64
-
+	st       state
 	cdfFree  []*stats.CDF
 	histFree []*stats.Hist
-
-	// Per-file statistic temporaries (distinctIntervals, sharing).
-	seenIntervals map[int64]struct{}
-	shareEdges    []posEdge
-	blockEdges    []posEdge
-	mergeBuf      []span
 }
 
 // cdf returns an empty CDF, pooled when possible.
@@ -61,115 +42,6 @@ func (s *Scratch) hist() *stats.Hist {
 		}
 	}
 	return &stats.Hist{}
-}
-
-// fileMap returns the (cleared) file-accumulator map.
-func (s *Scratch) fileMap() map[uint64]*fileAcc {
-	if s == nil {
-		return make(map[uint64]*fileAcc)
-	}
-	if s.files == nil {
-		s.files = make(map[uint64]*fileAcc)
-	}
-	return s.files
-}
-
-// getAcc returns a zeroed accumulator for file id.
-func (s *Scratch) getAcc(id uint64) *fileAcc {
-	if s != nil {
-		if n := len(s.accFree); n > 0 {
-			f := s.accFree[n-1]
-			s.accFree[n-1] = nil
-			s.accFree = s.accFree[:n-1]
-			f.id = id
-			return f
-		}
-	}
-	return newFileAcc(id)
-}
-
-// putAcc clears an accumulator (returning its streams too) and pools it.
-func (s *Scratch) putAcc(f *fileAcc) {
-	for node, st := range f.streams {
-		s.putStream(st)
-		delete(f.streams, node)
-	}
-	clear(f.reqSizes)
-	clear(f.openHandles)
-	clear(f.createdByJobs)
-	*f = fileAcc{
-		streams:       f.streams,
-		reqSizes:      f.reqSizes,
-		openHandles:   f.openHandles,
-		createdByJobs: f.createdByJobs,
-	}
-	s.accFree = append(s.accFree, f)
-}
-
-// getStream returns a zeroed per-node request stream.
-func (s *Scratch) getStream() *nodeStream {
-	if s != nil {
-		if n := len(s.strFree); n > 0 {
-			st := s.strFree[n-1]
-			s.strFree[n-1] = nil
-			s.strFree = s.strFree[:n-1]
-			return st
-		}
-	}
-	return &nodeStream{}
-}
-
-// putStream clears a stream and pools it.
-func (s *Scratch) putStream(st *nodeStream) {
-	clear(st.intervals)
-	*st = nodeStream{intervals: st.intervals, ranges: st.ranges[:0]}
-	s.strFree = append(s.strFree, st)
-}
-
-// fileSet returns an empty file-ID set for per-job tracking.
-func (s *Scratch) fileSet() map[uint64]struct{} {
-	if s != nil {
-		if n := len(s.setFree); n > 0 {
-			m := s.setFree[n-1]
-			s.setFree[n-1] = nil
-			s.setFree = s.setFree[:n-1]
-			return m
-		}
-	}
-	return make(map[uint64]struct{})
-}
-
-// seenMap returns the cleared interval-dedup map.
-func (s *Scratch) seenMap() map[int64]struct{} {
-	if s == nil {
-		return make(map[int64]struct{})
-	}
-	if s.seenIntervals == nil {
-		s.seenIntervals = make(map[int64]struct{})
-	}
-	clear(s.seenIntervals)
-	return s.seenIntervals
-}
-
-// release returns the analyzer's per-study working state to the pools
-// once a Report has been fully computed. Safe on nil.
-func (s *Scratch) release() {
-	if s == nil {
-		return
-	}
-	for id, f := range s.files {
-		s.putAcc(f)
-		delete(s.files, id)
-	}
-	clear(s.jobStart)
-	clear(s.jobNodes)
-	for job, set := range s.jobFiles {
-		clear(set)
-		s.setFree = append(s.setFree, set)
-		delete(s.jobFiles, job)
-	}
-	s.edges = s.edges[:0]
-	s.ids = s.ids[:0]
 }
 
 // ReclaimReport returns a no-longer-needed Report's statistics objects

@@ -10,14 +10,14 @@ import (
 	"repro/internal/trace"
 )
 
-// randomSharedFile feeds one file's accumulator random requests from 1-8
+// randomSharedFile returns random requests against file 1 from 1-8
 // nodes: plain and strided reads and writes, zero and negative sizes,
 // ranges inside one block, ranges that overlap or start where an earlier
 // one ended, negative offsets, and requests that run past MaxInt64 and
 // saturate there. Offsets stay inside two windows a few thousand bytes
 // wide, so the per-block reference stays cheap.
-func randomSharedFile(rng *rand.Rand, bb int64) *fileAcc {
-	f := newFileAcc(1)
+func randomSharedFile(rng *rand.Rand, bb int64) []trace.Event {
+	var events []trace.Event
 	nodes := 1 + rng.IntN(8)
 	windows := []int64{-100, math.MaxInt64 - 3000}
 	ends := []int64{0}
@@ -49,7 +49,7 @@ func randomSharedFile(rng *rand.Rand, bb int64) *fileAcc {
 		} else if size > 0 {
 			ends = append(ends, end)
 		}
-		ev := trace.Event{Type: trace.EvRead, Node: node, Offset: off, Size: size}
+		ev := trace.Event{Type: trace.EvRead, Node: node, File: 1, Offset: off, Size: size}
 		if rng.IntN(2) == 0 {
 			ev.Type = trace.EvWrite
 		}
@@ -59,28 +59,32 @@ func randomSharedFile(rng *rand.Rand, bb int64) *fileAcc {
 			ev.Stride = rng.Int64N(140) - 20
 			ev.Count = uint32(rng.IntN(7))
 		}
-		f.observe(&ev, nil)
+		events = append(events, ev)
 	}
-	return f
+	return events
 }
 
+// TestSharingMatchesReference checks Figure 7's sharing of 20,000
+// random files against the per-block reference, each file analyzed on
+// a state pooled across the files and with fresh edge buffers.
 func TestSharingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 7))
 	pooled := &Scratch{}
 	shared := 0
 	for i := 0; i < 20000; i++ {
 		bb := 1 + rng.Int64N(64)
-		f := randomSharedFile(rng, bb)
-		wantByte, wantBlock, wantOK := referenceSharing(f, bb)
-		if wantOK && wantBlock > 0 {
+		h := trace.Header{BlockBytes: uint32(bb)}
+		events := randomSharedFile(rng, bb)
+		o, ref := OnlineInto(pooled, h), newRefOnline(h)
+		for j := range events {
+			o.Observe(&events[j])
+			ref.Observe(&events[j])
+		}
+		if _, wantBlock, wantOK := referenceSharing(ref.files[1], bb); wantOK && wantBlock > 0 {
 			shared++
 		}
-		for _, s := range []*Scratch{nil, pooled} {
-			byteGot, blockGot, ok := f.sharing(bb, s)
-			if byteGot != wantByte || blockGot != wantBlock || ok != wantOK {
-				t.Fatalf("file %d (block %d B, pooled %v): sharing = %v, %v, %v; reference %v, %v, %v",
-					i, bb, s != nil, byteGot, blockGot, ok, wantByte, wantBlock, wantOK)
-			}
+		if err := compareSharing(o, &o.st.files[0], ref.files[1]); err != nil {
+			t.Fatalf("random file %d (block %d B): %v", i, bb, err)
 		}
 	}
 	if shared < 5000 {
@@ -127,11 +131,11 @@ func TestSharingHugeRequests(t *testing.T) {
 func TestOpenNodesRunningCount(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 9))
 	for i := 0; i < 2000; i++ {
-		f := newFileAcc(1)
+		o := NewOnline(header())
 		handles := map[uint16]int{}
 		want := 0
 		for j, n := 0, rng.IntN(40); j < n; j++ {
-			ev := trace.Event{Type: trace.EvOpen, Node: uint16(rng.IntN(5))}
+			ev := trace.Event{Type: trace.EvOpen, Node: uint16(rng.IntN(5)), File: 1}
 			if rng.IntN(2) == 0 {
 				ev.Type = trace.EvClose
 				handles[ev.Node]--
@@ -145,10 +149,14 @@ func TestOpenNodesRunningCount(t *testing.T) {
 				}
 				want = max(want, open)
 			}
-			f.observe(&ev, nil)
+			o.Observe(&ev)
 		}
-		if f.maxOpenNodes != want {
-			t.Fatalf("sequence %d: maxOpenNodes = %d, want %d", i, f.maxOpenNodes, want)
+		got := 0
+		if len(o.st.files) > 0 {
+			got = o.st.files[0].maxOpenNodes
+		}
+		if got != want {
+			t.Fatalf("sequence %d: maxOpenNodes = %d, want %d", i, got, want)
 		}
 	}
 }

@@ -8,8 +8,8 @@
 //     slice (trace.Arena), and the merged event stream a study keeps,
 //   - the CFS block tables, file structs, handles and open groups
 //     (cfs.Arena),
-//   - the analyzer's file accumulators, job maps, and -- once a report
-//     is recycled -- its CDFs and histograms (analysis.Scratch).
+//   - the analyzer's dense working state and -- once a report is
+//     recycled -- its CDFs and histograms (analysis.Scratch).
 //
 // Reuse never changes behavior: pooled storage is length-zeroed and
 // fully rewritten, so a study run on a warm arena is byte-identical

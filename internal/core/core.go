@@ -216,31 +216,34 @@ const analyzeBatch = 4096
 // analyze is the one merge pass: it runs rd's drift-corrected k-way
 // merge once and feeds the stream to an online analyzer in batches,
 // drawing the analyzer's working state from scratch (nil allocates it
-// fresh). With a non-nil keep, the stream is also collected into
-// *keep, reusing its capacity and growing it at most once, and each
-// batch is a window of it. horizon 0 means the last event's time. The
-// only error is a .trc read or decode failure, so it is always nil
-// for a Reader over collected blocks.
-func analyze(rd *trace.Reader, horizon sim.Time, scratch *analysis.Scratch, keep *[]trace.Event) (*analysis.Report, error) {
+// fresh). The batches live in *buf's storage (a nil buf allocates
+// it), which is handed back in *buf: with keep, the whole stream is
+// collected there, growing it at most once, and each batch is a
+// window of it; without, it is one reused batch. horizon 0 means the
+// last event's time. The only error is a .trc read or decode failure,
+// so it is always nil for a Reader over collected blocks.
+func analyze(rd *trace.Reader, horizon sim.Time, scratch *analysis.Scratch, buf *[]trace.Event, keep bool) (*analysis.Report, error) {
 	o := analysis.OnlineInto(scratch, rd.Header())
-	var buf []trace.Event
-	if keep != nil {
-		buf = slices.Grow((*keep)[:0], int(rd.EventCount()))
-	} else {
-		buf = make([]trace.Event, 0, analyzeBatch)
+	if buf == nil {
+		buf = new([]trace.Event)
 	}
-	next := 0 // first event of buf the analyzer has not seen
+	n := analyzeBatch
+	if keep {
+		n = int(rd.EventCount())
+	}
+	evs := slices.Grow((*buf)[:0], n)
+	next := 0 // first event of evs the analyzer has not seen
 	observe := func() {
-		for i := next; i < len(buf); i++ {
-			o.Observe(&buf[i])
+		for i := next; i < len(evs); i++ {
+			o.Observe(&evs[i])
 		}
-		if keep == nil {
-			buf = buf[:0]
+		if !keep {
+			evs = evs[:0]
 		}
-		next = len(buf)
+		next = len(evs)
 	}
 	err := rd.Events(func(ev *trace.Event) error {
-		if buf = append(buf, *ev); len(buf)-next == analyzeBatch {
+		if evs = append(evs, *ev); len(evs)-next == analyzeBatch {
 			observe()
 		}
 		return nil
@@ -249,9 +252,7 @@ func analyze(rd *trace.Reader, horizon sim.Time, scratch *analysis.Scratch, keep
 		return nil, err
 	}
 	observe()
-	if keep != nil {
-		*keep = buf
-	}
+	*buf = evs
 	return o.Finish(horizon), nil
 }
 
@@ -265,7 +266,7 @@ func runStudy(cfg Config, a *Arena) *Result {
 	if a != nil {
 		keep, scratch = &a.events, &a.scratch
 	}
-	report, _ := analyze(rd, horizon, scratch, keep) // collected blocks: cannot fail
+	report, _ := analyze(rd, horizon, scratch, keep, true) // collected blocks: cannot fail
 	report.Degradation = m.FaultReport()
 	return &Result{
 		Header:        tr.Header,

@@ -114,11 +114,7 @@ func replayStudy(path string, plan *scenario.ResolvedCache) (StudyOutcome, error
 	}
 	defer rd.Close()
 	var events []trace.Event
-	var keep *[]trace.Event
-	if plan != nil {
-		keep = &events
-	}
-	report, err := analyze(rd, 0, nil, keep)
+	report, err := analyze(rd, 0, nil, &events, plan != nil)
 	if err != nil {
 		return StudyOutcome{}, err
 	}

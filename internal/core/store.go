@@ -410,26 +410,32 @@ func ensureManifest(store StoreConfig, labels, fps []string) error {
 	if err := os.MkdirAll(store.Dir, 0o755); err != nil {
 		return fmt.Errorf("core: store: %w", err)
 	}
+	if err := checkManifest(store.Dir, fps); !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
 	want := storeManifest{StoreVersion: storeVersion, NumSpecs: len(fps), Labels: labels, Fingerprints: fps}
 	data, err := json.MarshalIndent(&want, "", "  ")
 	if err != nil {
 		return fmt.Errorf("core: store: encoding manifest: %w", err)
 	}
-	data = append(data, '\n')
-	existing, err := os.ReadFile(manifestPath(store.Dir))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return writeFileAtomic(manifestPath(store.Dir), data)
-	case err != nil:
+	return writeFileAtomic(manifestPath(store.Dir), append(data, '\n'))
+}
+
+// checkManifest verifies that dir's manifest pins the fingerprints
+// fps. A directory with no manifest yet gives an error wrapping
+// os.ErrNotExist.
+func checkManifest(dir string, fps []string) error {
+	existing, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
 		return fmt.Errorf("core: store: reading manifest: %w", err)
 	}
 	var got storeManifest
 	if err := json.Unmarshal(existing, &got); err != nil {
-		return fmt.Errorf("core: store: corrupt manifest in %s: %w", store.Dir, err)
+		return fmt.Errorf("core: store: corrupt manifest in %s: %w", dir, err)
 	}
-	if got.StoreVersion != want.StoreVersion || got.NumSpecs != want.NumSpecs ||
-		!equalStrings(got.Fingerprints, want.Fingerprints) {
-		return fmt.Errorf("core: store: %s holds a different run (manifest fingerprints differ); use a fresh directory", store.Dir)
+	if got.StoreVersion != storeVersion || got.NumSpecs != len(fps) ||
+		!equalStrings(got.Fingerprints, fps) {
+		return fmt.Errorf("core: store: %s holds a different run (manifest fingerprints differ); use a fresh directory", dir)
 	}
 	return nil
 }
@@ -760,11 +766,15 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 // spec's outcome exists (or ctx is cancelled). Combine the outcome
 // files with MergeSweepStore.
 func RunSweepStore(ctx context.Context, cfg SweepConfig, store StoreConfig) (*StoreRun, error) {
-	store, err := store.normalized()
+	store, labels, fps, err := sweepKeys(cfg, store)
 	if err != nil {
 		return nil, err
 	}
-	labels, fps := specKeys(store.Salt, cfg.Specs)
+	return runSweepStore(ctx, cfg, store, labels, fps)
+}
+
+// runSweepStore is RunSweepStore on fingerprinted specs.
+func runSweepStore(ctx context.Context, cfg SweepConfig, store StoreConfig, labels, fps []string) (*StoreRun, error) {
 	arenas := make([]*Arena, workerCount(cfg.Workers, len(cfg.Specs)))
 	return runStore(ctx, cfg.Workers, store, labels, fps, specCosts(cfg.Specs),
 		func(w, i int) (StudyOutcome, error) {
@@ -773,6 +783,24 @@ func RunSweepStore(ctx context.Context, cfg SweepConfig, store StoreConfig) (*St
 			}
 			return runSpec(arenas[w], cfg.Cache, cfg.Specs[i]), nil
 		})
+}
+
+// sweepKeys normalizes the store config and fingerprints a sweep's
+// specs. A cache plan shapes each stored outcome's cache text but is
+// not part of any StudySpec, so a non-nil plan is folded into the
+// salt, as scenarioStoreKeys does: rerunning or merging a directory
+// under another plan then fails the manifest check instead of reusing
+// the old plan's text. A nil plan keeps the plain keys.
+func sweepKeys(cfg SweepConfig, store StoreConfig) (StoreConfig, []string, []string, error) {
+	store, err := store.normalized()
+	if err != nil {
+		return store, nil, nil, err
+	}
+	if cfg.Cache != nil {
+		store.Salt = cachePlanSalt(store.Salt, cfg.Cache)
+	}
+	labels, fps := specKeys(store.Salt, cfg.Specs)
+	return store, labels, fps, nil
 }
 
 // specKeys fingerprints a spec list.
@@ -818,16 +846,19 @@ type SweepMerge struct {
 // anything, so it is safe to call concurrently with running workers:
 // a spec is either committed (its file parses) or missing.
 func MergeSweepStore(cfg SweepConfig, store StoreConfig) (*SweepMerge, error) {
-	store, err := store.normalized()
+	store, _, fps, err := sweepKeys(cfg, store)
 	if err != nil {
 		return nil, err
 	}
-	_, fps := specKeys(store.Salt, cfg.Specs)
 	return mergeStore(store, cfg.Specs, fps)
 }
 
-// mergeStore loads outcomes for an already-fingerprinted spec list.
+// mergeStore loads outcomes for an already-fingerprinted spec list,
+// once the directory's manifest, if it has one yet, pins that list.
 func mergeStore(store StoreConfig, specs []StudySpec, fps []string) (*SweepMerge, error) {
+	if err := checkManifest(store.Dir, fps); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
 	m := &SweepMerge{Result: &SweepResult{Outcomes: make([]StudyOutcome, len(specs))}}
 	for i := range specs {
 		m.Result.Outcomes[i].Spec = specs[i]
@@ -895,7 +926,9 @@ func RunScenarioStore(ctx context.Context, spec *scenario.Spec, store StoreConfi
 				return out, nil
 			})
 	} else {
-		run, err = RunSweepStore(ctx, SweepConfig{Specs: keys.specs, Workers: spec.Workers, Cache: plan}, store)
+		// The store's salt already carries the plan.
+		cfg := SweepConfig{Specs: keys.specs, Workers: spec.Workers, Cache: plan}
+		run, err = runSweepStore(ctx, cfg, store, keys.labels, keys.fps)
 	}
 	if err != nil {
 		return &ScenarioStoreRun{Run: run}, err

@@ -606,6 +606,35 @@ func TestScenarioStoreCachePlanPinned(t *testing.T) {
 	}
 }
 
+// TestSweepStoreCachePlanPinned is TestScenarioStoreCachePlanPinned
+// for a library sweep: its cache plan is folded into the fingerprints
+// too, so rerunning or merging the directory under another plan fails
+// the manifest check instead of skipping the committed spec and
+// merging the old plan's cache text.
+func TestSweepStoreCachePlanPinned(t *testing.T) {
+	fig8 := func(buffers int) SweepConfig {
+		return SweepConfig{Specs: sweepSpecs(1), Workers: 1, Cache: &scenario.ResolvedCache{Fig8Buffers: []int{buffers}}}
+	}
+	dir := t.TempDir()
+	if _, err := RunSweepStore(context.Background(), fig8(1), StoreConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	const mismatch = "manifest fingerprints differ"
+	if _, err := RunSweepStore(context.Background(), fig8(50), StoreConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), mismatch) {
+		t.Fatalf("rerun under another cache plan: err = %v, want a manifest mismatch", err)
+	}
+	if _, err := MergeSweepStore(fig8(50), StoreConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), mismatch) {
+		t.Fatalf("merge under another cache plan: err = %v, want a manifest mismatch", err)
+	}
+	merge, err := MergeSweepStore(fig8(1), StoreConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := merge.Result.Outcomes[0].CacheText; len(merge.Missing) != 0 || !strings.Contains(text, "1 buffer") {
+		t.Fatalf("merge under the run's own plan: missing %v, cache text %q", merge.Missing, text)
+	}
+}
+
 // TestReplayStoreTraceRegenerationPinned: replay fingerprints cover
 // the trace file's size and mtime, so regenerating a trace in place
 // invalidates the stored run (a manifest mismatch) rather than

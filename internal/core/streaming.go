@@ -62,7 +62,7 @@ func RunStudyStreaming(cfg Config, sink StreamSink) (*StreamResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	report, err := analyze(rd, horizon, nil, nil)
+	report, err := analyze(rd, horizon, nil, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: replaying spilled trace: %w", err)
 	}

@@ -114,15 +114,12 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 }
 
 // runSpec runs one study on the worker's arena, keeping the merged
-// stream only for the cache plan, and returns the arena's storage
+// stream only for the cache plan (the arena's event storage holds the
+// analyzer's batches either way), and returns the arena's storage
 // once the outcome holds the study's text and counters.
 func runSpec(a *Arena, plan *scenario.ResolvedCache, spec StudySpec) StudyOutcome {
-	m, horizon, tr, rd, _ := simulate(spec.Config, a, nil) // no sink: cannot fail
-	var keep *[]trace.Event
-	if plan != nil {
-		keep = &a.events
-	}
-	report, _ := analyze(rd, horizon, &a.scratch, keep) // collected blocks: cannot fail
+	m, horizon, tr, rd, _ := simulate(spec.Config, a, nil)                // no sink: cannot fail
+	report, _ := analyze(rd, horizon, &a.scratch, &a.events, plan != nil) // collected blocks: cannot fail
 	a.mach.Trace.ReclaimTrace(tr)
 	report.Degradation = m.FaultReport()
 	out := StudyOutcome{

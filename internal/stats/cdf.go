@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -14,34 +15,52 @@ type wsample struct {
 	n int64
 }
 
+// minCompact is the entry count below which a CDF never compacts.
+const minCompact = 64
+
 // CDF is an empirical cumulative distribution function over float64
-// samples. Samples are stored as weighted (value, count) pairs, so
-// adding a value with large multiplicity (AddN) is O(1) rather than
-// O(n); on the first query after a mutation the pairs are sorted by
-// value, coalesced, and prefix-summed. The zero value is ready to use.
+// samples. Samples are kept as weighted (value, count) entries that
+// coalesce as they arrive: a repeat of the last value adds to its
+// count, and once the entries double since the last compaction they
+// are sorted by value and equal values merged, in place. So a CDF's
+// memory follows the distinct values it has seen, not its samples,
+// AddN costs amortized O(log distinct), and every answer for finite
+// samples is the one sorting every sample would give. At the first
+// query after a mutation the entries are compacted and prefix-summed.
+//
+// NaN sorts below every number, as cmp.Compare orders it, and equals
+// no sample, NaN included: each Add or AddN of NaN keeps an entry of
+// its own. So At counts NaN samples at or below every x, Min is NaN
+// once any sample is, Quantile answers NaN at every rank a NaN holds,
+// and Steps begins with one point per NaN entry, in no set order.
+// The zero value is ready to use.
 type CDF struct {
 	entries []wsample
 	cum     []int64 // cum[i] = total count of entries[0..i], valid when sorted
 	total   int64
+	limit   int // compact when the entries reach this count
 	sorted  bool
 }
 
-// Add appends one sample.
-func (c *CDF) Add(v float64) {
-	c.entries = append(c.entries, wsample{v: v, n: 1})
-	c.total++
-	c.sorted = false
-}
+// Add adds one sample.
+func (c *CDF) Add(v float64) { c.AddN(v, 1) }
 
-// AddN appends the sample v with multiplicity n in constant time.
-// Non-positive multiplicities add nothing.
+// AddN adds the sample v with multiplicity n. Non-positive
+// multiplicities add nothing.
 func (c *CDF) AddN(v float64, n int) {
 	if n <= 0 {
 		return
 	}
-	c.entries = append(c.entries, wsample{v: v, n: int64(n)})
 	c.total += int64(n)
 	c.sorted = false
+	if k := len(c.entries); k > 0 && c.entries[k-1].v == v {
+		c.entries[k-1].n += int64(n)
+		return
+	}
+	if len(c.entries) >= c.limit {
+		c.compact()
+	}
+	c.entries = append(c.entries, wsample{v: v, n: int64(n)})
 }
 
 // Len reports the number of samples (counting multiplicity).
@@ -51,32 +70,14 @@ func (c *CDF) Len() int { return int(c.total) }
 // CDF (see analysis.Scratch) accumulates the next study's samples
 // without reallocating.
 func (c *CDF) Reset() {
-	c.entries = c.entries[:0]
-	c.cum = c.cum[:0]
-	c.total = 0
-	c.sorted = false
+	*c = CDF{entries: c.entries[:0], cum: c.cum[:0]}
 }
 
-// sortSamples sorts entries by value, merges duplicates, and rebuilds
-// the cumulative-count table.
-func (c *CDF) sortSamples() {
-	if c.sorted {
-		return
-	}
+// compact sorts the entries by value and merges equal values in
+// place, then lets the entries double before the next compaction.
+func (c *CDF) compact() {
 	es := c.entries
-	slices.SortFunc(es, func(a, b wsample) int {
-		// Built from < and >, not cmp.Compare, which orders NaN below
-		// every value: a NaN sample keeps the position a plain
-		// a.v < b.v sort gives it, so no report changes.
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		}
-		return 0
-	})
-	// Coalesce runs of equal values in place.
+	slices.SortFunc(es, func(a, b wsample) int { return cmp.Compare(a.v, b.v) })
 	out := 0
 	for i := 0; i < len(es); {
 		v, n := es[i].v, es[i].n
@@ -87,6 +88,16 @@ func (c *CDF) sortSamples() {
 		out++
 	}
 	c.entries = es[:out]
+	c.limit = max(2*out, minCompact)
+}
+
+// sortSamples compacts the entries and rebuilds the cumulative-count
+// table.
+func (c *CDF) sortSamples() {
+	if c.sorted {
+		return
+	}
+	c.compact()
 	c.cum = c.cum[:0]
 	var run int64
 	for _, e := range c.entries {

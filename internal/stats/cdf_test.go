@@ -1,7 +1,11 @@
 package stats
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -261,5 +265,249 @@ func TestQuickQuantileMatchesRankScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCDFOnlyNaN pins what a CDF of NaN samples alone answers: every
+// NaN counts at or below every x, every quantile and both extremes are
+// NaN, and Steps has one point per Add. Past a thousand samples the
+// CDF has compacted several times.
+func TestCDFOnlyNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, n := range []int{1, 5, 1000} {
+		var c CDF
+		for i := 0; i < n; i++ {
+			c.Add(nan)
+		}
+		if c.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, c.Len())
+		}
+		for _, x := range []float64{math.Inf(-1), -1, 0, 1e300, math.Inf(1), nan} {
+			if got := c.At(x); got != 1 {
+				t.Errorf("n=%d: At(%v) = %v, want 1", n, x, got)
+			}
+		}
+		for _, q := range []float64{-1, 0, 0.2, 0.5, 1, 2, nan} {
+			if got := c.Quantile(q); !math.IsNaN(got) {
+				t.Errorf("n=%d: Quantile(%v) = %v, want NaN", n, q, got)
+			}
+		}
+		if !math.IsNaN(c.Min()) || !math.IsNaN(c.Max()) || !math.IsNaN(c.Mean()) {
+			t.Errorf("n=%d: Min, Max, Mean = %v, %v, %v; want NaN", n, c.Min(), c.Max(), c.Mean())
+		}
+		steps := c.Steps()
+		if len(steps) != n {
+			t.Fatalf("n=%d: %d steps, want one per sample", n, len(steps))
+		}
+		for i, p := range steps {
+			if !math.IsNaN(p.X) || p.F != float64(i+1)/float64(n) {
+				t.Fatalf("n=%d: step %d = %+v, want {NaN %v}", n, i, p, float64(i+1)/float64(n))
+			}
+		}
+	}
+}
+
+// finitePool draws a value pool for the differential tests: a few
+// to a few thousand distinct finite values, with the infinities, both
+// zeros, fractions and large magnitudes among them.
+func finitePool(rng *rand.Rand) []float64 {
+	pool := make([]float64, 1+rng.IntN([]int{3, 40, 3000}[rng.IntN(3)]))
+	for i := range pool {
+		switch rng.IntN(8) {
+		case 0:
+			pool[i] = float64(rng.IntN(5)) * 512
+		case 1:
+			pool[i] = []float64{math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1)}[rng.IntN(4)]
+		case 2:
+			pool[i] = rng.NormFloat64() * 1e12
+		default:
+			pool[i] = float64(rng.Int64N(1<<20)) - 1000 + rng.Float64()*float64(rng.IntN(2))
+		}
+	}
+	return pool
+}
+
+// feed adds v once, as a run of repeats, or through AddN with a
+// count that may be zero or negative.
+func feed(rng *rand.Rand, v float64, add func(v float64), addN func(v float64, n int)) {
+	switch rng.IntN(6) {
+	case 0:
+		addN(v, rng.IntN(1000)-2)
+	case 1:
+		for k := rng.IntN(50); k > 0; k-- {
+			add(v)
+		}
+	default:
+		add(v)
+	}
+}
+
+// compareCDF checks every answer of c against ref: Len, At, Quantile,
+// Min, Max and Steps exactly, Mean to within 1e-12 of the samples'
+// mean magnitude (the sums now run over coalesced counts).
+func compareCDF(c *CDF, ref *refCDF, pool []float64, rng *rand.Rand) error {
+	if c.Len() != ref.Len() {
+		return fmt.Errorf("Len = %d, reference %d", c.Len(), ref.Len())
+	}
+	probes := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0, -1e300, 1e300}
+	for i := 0; i < 20; i++ {
+		v := pool[rng.IntN(len(pool))]
+		probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+	}
+	for _, x := range probes {
+		if got, want := c.At(x), ref.At(x); got != want {
+			return fmt.Errorf("At(%v) = %v, reference %v", x, got, want)
+		}
+	}
+	qs := []float64{-0.5, 0, 1, 1.5, math.NaN(), 1e-9, 1 - 1e-9}
+	for i := 0; i < 20; i++ {
+		qs = append(qs, rng.Float64())
+	}
+	if n := ref.Len(); n > 0 {
+		for i := 0; i < 10; i++ {
+			qs = append(qs, float64(rng.IntN(n+1))/float64(n))
+		}
+	}
+	for _, q := range qs {
+		got, want := c.Quantile(q), ref.Quantile(q)
+		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			return fmt.Errorf("Quantile(%v) = %v, reference %v", q, got, want)
+		}
+	}
+	if c.Min() != ref.Min() || c.Max() != ref.Max() {
+		return fmt.Errorf("Min, Max = %v, %v; reference %v, %v", c.Min(), c.Max(), ref.Min(), ref.Max())
+	}
+	got, want := c.Steps(), ref.Steps()
+	if len(got) != len(want) {
+		return fmt.Errorf("%d steps, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("step %d = %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	var scale float64
+	for _, e := range ref.entries {
+		scale += math.Abs(e.v) * float64(e.n)
+	}
+	if ref.total > 0 {
+		scale /= float64(ref.total)
+	}
+	if gm, wm := c.Mean(), ref.Mean(); gm != wm && !(math.IsNaN(gm) && math.IsNaN(wm)) &&
+		(math.IsInf(scale, 0) || math.Abs(gm-wm) > 1e-12*scale) {
+		return fmt.Errorf("Mean = %v, reference %v", gm, wm)
+	}
+	return nil
+}
+
+// TestCDFMatchesReference is the differential against the CDF that
+// coalesced only at query time: random finite samples, Add and AddN
+// mixed, repeats and runs, queries between additions and Reset
+// between fills.
+func TestCDFMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 1))
+	var c CDF
+	for i := 0; i < 3000; i++ {
+		var ref refCDF
+		if rng.IntN(4) == 0 {
+			c = CDF{}
+		} else {
+			c.Reset()
+		}
+		pool := finitePool(rng)
+		for j, n := 0, rng.IntN(3000); j < n; j++ {
+			v := pool[rng.IntN(len(pool))]
+			feed(rng, v, func(v float64) { c.Add(v); ref.Add(v) },
+				func(v float64, n int) { c.AddN(v, n); ref.AddN(v, n) })
+			if rng.IntN(500) == 0 {
+				if err := compareCDF(&c, &ref, pool, rng); err != nil {
+					t.Fatalf("CDF %d after %d additions: %v", i, j, err)
+				}
+			}
+		}
+		if err := compareCDF(&c, &ref, pool, rng); err != nil {
+			t.Fatalf("CDF %d: %v", i, err)
+		}
+	}
+}
+
+// TestCDFNaNRule checks the documented NaN rule on random mixes of NaN
+// and finite samples: NaN ranks below every number and equals no
+// sample, and the answers do not depend on the order samples arrive.
+func TestCDFNaNRule(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 2))
+	nan := math.NaN()
+	for i := 0; i < 1000; i++ {
+		pool := finitePool(rng)
+		var samples []wsample
+		var nanEntries, nanW, total int64
+		for j, n := 0, 1+rng.IntN(2000); j < n; j++ {
+			s := wsample{v: pool[rng.IntN(len(pool))], n: int64(1 + rng.IntN(3))}
+			if rng.IntN(200) == 0 {
+				s.v = nan
+				nanEntries++
+				nanW += s.n
+			}
+			samples = append(samples, s)
+			total += s.n
+		}
+		// The oracle: every sample in one list, NaN first.
+		sorted := slices.Clone(samples)
+		slices.SortStableFunc(sorted, func(a, b wsample) int { return cmp.Compare(a.v, b.v) })
+		atOracle := func(x float64) float64 {
+			var k int64
+			for _, s := range sorted {
+				if math.IsNaN(s.v) || s.v <= x {
+					k += s.n
+				}
+			}
+			return float64(k) / float64(total)
+		}
+		quantileOracle := func(q float64) float64 {
+			var run int64
+			for _, s := range sorted {
+				if run += s.n; float64(run) >= q*float64(total) {
+					return s.v
+				}
+			}
+			return sorted[len(sorted)-1].v
+		}
+		for order := 0; order < 2; order++ {
+			var c CDF
+			for _, s := range samples {
+				c.AddN(s.v, int(s.n))
+			}
+			for k := 0; k < 20; k++ {
+				x := pool[rng.IntN(len(pool))]
+				if got, want := c.At(x), atOracle(x); got != want {
+					t.Fatalf("mix %d order %d: At(%v) = %v, want %v", i, order, x, got, want)
+				}
+				q := rng.Float64()
+				if got, want := c.Quantile(q), quantileOracle(q); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("mix %d order %d: Quantile(%v) = %v, want %v", i, order, q, got, want)
+				}
+			}
+			if got, want := c.Min(), sorted[0].v; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("mix %d: Min = %v, want %v", i, got, want)
+			}
+			if got, want := c.Max(), sorted[len(sorted)-1].v; got != want {
+				t.Fatalf("mix %d: Max = %v, want %v", i, got, want)
+			}
+			steps := c.Steps()
+			for k, p := range steps[:nanEntries] {
+				if !math.IsNaN(p.X) {
+					t.Fatalf("mix %d: step %d = %+v, want NaN", i, k, p)
+				}
+			}
+			if nanEntries > 0 && steps[nanEntries-1].F != float64(nanW)/float64(total) {
+				t.Fatalf("mix %d: NaN steps end at %v, want %v", i, steps[nanEntries-1].F, float64(nanW)/float64(total))
+			}
+			for _, p := range steps[nanEntries:] {
+				if math.IsNaN(p.X) || p.F != atOracle(p.X) {
+					t.Fatalf("mix %d: step %+v, want F %v", i, p, atOracle(p.X))
+				}
+			}
+			rng.Shuffle(len(samples), func(a, b int) { samples[a], samples[b] = samples[b], samples[a] })
+		}
 	}
 }
