@@ -598,6 +598,17 @@ func BenchmarkArenaStudySteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkPredict is the analytical twin end to end (core.Predict):
+// the NAS mix at seed 42, scale 0.1, walked on the simulated machine
+// with tracing off. No trace or analysis runs, so its time and bytes
+// are the workload generator's, the machine's and the file system's.
+func BenchmarkPredict(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		core.Predict(core.DefaultConfig(42, 0.1))
+	}
+}
+
 // --- Machine-level regression guards ------------------------------------
 
 func BenchmarkMachineJobThroughput(b *testing.B) {

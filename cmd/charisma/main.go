@@ -89,7 +89,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -144,7 +143,7 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 
 	fs := flag.NewFlagSet("charisma", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scale := fs.Float64("scale", 0.1, "study scale; 1.0 reproduces the full 156-hour study")
+	scale := fs.Float64("scale", 0.1, "study scale in (0, 1]; 1.0 reproduces the full 156-hour study")
 	seed := fs.Uint64("seed", 42, "workload seed")
 	fig := fs.Int("fig", 0, "print only figure N (1-9; 8 and 9 run the cache simulations)")
 	table := fs.Int("table", 0, "print only table N (1-3)")
@@ -217,10 +216,9 @@ type appConfig struct {
 // error; nothing below this point may exit the process. ctx is
 // cancelled by SIGINT/SIGTERM; every mode winds down cleanly on it.
 func run(ctx context.Context, cfg appConfig, stdout, stderr io.Writer) error {
-	// Reject a garbage -scale before anything else. (NaN slips
-	// through ordered comparisons, so the explicit check matters.)
-	if math.IsNaN(cfg.scale) || math.IsInf(cfg.scale, 0) || cfg.scale <= 0 {
-		return fmt.Errorf("bad -scale %v (want a finite scale > 0)", cfg.scale)
+	// Reject a garbage -scale before anything else.
+	if err := core.CheckScale(cfg.scale); err != nil {
+		return fmt.Errorf("bad -scale: %w", err)
 	}
 	if err := checkModeFlags(cfg); err != nil {
 		return err
@@ -745,9 +743,7 @@ func parseSeeds(spec string, fallback uint64) ([]uint64, error) {
 }
 
 // parseScales understands comma lists; empty means the single -scale
-// value. Every scale must be finite and positive: NaN fails ordered
-// comparisons, so a plain `v <= 0` guard would wave it through to
-// the generator.
+// value. Every scale must pass core.CheckScale, as -scale does.
 func parseScales(spec string, fallback float64) ([]float64, error) {
 	if spec == "" {
 		return []float64{fallback}, nil
@@ -755,8 +751,11 @@ func parseScales(spec string, fallback float64) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(spec, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("bad scale %q in %q (want a finite scale > 0)", part, spec)
+		if err != nil {
+			return nil, fmt.Errorf("bad scale %q in -scales %q", part, spec)
+		}
+		if err := core.CheckScale(v); err != nil {
+			return nil, fmt.Errorf("bad -scales %q: %w", spec, err)
 		}
 		out = append(out, v)
 	}

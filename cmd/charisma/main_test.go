@@ -171,13 +171,21 @@ func TestTraceOutErrorLeavesNothing(t *testing.T) {
 }
 
 // TestScaleFlagRejectsNonFinite: NaN passes both `v <= 0` and
-// `v < MinScale`, so it used to reach the workload generator.
+// `v < MinScale`, so it used to reach the workload generator. Scales
+// above 1 are refused as a scenario refuses them: from 736 a grown
+// drive has more blocks than the file system can address, and at
+// 1e300 the growth factor overflows. Every case fails before a study
+// starts.
 func TestScaleFlagRejectsNonFinite(t *testing.T) {
-	for _, bad := range []string{"NaN", "Inf", "-Inf", "-0.5", "0"} {
+	for _, bad := range []string{"NaN", "Inf", "-Inf", "-0.5", "0", "1e300", "1.5"} {
 		code, _, stderr := app("-scale", bad)
 		if code == 0 || !strings.Contains(stderr, "scale") {
 			t.Errorf("-scale %s: exit %d, stderr %q", bad, code, stderr)
 		}
+	}
+	code, _, stderr := app("-sweep", "-seeds", "1", "-scales", "0.01,2")
+	if code == 0 || !strings.Contains(stderr, "scale 2 out of range (0, 1]") {
+		t.Errorf("-scales 0.01,2: exit %d, stderr %q", code, stderr)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 
 func main() {
 	out := flag.String("o", "study.trc", "output trace file")
-	scale := flag.Float64("scale", 0.1, "study scale; 1.0 reproduces the full 156-hour study")
+	scale := flag.Float64("scale", 0.1, "study scale in (0, 1]; 1.0 reproduces the full 156-hour study")
 	seed := flag.Uint64("seed", 42, "workload seed")
 	flag.Parse()
 
@@ -35,10 +35,14 @@ func main() {
 	}
 }
 
-// run streams the study's trace straight into the output file. On
-// failure the partial file is removed so a short write never leaves a
-// truncated trace that a later analysis run would trip over.
+// run streams the study's trace straight into the output file. A bad
+// scale fails before the file is created. On failure the partial file
+// is removed so a short write never leaves a truncated trace that a
+// later analysis run would trip over.
 func run(w io.Writer, out string, seed uint64, scale float64) error {
+	if err := core.CheckScale(scale); err != nil {
+		return fmt.Errorf("bad -scale: %w", err)
+	}
 	var res *core.StreamResult
 	err := trace.WriteFile(out, func(f *os.File) (err error) {
 		res, err = core.RunStudyStreaming(core.DefaultConfig(seed, scale), f)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -60,5 +61,21 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("failed run left %d entries behind", len(entries))
+	}
+}
+
+// TestRunRejectsScale: a scale above 1 (or not finite and positive)
+// fails before the output is created or a study starts.
+func TestRunRejectsScale(t *testing.T) {
+	for _, bad := range []float64{1e300, 1.5, 0, math.NaN(), math.Inf(1)} {
+		out := filepath.Join(t.TempDir(), "t.trc")
+		var msg bytes.Buffer
+		err := run(&msg, out, 1, bad)
+		if err == nil || !strings.Contains(err.Error(), "out of range (0, 1]") {
+			t.Errorf("scale %v: %v, want out of range", bad, err)
+		}
+		if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+			t.Errorf("scale %v left %s behind", bad, out)
+		}
 	}
 }

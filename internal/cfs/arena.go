@@ -4,42 +4,23 @@ package cfs
 // running many studies back to back (see core.Arena) stops paying for
 // them after its first study:
 //
-//   - dense blockTable arrays: every file's block map; returned when a
-//     file is deleted mid-study and en masse by FileSystem.Recycle.
-//   - file structs (with their open-group maps), returned by Recycle.
+//   - file structs (with their open-group maps), returned by
+//     FileSystem.Recycle.
 //   - Handles, returned when their client is released at the end of
 //     its node program, and open groups, returned when their last
 //     member closes.
 //
-// Transfer state is not pooled here: each call borrows a record from
-// its file system for as long as it is in flight.
+// Block tables are not pooled: a table allocates each page once, as
+// its file reaches it, and never copies it. Transfer state is not
+// pooled here either: each call borrows a record from its file system
+// for as long as it is in flight.
 //
 // An Arena is not safe for concurrent use; give each worker its own.
 // The zero value is ready to use.
 type Arena struct {
-	dense   [][]int64
 	files   []*file
 	handles []*Handle
 	groups  []*openGroup
-}
-
-// getDense returns a pooled length-zero dense block array, or nil when
-// the pool is empty.
-func (a *Arena) getDense() []int64 {
-	if n := len(a.dense); n > 0 {
-		d := a.dense[n-1]
-		a.dense[n-1] = nil
-		a.dense = a.dense[:n-1]
-		return d
-	}
-	return nil
-}
-
-// putDense returns a dense block array to the pool.
-func (a *Arena) putDense(d []int64) {
-	if cap(d) > 0 {
-		a.dense = append(a.dense, d[:0])
-	}
 }
 
 // getFile returns a pooled file struct (cleared, with its groups map

@@ -100,11 +100,13 @@ type leg struct {
 	sendFn    func() // l.send, bound once so scheduling the request never allocates
 }
 
-// legBlock is one block of a leg.
+// legBlock is one block of a leg. Each block carries its own 64-bit
+// file block: a strided call's blocks are not an arithmetic run, and
+// a sparse file's blocks reach past 2^31.
 type legBlock struct {
 	fileBlock int64
-	diskBlock int64 // -1 for an unallocated read (zero fill)
-	nextDisk  int64 // disk block of the readahead candidate, or -1
+	diskBlock int32 // -1 for an unallocated read (zero fill)
+	nextDisk  int32 // disk block of the readahead candidate, or -1
 }
 
 // getXfer borrows a transfer record for a call from the given compute
@@ -483,7 +485,7 @@ func (h *Handle) transfer(p *sim.Proc, off, n int64, isWrite bool) {
 			involved++
 		}
 		l.bytes += e - s
-		next := int64(-1)
+		next := int32(-1)
 		if prefetch {
 			// The next block on the same I/O node's stripe.
 			if ndb, ok := h.f.blocks.get(b + nio); ok {

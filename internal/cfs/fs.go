@@ -63,27 +63,40 @@ type file struct {
 	createdByJob uint32
 }
 
-// denseBlockLimit bounds the dense block table: file blocks below it
+// denseBlockLimit bounds the paged block table: file blocks below it
 // (1 GB of 4 KB blocks, covering every file the study volume can hold)
-// index a slice; sparse indices above it fall back to a map. The worst
-// case for the dense side — a single write just below the limit — fills
-// a 2 MB sentinel prefix; beyond the limit cost reverts to map entries.
+// live in pages; sparse indices above it fall back to a map. A write
+// just below the limit adds one page and a directory of 4096 page
+// pointers (32 KB); beyond the limit cost reverts to map entries.
 const denseBlockLimit = 1 << 18
+
+// pageShift sizes a block-table page: 1<<pageShift file blocks.
+const pageShift = 6
+
+// blockPage holds the disk blocks of 64 consecutive file blocks, -1
+// where a block is unallocated.
+type blockPage [1 << pageShift]int32
 
 // blockTable maps file-block index to physical disk block. Files are
 // overwhelmingly written sequentially from offset zero, so the common
-// case is a dense array — far cheaper than the map the transfer hot
-// path would otherwise hit for every block.
+// case is dense -- far cheaper than the map the transfer hot path
+// would otherwise hit for every block. Pages are added as the file
+// reaches them (a nil page is a hole) and never move, so growing a
+// table copies no entry. A disk block fits in 32 bits: New refuses a
+// larger drive.
 type blockTable struct {
-	dense  []int64 // -1 = unallocated
-	sparse map[int64]int64
+	pages  []*blockPage
+	sparse map[int64]int32
 }
 
 // get returns the disk block for file block b, if allocated.
-func (t *blockTable) get(b int64) (int64, bool) {
-	if b < int64(len(t.dense)) {
-		db := t.dense[b]
-		return db, db >= 0
+func (t *blockTable) get(b int64) (int32, bool) {
+	if i := b >> pageShift; i < int64(len(t.pages)) {
+		if p := t.pages[i]; p != nil {
+			db := p[b&(1<<pageShift-1)]
+			return db, db >= 0
+		}
+		return 0, false
 	}
 	if t.sparse != nil {
 		db, ok := t.sparse[b]
@@ -93,36 +106,39 @@ func (t *blockTable) get(b int64) (int64, bool) {
 }
 
 // set records the disk block for file block b.
-func (t *blockTable) set(b, db int64) {
+func (t *blockTable) set(b int64, db int32) {
 	if b < denseBlockLimit {
-		if n := int64(len(t.dense)); b >= n {
-			if b >= int64(cap(t.dense)) {
-				// Double, so a file written block by block regrows
-				// O(log n) times.
-				c := min(max(2*int64(cap(t.dense)), b+1, 64), denseBlockLimit)
-				d := make([]int64, n, c)
-				copy(d, t.dense)
-				t.dense = d
-			}
-			t.dense = t.dense[:b+1]
-			for i := n; i < b; i++ {
-				t.dense[i] = -1
-			}
+		i := int(b >> pageShift)
+		if i >= len(t.pages) {
+			t.pages = append(t.pages, make([]*blockPage, i+1-len(t.pages))...)
 		}
-		t.dense[b] = db
+		p := t.pages[i]
+		if p == nil {
+			p = new(blockPage)
+			for j := range p {
+				p[j] = -1
+			}
+			t.pages[i] = p
+		}
+		p[b&(1<<pageShift-1)] = db
 		return
 	}
 	if t.sparse == nil {
-		t.sparse = make(map[int64]int64)
+		t.sparse = make(map[int64]int32)
 	}
 	t.sparse[b] = db
 }
 
 // each visits allocated blocks in increasing file-block order.
-func (t *blockTable) each(fn func(fileBlock, diskBlock int64)) {
-	for b, db := range t.dense {
-		if db >= 0 {
-			fn(int64(b), db)
+func (t *blockTable) each(fn func(fileBlock int64, diskBlock int32)) {
+	for i, p := range t.pages {
+		if p == nil {
+			continue
+		}
+		for j, db := range p {
+			if db >= 0 {
+				fn(int64(i)<<pageShift+int64(j), db)
+			}
 		}
 	}
 	if len(t.sparse) > 0 {
@@ -172,7 +188,9 @@ type FileSystem struct {
 	modeCounts [4]int64
 }
 
-// New returns an empty file system.
+// New returns an empty file system. It panics on an invalid
+// configuration, including a drive of more than math.MaxInt32 blocks
+// (see NewIONode).
 func New(k *sim.Kernel, cfg Config, tp Transport) *FileSystem {
 	if cfg.BlockBytes <= 0 || cfg.IONodes <= 0 {
 		panic("cfs: invalid configuration")
@@ -190,23 +208,19 @@ func New(k *sim.Kernel, cfg Config, tp Transport) *FileSystem {
 	return fs
 }
 
-// SetArena makes the file system draw block tables, files, handles
-// and open groups from the given cross-study pool. Call it right after
-// New, before any file is created.
+// SetArena makes the file system draw files, handles and open groups
+// from the given cross-study pool. Call it right after New, before
+// any file is created.
 func (fs *FileSystem) SetArena(a *Arena) { fs.arena = a }
 
-// Recycle returns every file's storage -- block tables, open groups,
-// and the file structs themselves -- to the arena. Call it once the
-// simulation is over and the trace collected; the file system must
-// not be used afterwards.
+// Recycle returns every file struct, with its open groups, to the
+// arena. Call it once the simulation is over and the trace collected;
+// the file system must not be used afterwards.
 func (fs *FileSystem) Recycle() {
 	if fs.arena == nil {
 		return
 	}
 	for id, f := range fs.byID {
-		fs.arena.putDense(f.blocks.dense)
-		f.blocks.dense = nil
-		f.blocks.sparse = nil
 		fs.arena.putFile(f)
 		delete(fs.byID, id)
 	}
@@ -259,9 +273,6 @@ func (fs *FileSystem) create(name string, job uint32) *file {
 	f.id = fs.nextID
 	f.name = name
 	f.createdByJob = job
-	if fs.arena != nil && f.blocks.dense == nil {
-		f.blocks.dense = fs.arena.getDense()
-	}
 	fs.byName[name] = f
 	fs.byID[f.id] = f
 	return f
@@ -322,18 +333,14 @@ func (fs *FileSystem) removeFile(f *file) {
 	// Blocks are visited in increasing file-block order so the free
 	// lists (and hence future allocations and disk layout) stay
 	// deterministic.
-	f.blocks.each(func(fb, db int64) {
+	f.blocks.each(func(fb int64, db int32) {
 		io := fs.ioNodeFor(fb)
 		io.freeBlock(db)
 		io.invalidate(f.id, []int64{fb})
 	})
-	// The deleted file's block table can serve a later file: handles
-	// still open on it observe ErrDeleted before ever touching blocks.
-	if fs.arena != nil {
-		fs.arena.putDense(f.blocks.dense)
-		f.blocks.dense = nil
-		f.blocks.sparse = nil
-	}
+	// Handles still open on the file observe ErrDeleted before ever
+	// touching blocks, so its table can go.
+	f.blocks = blockTable{}
 }
 
 func (fs *FileSystem) String() string {

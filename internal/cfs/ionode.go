@@ -2,6 +2,7 @@ package cfs
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/disk"
@@ -21,8 +22,8 @@ type IONode struct {
 	cache cache.Cache
 
 	busyUntil sim.Time
-	nextFree  int64   // next never-allocated disk block
-	freeList  []int64 // blocks returned by deleted files
+	nextFree  int32   // next never-allocated disk block
+	freeList  []int32 // blocks returned by deleted files
 
 	// overheadPerRequest models the i386's per-request software cost.
 	overheadPerRequest sim.Time
@@ -86,15 +87,22 @@ func DefaultIONodeConfig() IONodeConfig {
 	}
 }
 
-// NewIONode returns an I/O node with an empty disk and cold cache.
+// NewIONode returns an I/O node with an empty disk and cold cache. It
+// panics on a disk of more than math.MaxInt32 blocks: the file
+// system keeps disk-block numbers in 32 bits.
 func NewIONode(k *sim.Kernel, id int, cfg IONodeConfig) *IONode {
 	if cfg.CacheBuffers <= 0 {
 		panic(fmt.Sprintf("cfs: I/O node %d needs a positive cache size", id))
 	}
+	d := disk.New(cfg.Disk)
+	if d.Blocks() > math.MaxInt32 {
+		panic(fmt.Sprintf("cfs: I/O node %d: disk of %d blocks exceeds the %d a block number can address",
+			id, d.Blocks(), math.MaxInt32))
+	}
 	return &IONode{
 		id:                 id,
 		k:                  k,
-		disk:               disk.New(cfg.Disk),
+		disk:               d,
 		cache:              cache.NewLRU(cfg.CacheBuffers),
 		overheadPerRequest: cfg.Overhead,
 		cacheHitTime:       cfg.CacheHitTime,
@@ -125,13 +133,13 @@ func (n *IONode) QueueStats() (batches int64, wait, service sim.Time) {
 
 // allocBlock claims a free disk block (reusing reclaimed blocks
 // first), or reports exhaustion.
-func (n *IONode) allocBlock() (int64, error) {
+func (n *IONode) allocBlock() (int32, error) {
 	if len(n.freeList) > 0 {
 		b := n.freeList[len(n.freeList)-1]
 		n.freeList = n.freeList[:len(n.freeList)-1]
 		return b, nil
 	}
-	if n.nextFree >= n.disk.Blocks() {
+	if int64(n.nextFree) >= n.disk.Blocks() {
 		return 0, ErrNoSpace
 	}
 	b := n.nextFree
@@ -141,11 +149,11 @@ func (n *IONode) allocBlock() (int64, error) {
 
 // freeBlocks reports how many blocks allocBlock can still hand out.
 func (n *IONode) freeBlocks() int64 {
-	return int64(len(n.freeList)) + n.disk.Blocks() - n.nextFree
+	return int64(len(n.freeList)) + n.disk.Blocks() - int64(n.nextFree)
 }
 
 // freeBlock returns a disk block to the allocator.
-func (n *IONode) freeBlock(b int64) { n.freeList = append(n.freeList, b) }
+func (n *IONode) freeBlock(b int32) { n.freeList = append(n.freeList, b) }
 
 // serve processes one call's leg, whose request arrived at l.arrival,
 // and returns the time the response leaves the node. A leg is the set
@@ -168,7 +176,7 @@ func (n *IONode) serve(l *leg) sim.Time {
 			// Write-through: the block enters the cache and is
 			// written to disk.
 			n.cache.Access(id)
-			t += n.disk.ServiceTime(b.diskBlock, 1, true)
+			t += n.disk.ServiceTime(int64(b.diskBlock), 1, true)
 			continue
 		}
 		if b.diskBlock < 0 {
@@ -181,7 +189,7 @@ func (n *IONode) serve(l *leg) sim.Time {
 			t += n.cacheHitTime
 			continue
 		}
-		t += n.disk.ServiceTime(b.diskBlock, 1, false)
+		t += n.disk.ServiceTime(int64(b.diskBlock), 1, false)
 		if n.prefetch && b.nextDisk >= 0 {
 			// The file's next block on this node's stripe.
 			next := cache.BlockID{File: l.file, Block: b.fileBlock + l.stride}
@@ -190,7 +198,7 @@ func (n *IONode) serve(l *leg) sim.Time {
 				// Readahead runs after the response leaves: it keeps
 				// the disk busy but is off the request's critical
 				// path, which is where its benefit comes from.
-				readahead += n.disk.ServiceTime(b.nextDisk, 1, false)
+				readahead += n.disk.ServiceTime(int64(b.nextDisk), 1, false)
 				n.prefetches++
 			}
 		}

@@ -13,7 +13,9 @@ import (
 // table of 56-byte block requests, and every leg scheduled its own
 // completion event. The differential tests in transfer_test.go run
 // both paths on the same scripts. The code is the old code with its
-// types renamed; refClient carries the fields Client used to have.
+// types renamed; refClient carries the fields Client used to have. It
+// shares the live block tables and allocators, whose 32-bit disk
+// blocks it widens into its 64-bit requests.
 
 // refClient is a Client with its own dispatch table and WaitGroup.
 type refClient struct {
@@ -196,14 +198,14 @@ func (rc *refClient) transfer(h *Handle, p *sim.Proc, off, n int64, isWrite bool
 		}
 		d.bytes += e - s
 		req := refBlockRequest{
-			file: h.f.id, fileBlock: b, diskBlock: db, isWrite: isWrite,
+			file: h.f.id, fileBlock: b, diskBlock: int64(db), isWrite: isWrite,
 			nextFileBlock: -1, nextDiskBlock: -1,
 		}
 		if !isWrite && fs.cfg.IONode.Prefetch {
 			// The next block on the same I/O node's stripe.
 			nb := b + nio
 			if ndb, ok := h.f.blocks.get(nb); ok {
-				req.nextFileBlock, req.nextDiskBlock = nb, ndb
+				req.nextFileBlock, req.nextDiskBlock = nb, int64(ndb)
 			}
 		}
 		d.batch = append(d.batch, req)
@@ -312,7 +314,7 @@ func (rc *refClient) transferStrided(h *Handle, p *sim.Proc, off, recBytes, stri
 			involved++
 		}
 		d.batch = append(d.batch, refBlockRequest{
-			file: h.f.id, fileBlock: b, diskBlock: db, isWrite: isWrite,
+			file: h.f.id, fileBlock: b, diskBlock: int64(db), isWrite: isWrite,
 			nextFileBlock: -1, nextDiskBlock: -1,
 		})
 	}

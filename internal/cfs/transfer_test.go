@@ -3,8 +3,10 @@ package cfs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -487,44 +489,167 @@ func TestPreloadNoSpaceChangesNothing(t *testing.T) {
 	}
 }
 
-// TestBlockTableGrowth: growing by doubling leaves the same contents
-// a block-by-block append would.
-func TestBlockTableGrowth(t *testing.T) {
-	var tb blockTable
-	want := map[int64]int64{}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		b := int64(rng.Intn(5000))
-		if i%3 == 0 {
-			b = int64(len(tb.dense)) // sequential append
-		}
-		tb.set(b, int64(i))
-		want[b] = int64(i)
-		if len(tb.dense) <= int(b) {
-			t.Fatalf("set(%d) left len %d", b, len(tb.dense))
-		}
-	}
-	var maxB int64
+// checkBlockTable compares tb with want through get, at every mapped
+// block, its neighbours, the ends of its page, the same slot of the
+// next page and random probes, and through each, which must visit
+// exactly want's blocks in ascending file-block order.
+func checkBlockTable(t *testing.T, rng *rand.Rand, tb *blockTable, want map[int64]int32) {
+	t.Helper()
+	keys := make([]int64, 0, len(want))
 	for b := range want {
-		maxB = max(maxB, b)
+		keys = append(keys, b)
 	}
-	if int64(len(tb.dense)) != maxB+1 {
-		t.Fatalf("dense len %d, want %d", len(tb.dense), maxB+1)
+	slices.Sort(keys)
+	const page = 1 << pageShift
+	probes := []int64{0, denseBlockLimit - 1, denseBlockLimit}
+	for _, b := range keys {
+		first := b &^ (page - 1)
+		probes = append(probes, b, b-1, b+1, first, first+page-1, b+page)
 	}
-	for b := int64(0); b <= maxB; b++ {
-		db, ok := tb.get(b)
-		w, wok := want[b]
+	for i := 0; i < 64; i++ {
+		probes = append(probes, rng.Int63n(2*denseBlockLimit))
+	}
+	for _, q := range probes {
+		if q < 0 {
+			continue
+		}
+		db, ok := tb.get(q)
+		w, wok := want[q]
 		if ok != wok || (ok && db != w) {
-			t.Fatalf("get(%d) = %d, %v; want %d, %v", b, db, ok, w, wok)
+			t.Fatalf("get(%d) = %d, %v; want %d, %v", q, db, ok, w, wok)
 		}
 	}
-	// A pooled array is length-zero with stale contents: growth within
-	// its capacity must still mark the gap unallocated.
-	tb.dense = tb.dense[:0]
-	tb.set(10, 7)
-	for b := int64(0); b < 10; b++ {
-		if _, ok := tb.get(b); ok {
-			t.Fatalf("block %d allocated after reuse", b)
+	i := 0
+	tb.each(func(fb int64, db int32) {
+		if i >= len(keys) || fb != keys[i] || db != want[fb] {
+			t.Fatalf("each visit %d is block %d -> %d; want the mapped blocks in ascending order", i, fb, db)
 		}
+		i++
+	})
+	if i != len(keys) {
+		t.Fatalf("each visited %d blocks, want %d", i, len(keys))
+	}
+}
+
+// TestBlockTableMatchesMap: the paged block table answers as a map
+// from file block to disk block does. Random scripts mix sequential
+// appends, holes within and across pages, indices on both sides of
+// denseBlockLimit and sparse ones up to 2^40, with disk blocks over
+// the whole 31-bit range. Growing the table never moves a page, and a
+// write just below the limit adds one page, not a filled prefix.
+func TestBlockTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		var tb blockTable
+		want := map[int64]int32{}
+		var next int64
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			var b int64
+			switch rng.Intn(5) {
+			case 0, 1:
+				b = next // sequential append
+				next++
+			case 2:
+				b = next + rng.Int63n(300) // a hole, within a page or across several
+			case 3:
+				b = denseBlockLimit - 100 + rng.Int63n(200) // either side of the limit
+			default:
+				b = rng.Int63n(1 << 40)
+			}
+			db := rng.Int31()
+			if rng.Intn(8) == 0 {
+				db = math.MaxInt32
+			}
+			tb.set(b, db)
+			want[b] = db
+		}
+		checkBlockTable(t, rng, &tb, want)
+	}
+
+	var tb blockTable
+	tb.set(0, 7)
+	page0 := tb.pages[0]
+	for b := int64(1); b < 100<<pageShift; b++ {
+		tb.set(b, int32(b))
+	}
+	if tb.pages[0] != page0 || page0[0] != 7 {
+		t.Fatal("growing the table moved its first page")
+	}
+
+	tb = blockTable{}
+	tb.set(denseBlockLimit-1, 3)
+	pages := 0
+	for _, p := range tb.pages {
+		if p != nil {
+			pages++
+		}
+	}
+	if pages != 1 || len(tb.sparse) != 0 {
+		t.Fatalf("a write below the limit made %d pages and %d sparse entries, want 1 and 0", pages, len(tb.sparse))
+	}
+}
+
+// TestBlockTableDeleteRecreate: deleting a file frees its disk blocks
+// in ascending file-block order and drops its table, so a file
+// recreated under the same name starts empty, and so does a file
+// struct the arena pooled at Recycle with its table still full.
+func TestBlockTableDeleteRecreate(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := &Arena{}
+	// fill writes random blocks of f, a few beyond denseBlockLimit.
+	fill := func(fs *FileSystem, f *file) map[int64]int32 {
+		want := map[int64]int32{}
+		for i, n := 0, 1+rng.Intn(300); i < n; i++ {
+			b := rng.Int63n(2000)
+			if rng.Intn(10) == 0 {
+				b = denseBlockLimit + rng.Int63n(1000)
+			}
+			if _, ok := want[b]; ok {
+				continue
+			}
+			db, err := fs.ioNodeFor(b).allocBlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.blocks.set(b, db)
+			want[b] = db
+		}
+		return want
+	}
+	for round := 0; round < 20; round++ {
+		fs := New(sim.New(), DefaultConfig(), stubTransport{})
+		fs.SetArena(a)
+		for gen := 0; gen < 3; gen++ {
+			f := fs.create("/f", 1)
+			checkBlockTable(t, rng, &f.blocks, map[int64]int32{})
+			want := fill(fs, f)
+			checkBlockTable(t, rng, &f.blocks, want)
+
+			keys := make([]int64, 0, len(want))
+			for b := range want {
+				keys = append(keys, b)
+			}
+			slices.Sort(keys)
+			freed := make([][]int32, len(fs.ionodes))
+			for _, b := range keys {
+				io := fs.ioNodeFor(b).ID()
+				freed[io] = append(freed[io], want[b])
+			}
+			before := make([]int, len(fs.ionodes))
+			for i, io := range fs.ionodes {
+				before[i] = len(io.freeList)
+			}
+			fs.removeFile(f)
+			for i, io := range fs.ionodes {
+				if got := io.freeList[before[i]:]; !slices.Equal(got, freed[i]) {
+					t.Fatalf("round %d: deleting freed %v on I/O node %d, want %v", round, got, i, freed[i])
+				}
+			}
+			if f.blocks.pages != nil || f.blocks.sparse != nil {
+				t.Fatal("a deleted file kept its block table")
+			}
+		}
+		fill(fs, fs.create("/kept", 1))
+		fs.Recycle()
 	}
 }

@@ -6,8 +6,9 @@
 //   - the sim kernel's event-queue bucket arrays (sim.Kernel.Reset),
 //   - the trace pipeline's node-buffer chunks and collector block
 //     slice (trace.Arena), and the merged event stream a study keeps,
-//   - the CFS block tables, file structs, handles and open groups
-//     (cfs.Arena),
+//   - the CFS file structs, handles and open groups (cfs.Arena; block
+//     tables are not pooled, since their pages never copy as a file
+//     grows),
 //   - the analyzer's dense working state and -- once a report is
 //     recycled -- its CDFs and histograms (analysis.Scratch).
 //

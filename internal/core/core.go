@@ -66,6 +66,19 @@ type Config struct {
 // population.
 const MinScale = 0.01
 
+// CheckScale accepts the scales a command line may ask for: finite,
+// above 0 and at most 1, the paper's full population and the cap a
+// scenario spec has. Positive scales below MinScale pass and are
+// clamped by normalized. Above 1, studyParams grows each drive past
+// what the file system can address (from scale 736), and the growth
+// factor itself overflows long before an infinite scale.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= 1) { // the negated form also rejects NaN
+		return fmt.Errorf("scale %v out of range (0, 1]", scale)
+	}
+	return nil
+}
+
 // normalized returns the config with its scale clamped to MinScale.
 // It is the single clamping point: DefaultConfig, RunStudy, and the
 // sweep engine all apply it. Non-finite scales clamp too: NaN fails
@@ -185,8 +198,9 @@ func simulate(cfg Config, a *Arena, sink StreamSink) (*machine.Machine, sim.Time
 	k.Run()
 	tr := m.FinishTracing()
 	if a != nil {
-		// The trace is collected: the file system's block tables can
-		// serve the next study even while this one is analyzed.
+		// The trace is collected: the file system's file structs and
+		// open groups can serve the next study even while this one is
+		// analyzed.
 		m.FS().Recycle()
 	}
 	if sink == nil {

@@ -2,9 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cachesim"
+	"repro/internal/cfs"
+	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -91,6 +97,60 @@ func TestDefaultConfigClampsScale(t *testing.T) {
 	cfg := DefaultConfig(1, 0)
 	if cfg.Scale < 0.01 {
 		t.Fatalf("scale = %v", cfg.Scale)
+	}
+}
+
+// TestDiskBlocksFitBlockTables: the file system keeps disk-block
+// numbers in 32 bits, so cfs.New refuses a drive of 2^31 blocks and
+// takes one of 2^31-1; every machine preset, and the NAS machine with
+// the drive growth of a full-scale study, fits. Building a file system
+// only sizes its drives, so no block is allocated.
+func TestDiskBlocksFitBlockTables(t *testing.T) {
+	build := func(fc cfs.Config) (err any) {
+		defer func() { err = recover() }()
+		cfs.New(sim.New(), fc, nil)
+		return nil
+	}
+	fc := cfs.DefaultConfig()
+	fc.IONodes = 1
+	fc.IONode.Disk.CapacityBytes = math.MaxInt32 * int64(fc.IONode.Disk.BlockBytes)
+	if err := build(fc); err != nil {
+		t.Fatalf("a drive of 2^31-1 blocks refused: %v", err)
+	}
+	fc.IONode.Disk.CapacityBytes += int64(fc.IONode.Disk.BlockBytes)
+	if err := build(fc); err == nil || !strings.Contains(fmt.Sprint(err), "2147483648 blocks") {
+		t.Fatalf("a drive of 2^31 blocks: panic %v, want one naming its block count", err)
+	}
+	for _, name := range machine.PresetNames() {
+		mc, err := machine.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := build(mc.FS); err != nil {
+			t.Errorf("preset %s: %v", name, err)
+		}
+	}
+	_, mc := studyParams(DefaultConfig(1, 1))
+	if grown, nas := mc.FS.IONode.Disk.CapacityBytes, machine.NASConfig(1).FS.IONode.Disk.CapacityBytes; grown <= nas {
+		t.Fatalf("scale 1 drive %d bytes, not grown past the NAS drive's %d", grown, nas)
+	}
+	if err := build(mc.FS); err != nil {
+		t.Errorf("scale 1: %v", err)
+	}
+}
+
+// TestCheckScale: command lines take finite scales in (0, 1]; smaller
+// positive ones are clamped later, not refused.
+func TestCheckScale(t *testing.T) {
+	for _, ok := range []float64{1e-9, MinScale, 0.5, 1} {
+		if err := CheckScale(ok); err != nil {
+			t.Errorf("CheckScale(%v): %v", ok, err)
+		}
+	}
+	for _, bad := range []float64{0, -0.5, 1.0000001, 736, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckScale(bad); err == nil || !strings.Contains(err.Error(), "out of range (0, 1]") {
+			t.Errorf("CheckScale(%v) = %v, want out of range", bad, err)
+		}
 	}
 }
 

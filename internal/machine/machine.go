@@ -142,7 +142,7 @@ func (t transport) FromIONode(ioNode, computeNode, bytes int) sim.Time {
 
 // Arena bundles the cross-study pools a worker threads through every
 // machine it builds: the trace pipeline's chunk and scratch pools and
-// the file system's block-table, file, handle and open-group pools.
+// the file system's file, handle and open-group pools.
 // See core.Arena. The zero value is ready to use; an Arena is not safe
 // for concurrent use.
 type Arena struct {
