@@ -9,8 +9,8 @@ import (
 // accessStream returns a fixed block stream with the shape an I/O node
 // sees: half the accesses revisit a shared hot set of 1024 blocks over
 // 4 files, half stream through 64 cold files. The hot set overflows a
-// 768-buffer cache and fits in 2500, so both sizes below mix hits,
-// misses and evictions.
+// 768-buffer cache and fits in 2500, and the cold files overflow every
+// size, so each size below mixes hits, misses and evictions.
 func accessStream() []BlockID {
 	rng := rand.New(rand.NewPCG(1, 2))
 	ids := make([]BlockID, 1<<16)
@@ -25,8 +25,9 @@ func accessStream() []BlockID {
 }
 
 // BenchmarkAccess measures one Access per policy at the simulated I/O
-// node's cache size (768 buffers) and at the largest per-node size of
-// the Figure 9 sweep (25000 buffers over 10 I/O nodes). The cache is
+// node's cache size (768 buffers), at the largest per-node size of the
+// Figure 9 sweep (25000 buffers over 10 I/O nodes), and at the
+// cluster2026 machine's per-node cache (4096 buffers). The cache is
 // warmed to capacity first, so the loop is steady-state
 // lookup/evict/insert churn.
 func BenchmarkAccess(b *testing.B) {
@@ -37,7 +38,7 @@ func BenchmarkAccess(b *testing.B) {
 		func(n int) Cache { return NewClock(n) },
 		func(n int) Cache { return NewSLRU(n) },
 	}
-	for _, size := range []int{768, 2500} {
+	for _, size := range []int{768, 2500, 4096} {
 		for _, mk := range policies {
 			c := mk(size)
 			b.Run(fmt.Sprintf("%s/%d", c.Name(), size), func(b *testing.B) {

@@ -55,76 +55,78 @@ type Cache interface {
 	Name() string
 }
 
-// entry is one resident block in the slice-backed intrusive list
-// shared by the LRU and FIFO implementations. Entries link by slot
-// index rather than pointer, so a cache performs zero per-insertion
-// allocations once its entry slice has grown to capacity: an eviction
-// reuses the victim's slot in place.
-type entry struct {
-	id         BlockID
-	prev, next int32 // slot indexes, -1 = end of list
+// entries is the slot space of the list policies (LRU, FIFO and
+// SLRU): slot i holds block ids[i], threaded onto a list by links[i].
+// Slots link by index rather than pointer, so a cache performs zero
+// per-insertion allocations once its slices have grown to capacity: an
+// eviction reuses the victim's slot in place.
+type entries struct {
+	ids   []BlockID
+	links []link
+	free  []int32 // slots vacated by Invalidate
 }
 
-// order is a doubly-linked list threaded through an entry slice.
-// front is the most recent (LRU) or newest (FIFO) entry, back the
-// eviction victim.
-type order struct {
-	entries     []entry
-	front, back int32
-	free        []int32 // slots vacated by Invalidate
-}
+// link is one slot's place on a list: slot indexes, -1 = end of list.
+type link struct{ prev, next int32 }
 
-func newOrder(capacity int) order {
-	// Entries grow by append up to capacity, so short-lived caches
-	// (e.g. one per job-node pair in the Figure 8 simulation) never
-	// pay for capacity they do not use.
-	return order{front: -1, back: -1, entries: make([]entry, 0, min(capacity, 1<<16))}
+func newEntries(capacity int) entries {
+	// Both slices are sized up front, but only to 1<<16 slots: a cache
+	// of nominal capacity beyond that grows them by append only as it
+	// fills.
+	n := min(capacity, 1<<16)
+	return entries{ids: make([]BlockID, 0, n), links: make([]link, 0, n)}
 }
 
 // alloc returns a slot for id, reusing a freed slot when available.
-func (o *order) alloc(id BlockID) int32 {
-	if n := len(o.free); n > 0 {
-		i := o.free[n-1]
-		o.free = o.free[:n-1]
-		o.entries[i] = entry{id: id, prev: -1, next: -1}
+func (e *entries) alloc(id BlockID) int32 {
+	if n := len(e.free); n > 0 {
+		i := e.free[n-1]
+		e.free = e.free[:n-1]
+		e.ids[i] = id
 		return i
 	}
-	o.entries = append(o.entries, entry{id: id, prev: -1, next: -1})
-	return int32(len(o.entries) - 1)
+	e.ids = append(e.ids, id)
+	e.links = append(e.links, link{-1, -1})
+	return int32(len(e.ids) - 1)
 }
 
-func (o *order) pushFront(i int32) {
-	e := &o.entries[i]
-	e.prev = -1
-	e.next = o.front
-	if o.front >= 0 {
-		o.entries[o.front].prev = i
+// list is a doubly-linked list threaded through the links of an
+// entries slot space. front is the most recent (LRU) or newest (FIFO)
+// slot, back the eviction victim.
+type list struct{ front, back int32 }
+
+func newList() list { return list{-1, -1} }
+
+func (l *list) pushFront(links []link, i int32) {
+	links[i] = link{prev: -1, next: l.front}
+	if l.front >= 0 {
+		links[l.front].prev = i
 	} else {
-		o.back = i
+		l.back = i
 	}
-	o.front = i
+	l.front = i
 }
 
-func (o *order) unlink(i int32) {
-	e := &o.entries[i]
+func (l *list) unlink(links []link, i int32) {
+	e := links[i]
 	if e.prev >= 0 {
-		o.entries[e.prev].next = e.next
+		links[e.prev].next = e.next
 	} else {
-		o.front = e.next
+		l.front = e.next
 	}
 	if e.next >= 0 {
-		o.entries[e.next].prev = e.prev
+		links[e.next].prev = e.prev
 	} else {
-		o.back = e.prev
+		l.back = e.prev
 	}
-	e.prev, e.next = -1, -1
 }
 
 // LRU is a least-recently-used block cache.
 type LRU struct {
 	capacity int
 	index    blockIndex
-	order    order
+	entries  entries
+	order    list
 	stats    Stats
 }
 
@@ -136,50 +138,53 @@ func NewLRU(capacity int) *LRU {
 	return &LRU{
 		capacity: capacity,
 		index:    newBlockIndex(),
-		order:    newOrder(capacity),
+		entries:  newEntries(capacity),
+		order:    newList(),
 	}
 }
 
 // Access implements Cache.
 func (c *LRU) Access(id BlockID) bool {
 	c.stats.Accesses++
-	if f := c.order.front; f >= 0 && c.order.entries[f].id == id {
+	e := &c.entries
+	if f := c.order.front; f >= 0 && e.ids[f] == id {
 		// A repeat of the most recent block: already at the front.
 		c.stats.Hits++
 		return true
 	}
-	if i, _, ok := c.index.get(id); ok {
+	if pos, ok := c.index.find(id, e.ids); ok {
+		i := c.index.slots[pos].val()
+		// Not the front, which the repeat check above answered.
 		c.stats.Hits++
-		if c.order.front != i {
-			c.order.unlink(i)
-			c.order.pushFront(i)
-		}
+		c.order.unlink(e.links, i)
+		c.order.pushFront(e.links, i)
 		return true
 	}
+	var i int32
 	if c.index.n >= c.capacity {
-		victim := c.order.back
-		c.order.unlink(victim)
-		c.index.remove(c.order.entries[victim].id)
-		c.order.entries[victim].id = id
-		c.index.put(id, victim, false)
-		c.order.pushFront(victim)
-		return false
+		// Evict the back block and reuse its slot in place.
+		i = c.order.back
+		c.order.unlink(e.links, i)
+		c.index.remove(e.ids[i], i)
+		e.ids[i] = id
+	} else {
+		i = e.alloc(id)
 	}
-	i := c.order.alloc(id)
-	c.index.put(id, i, false)
-	c.order.pushFront(i)
+	c.index.insert(id, i)
+	c.order.pushFront(e.links, i)
 	return false
 }
 
 // Contains implements Cache.
-func (c *LRU) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
+func (c *LRU) Contains(id BlockID) bool { _, ok := c.index.find(id, c.entries.ids); return ok }
 
 // Invalidate implements Cache.
 func (c *LRU) Invalidate(id BlockID) {
-	if i, _, ok := c.index.get(id); ok {
-		c.order.unlink(i)
-		c.order.free = append(c.order.free, i)
-		c.index.remove(id)
+	if pos, ok := c.index.find(id, c.entries.ids); ok {
+		i := c.index.slots[pos].val()
+		c.order.unlink(c.entries.links, i)
+		c.entries.free = append(c.entries.free, i)
+		c.index.remove(id, i)
 	}
 }
 
@@ -202,7 +207,8 @@ func (c *LRU) Name() string { return "LRU" }
 type FIFO struct {
 	capacity int
 	index    blockIndex
-	order    order // front = newest arrival
+	entries  entries
+	order    list  // front = newest arrival
 	last     int32 // slot of the block accessed last, -1 = none
 	stats    Stats
 }
@@ -215,7 +221,8 @@ func NewFIFO(capacity int) *FIFO {
 	return &FIFO{
 		capacity: capacity,
 		index:    newBlockIndex(),
-		order:    newOrder(capacity),
+		entries:  newEntries(capacity),
+		order:    newList(),
 		last:     -1,
 	}
 }
@@ -224,42 +231,44 @@ func NewFIFO(capacity int) *FIFO {
 // last block is answered from its remembered slot.
 func (c *FIFO) Access(id BlockID) bool {
 	c.stats.Accesses++
-	if c.last >= 0 && c.order.entries[c.last].id == id {
+	e := &c.entries
+	if c.last >= 0 && e.ids[c.last] == id {
 		c.stats.Hits++
 		return true
 	}
-	if i, _, ok := c.index.get(id); ok {
+	if pos, ok := c.index.find(id, e.ids); ok {
+		i := c.index.slots[pos].val()
 		c.stats.Hits++
 		c.last = i
 		return true
 	}
+	var i int32
 	if c.index.n >= c.capacity {
-		victim := c.order.back
-		c.order.unlink(victim)
-		c.index.remove(c.order.entries[victim].id)
-		c.order.entries[victim].id = id
-		c.index.put(id, victim, false)
-		c.order.pushFront(victim)
-		c.last = victim
-		return false
+		// Evict the back block and reuse its slot in place.
+		i = c.order.back
+		c.order.unlink(e.links, i)
+		c.index.remove(e.ids[i], i)
+		e.ids[i] = id
+	} else {
+		i = e.alloc(id)
 	}
-	i := c.order.alloc(id)
-	c.index.put(id, i, false)
-	c.order.pushFront(i)
+	c.index.insert(id, i)
+	c.order.pushFront(e.links, i)
 	c.last = i
 	return false
 }
 
 // Contains implements Cache.
-func (c *FIFO) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
+func (c *FIFO) Contains(id BlockID) bool { _, ok := c.index.find(id, c.entries.ids); return ok }
 
 // Invalidate implements Cache. A freed slot keeps its stale id, so
 // the remembered slot is forgotten.
 func (c *FIFO) Invalidate(id BlockID) {
-	if i, _, ok := c.index.get(id); ok {
-		c.order.unlink(i)
-		c.order.free = append(c.order.free, i)
-		c.index.remove(id)
+	if pos, ok := c.index.find(id, c.entries.ids); ok {
+		i := c.index.slots[pos].val()
+		c.order.unlink(c.entries.links, i)
+		c.entries.free = append(c.entries.free, i)
+		c.index.remove(id, i)
 		c.last = -1
 	}
 }

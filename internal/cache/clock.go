@@ -44,7 +44,8 @@ func (c *Clock) Access(id BlockID) bool {
 		c.ref[c.last] = true
 		return true
 	}
-	if i, _, ok := c.index.get(id); ok {
+	if pos, ok := c.index.find(id, c.ids); ok {
+		i := c.index.slots[pos].val()
 		c.stats.Hits++
 		c.ref[i] = true
 		c.last = i
@@ -54,7 +55,7 @@ func (c *Clock) Access(id BlockID) bool {
 		c.ids = append(c.ids, id)
 		c.ref = append(c.ref, false)
 		c.last = int32(len(c.ids) - 1)
-		c.index.put(id, c.last, false)
+		c.index.insert(id, c.last)
 		return false
 	}
 	// Sweep for a victim: clear reference bits until one is unset.
@@ -63,33 +64,31 @@ func (c *Clock) Access(id BlockID) bool {
 		c.hand = (c.hand + 1) % int32(len(c.ids))
 	}
 	victim := c.hand
-	// Guard against an Invalidate tombstone whose zero BlockID could
-	// collide with a genuinely cached block living in another slot.
-	if j, _, ok := c.index.get(c.ids[victim]); ok && j == victim {
-		c.index.remove(c.ids[victim])
-	}
+	// An invalidated victim is in no entry, and remove finds an entry
+	// by its slot, so the tombstone's zero BlockID cannot drop a
+	// genuine zero block cached in another slot.
+	c.index.remove(c.ids[victim], victim)
 	c.ids[victim] = id
 	c.ref[victim] = false
-	c.index.put(id, victim, false)
+	c.index.insert(id, victim)
 	c.last = victim
 	c.hand = (c.hand + 1) % int32(len(c.ids))
 	return false
 }
 
 // Contains implements Cache.
-func (c *Clock) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
+func (c *Clock) Contains(id BlockID) bool { _, ok := c.index.find(id, c.ids); return ok }
 
 // Invalidate implements Cache. The slot keeps its position on the
-// ring: its entry is tombstoned with a zero BlockID and its reference
-// bit cleared, making it an immediate victim candidate for the next
-// sweep. Because a genuine zero BlockID could also be cached in some
-// other slot, the eviction path in Access only deletes the victim's
-// index entry when it still points at the victim's slot, and the
-// remembered slot is forgotten so a zero BlockID cannot hit a
-// tombstone.
+// ring: its entry is removed, its id tombstoned with a zero BlockID
+// and its reference bit cleared, making it an immediate victim
+// candidate for the next sweep. A genuine zero BlockID could be
+// cached in some other slot, so the remembered slot is forgotten: a
+// zero BlockID must not hit a tombstone.
 func (c *Clock) Invalidate(id BlockID) {
-	if i, _, ok := c.index.get(id); ok {
-		c.index.remove(id)
+	if pos, ok := c.index.find(id, c.ids); ok {
+		i := c.index.slots[pos].val()
+		c.index.remove(id, i)
 		// Make the slot an immediate victim candidate.
 		c.ref[i] = false
 		c.ids[i] = BlockID{}
@@ -115,15 +114,20 @@ func (c *Clock) Name() string { return "Clock" }
 // One sequential flood through the cache can displace at most the
 // probationary segment, so the hot interprocess-shared blocks of a
 // CHARISMA trace survive scans that would flush plain LRU.
+//
+// Both segments are lists over one slot space, so a promotion or a
+// demotion relinks a block without touching the index.
 type SLRU struct {
-	capacity int
-	protCap  int        // protected-segment capacity
-	index    blockIndex // flag set: the block is in the protected segment
-	prob     order      // probationary segment, front = MRU
-	prot     order      // protected segment, front = MRU
-	probLen  int
-	protLen  int
-	stats    Stats
+	capacity  int
+	protCap   int // protected-segment capacity
+	index     blockIndex
+	entries   entries
+	protected []bool // protected[i]: slot i is in the protected segment
+	prob      list   // probationary segment, front = MRU
+	prot      list   // protected segment, front = MRU
+	probLen   int
+	protLen   int
+	stats     Stats
 }
 
 // NewSLRU returns a segmented-LRU cache holding up to capacity blocks
@@ -138,111 +142,114 @@ func NewSLRU(capacity int) *SLRU {
 	if capacity >= 2 && protCap == 0 {
 		protCap = 1
 	}
+	e := newEntries(capacity)
 	return &SLRU{
-		capacity: capacity,
-		protCap:  protCap,
-		index:    newBlockIndex(),
-		prob:     newOrder(capacity - protCap),
-		prot:     newOrder(protCap),
+		capacity:  capacity,
+		protCap:   protCap,
+		index:     newBlockIndex(),
+		entries:   e,
+		protected: make([]bool, 0, cap(e.ids)),
+		prob:      newList(),
+		prot:      newList(),
 	}
 }
 
 // Access implements Cache.
 func (c *SLRU) Access(id BlockID) bool {
 	c.stats.Accesses++
-	if f := c.prot.front; f >= 0 && c.prot.entries[f].id == id {
+	e := &c.entries
+	if f := c.prot.front; f >= 0 && e.ids[f] == id {
 		// A repeat of the protected MRU block: already in place.
 		c.stats.Hits++
 		return true
 	}
-	if i, protected, ok := c.index.get(id); ok {
-		c.stats.Hits++
-		if protected {
-			// Already protected: move to the segment's MRU end.
-			if c.prot.front != i {
-				c.prot.unlink(i)
-				c.prot.pushFront(i)
-			}
-			return true
-		}
-		// Re-referenced while probationary: promote.
-		c.prob.unlink(i)
-		c.prob.free = append(c.prob.free, i)
-		c.probLen--
-		if c.protCap == 0 {
-			// Degenerate split: stay probationary, refreshed to MRU.
-			j := c.prob.alloc(id)
-			c.prob.pushFront(j)
-			c.index.put(id, j, false)
-			c.probLen++
-			return true
-		}
-		if c.protLen >= c.protCap {
-			// Demote the protected LRU back to probationary MRU.
-			victim := c.prot.back
-			vid := c.prot.entries[victim].id
-			c.prot.unlink(victim)
-			c.prot.free = append(c.prot.free, victim)
-			c.protLen--
-			c.insertProbationary(vid) // also clears vid's protected flag
-		}
-		j := c.prot.alloc(id)
-		c.prot.pushFront(j)
-		c.index.put(id, j, true)
-		c.protLen++
+	pos, ok := c.index.find(id, e.ids)
+	if !ok {
+		c.insertProbationary(id)
+		return false
+	}
+	c.stats.Hits++
+	i := c.index.slots[pos].val()
+	if c.protected[i] {
+		// Already protected, and not the front: move to the MRU end.
+		c.prot.unlink(e.links, i)
+		c.prot.pushFront(e.links, i)
 		return true
 	}
-	c.insertProbationary(id)
-	return false
+	c.prob.unlink(e.links, i)
+	if c.protCap == 0 {
+		// Degenerate split: stay probationary, refreshed to MRU.
+		c.prob.pushFront(e.links, i)
+		return true
+	}
+	// Re-referenced while probationary: promote.
+	if c.protLen >= c.protCap {
+		// Demote the protected LRU to the probationary MRU end. The
+		// promoted block has left that segment, so nothing is evicted.
+		v := c.prot.back
+		c.prot.unlink(e.links, v)
+		c.prob.pushFront(e.links, v)
+		c.protected[v] = false
+		c.protLen--
+		c.probLen++
+	}
+	c.prot.pushFront(e.links, i)
+	c.protected[i] = true
+	c.probLen--
+	c.protLen++
+	return true
 }
 
 // insertProbationary puts id at the probationary MRU end, evicting the
 // probationary LRU if the cache as a whole is full.
 func (c *SLRU) insertProbationary(id BlockID) {
+	e := &c.entries
+	var i int32
 	if c.probLen+c.protLen >= c.capacity {
-		victim := c.prob.back
-		if victim < 0 {
+		// The new block takes the victim's slot.
+		if i = c.prob.back; i >= 0 {
+			c.prob.unlink(e.links, i)
+			c.probLen--
+		} else {
 			// Everything resident is protected (possible only when the
 			// probationary segment is empty); evict the protected LRU.
-			victim = c.prot.back
-			vid := c.prot.entries[victim].id
-			c.prot.unlink(victim)
-			c.prot.free = append(c.prot.free, victim)
+			i = c.prot.back
+			c.prot.unlink(e.links, i)
 			c.protLen--
-			c.index.remove(vid)
-		} else {
-			vid := c.prob.entries[victim].id
-			c.prob.unlink(victim)
-			c.prob.free = append(c.prob.free, victim)
-			c.probLen--
-			c.index.remove(vid)
+		}
+		c.index.remove(e.ids[i], i)
+		e.ids[i] = id
+	} else {
+		i = e.alloc(id)
+		if int(i) == len(c.protected) {
+			c.protected = append(c.protected, false)
 		}
 	}
-	i := c.prob.alloc(id)
-	c.prob.pushFront(i)
-	c.index.put(id, i, false)
+	c.protected[i] = false
+	c.prob.pushFront(e.links, i)
+	c.index.insert(id, i)
 	c.probLen++
 }
 
 // Contains implements Cache.
-func (c *SLRU) Contains(id BlockID) bool { _, ok := c.index.lookup(id); return ok }
+func (c *SLRU) Contains(id BlockID) bool { _, ok := c.index.find(id, c.entries.ids); return ok }
 
 // Invalidate implements Cache.
 func (c *SLRU) Invalidate(id BlockID) {
-	i, protected, ok := c.index.get(id)
+	pos, ok := c.index.find(id, c.entries.ids)
 	if !ok {
 		return
 	}
-	if protected {
-		c.prot.unlink(i)
-		c.prot.free = append(c.prot.free, i)
+	i := c.index.slots[pos].val()
+	if c.protected[i] {
+		c.prot.unlink(c.entries.links, i)
 		c.protLen--
 	} else {
-		c.prob.unlink(i)
-		c.prob.free = append(c.prob.free, i)
+		c.prob.unlink(c.entries.links, i)
 		c.probLen--
 	}
-	c.index.remove(id)
+	c.entries.free = append(c.entries.free, i)
+	c.index.remove(id, i)
 }
 
 // Len implements Cache.

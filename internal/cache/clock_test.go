@@ -160,9 +160,9 @@ func TestSLRUCapacityOneDegeneratesToLRU(t *testing.T) {
 	}
 }
 
-// TestSLRUInvalidate: the protected bit lives in the block index, so
-// Invalidate must unlink a block from the segment that bit names, and
-// a block re-admitted after invalidation starts over as probationary.
+// TestSLRUInvalidate: Invalidate must unlink a block from the segment
+// its slot's protected bit names, and a block re-admitted after
+// invalidation starts over as probationary.
 func TestSLRUInvalidate(t *testing.T) {
 	c := NewSLRU(5) // protected capacity 4
 	hot, cold := id(1, 0), id(1, 1)
@@ -177,8 +177,8 @@ func TestSLRUInvalidate(t *testing.T) {
 	if c.Access(hot) {
 		t.Fatal("invalidated block hit on re-access")
 	}
-	if _, protected, _ := c.index.get(hot); protected || c.probLen != 2 {
-		t.Fatalf("re-admitted block protected=%v probLen=%d, want probationary", protected, c.probLen)
+	if pos, _ := c.index.find(hot, c.entries.ids); c.protected[c.index.slots[pos].val()] || c.probLen != 2 {
+		t.Fatalf("re-admitted block protected=%v probLen=%d, want probationary", c.protected[c.index.slots[pos].val()], c.probLen)
 	}
 	c.Access(hot) // protected again
 

@@ -12,29 +12,44 @@ import (
 // run back instead of leaving tombstones, so the evict-on-miss churn
 // of a full cache neither allocates nor degrades the table over time.
 //
-// The table grows by doubling only while the cache fills: a cache that
-// holds a handful of blocks (one of the per-(job, node) compute-node
-// caches of Figure 8, say) never pays for its nominal capacity.
+// Each table slot is 8 bytes: a 32-bit tag, the top half of the
+// block's seeded hash, and the policy's slot plus one, with 0 marking
+// an empty table slot. The tag's top bits are the home position, so
+// resizing and backward-shift deletion move entries without reading a
+// BlockID. The table stores no BlockID: every policy already keeps
+// each slot's block in an ids slice (ids[v] is the block in slot v),
+// and lookups take that slice. Distinct blocks can share a tag, so a
+// tag match counts only once ids confirms it.
+//
+// The table grows by doubling only while its cache or stack fills: one
+// that holds a handful of blocks (one of Figure 8's per-(job, node)
+// stacks, say) never pays for its nominal capacity.
 //
 // Slot positions depend on a per-table random seed, so a crafted trace
-// cannot line its blocks up into one long probe run. The table is
-// never iterated, so the seed cannot reach any simulated result.
+// cannot line its blocks up into one long probe run. Only Stack's
+// compaction visits the table in position order, and what it computes
+// does not depend on that order, so the seed cannot reach any
+// simulated result.
 type blockIndex struct {
 	slots []indexSlot
 	mask  uint64 // len(slots) - 1
-	shift uint   // 64 - log2(len(slots)): home positions take the top bits
+	shift uint   // 32 - log2(len(slots)): home positions take a tag's top bits
 	seed  uint64
 	n     int // occupied slots
 }
 
-// indexSlot is one table cell. val is the policy's slot for id; flag
-// is one bit of per-block policy state (SLRU: the block is protected).
+// indexSlot is one table slot: an entry's tag, and its policy slot
+// plus one (0: the table slot is empty).
 type indexSlot struct {
-	id   BlockID
-	val  int32
-	flag bool
-	used bool
+	tag uint32
+	ref uint32
 }
+
+// val returns the policy slot an occupied table slot holds.
+func (s indexSlot) val() int32 { return int32(s.ref - 1) }
+
+// set makes an occupied table slot hold policy slot v.
+func (s *indexSlot) set(v int32) { s.ref = uint32(v) + 1 }
 
 // minIndexSlots is the initial table size.
 const minIndexSlots = 8
@@ -45,56 +60,69 @@ func newBlockIndex() blockIndex {
 	return ix
 }
 
-// home returns id's preferred position: a multiplicative mix of the
-// file (salted by the seed) and the block, read from the product's top
-// bits, which spreads both consecutive and strided block runs.
-func (ix *blockIndex) home(id BlockID) uint64 {
-	h := (id.File^ix.seed)*0x9e3779b97f4a7c15 + uint64(id.Block)
-	return (h * 0xd6e8feb86659fd93) >> ix.shift
+// tag returns the top half of id's hash: a multiplicative mix of the
+// file (salted by the seed) and the block, which spreads both
+// consecutive and strided block runs. It is one expression so that
+// find stays within the compiler's inlining budget.
+func (ix *blockIndex) tag(id BlockID) uint32 {
+	return uint32(((id.File^ix.seed)*0x9e3779b97f4a7c15 + uint64(id.Block)) * 0xd6e8feb86659fd93 >> 32)
 }
 
-// lookup returns the position holding id, or the empty position that
-// ends its probe run.
-func (ix *blockIndex) lookup(id BlockID) (pos uint64, found bool) {
-	for pos = ix.home(id); ix.slots[pos].used; pos = (pos + 1) & ix.mask {
-		if ix.slots[pos].id == id {
+// home returns the position an entry with the given tag probes from.
+func (ix *blockIndex) home(tag uint32) uint64 { return uint64(tag >> ix.shift) }
+
+// find returns the position holding id, or the empty position that
+// ends its probe run. ids[v] is the block in policy slot v. The
+// compiler inlines find into every policy's Access.
+func (ix *blockIndex) find(id BlockID, ids []BlockID) (pos uint64, found bool) {
+	tag := ix.tag(id)
+	for pos = ix.home(tag); ; pos = (pos + 1) & ix.mask {
+		s := ix.slots[pos]
+		if s.ref == 0 {
+			return pos, false
+		}
+		if s.tag == tag && ids[s.ref-1] == id {
 			return pos, true
 		}
 	}
-	return pos, false
 }
 
-// get returns id's value and flag, and whether id is present.
-func (ix *blockIndex) get(id BlockID) (val int32, flag, ok bool) {
-	pos, ok := ix.lookup(id)
-	s := &ix.slots[pos]
-	return s.val, s.flag, ok
+// insert adds id, which must be absent, in policy slot val.
+func (ix *blockIndex) insert(id BlockID, val int32) {
+	if 2*(ix.n+1) > len(ix.slots) {
+		ix.resize(2 * len(ix.slots))
+	}
+	ix.place(indexSlot{tag: ix.tag(id), ref: uint32(val) + 1})
+	ix.n++
 }
 
-// put sets id's value and flag, inserting id if absent.
-func (ix *blockIndex) put(id BlockID, val int32, flag bool) {
-	pos, ok := ix.lookup(id)
-	if !ok {
-		if 2*(ix.n+1) > len(ix.slots) {
-			ix.resize(2 * len(ix.slots))
-			pos, _ = ix.lookup(id)
+// place puts s in the first empty position of its probe run.
+func (ix *blockIndex) place(s indexSlot) {
+	pos := ix.home(s.tag)
+	for ix.slots[pos].ref != 0 {
+		pos = (pos + 1) & ix.mask
+	}
+	ix.slots[pos] = s
+}
+
+// remove deletes the entry that holds id in policy slot val, reporting
+// whether there was one. A policy slot is in the table at most once,
+// so the entry is found by its slot along id's probe run, with no id
+// compared. Each later entry of the run moves back into the hole when
+// the hole lies between that entry's home and its current position,
+// which keeps every remaining entry reachable from its home without a
+// tombstone.
+func (ix *blockIndex) remove(id BlockID, val int32) bool {
+	ref := uint32(val) + 1
+	hole := ix.home(ix.tag(id))
+	for ix.slots[hole].ref != ref {
+		if ix.slots[hole].ref == 0 {
+			return false
 		}
-		ix.n++
+		hole = (hole + 1) & ix.mask
 	}
-	ix.slots[pos] = indexSlot{id: id, val: val, flag: flag, used: true}
-}
-
-// remove deletes id, reporting whether it was present. Each later
-// entry of the probe run moves back into the hole when the hole lies
-// between that entry's home and its current position, which keeps
-// every remaining entry reachable from its home without a tombstone.
-func (ix *blockIndex) remove(id BlockID) bool {
-	hole, ok := ix.lookup(id)
-	if !ok {
-		return false
-	}
-	for pos := (hole + 1) & ix.mask; ix.slots[pos].used; pos = (pos + 1) & ix.mask {
-		if (pos-ix.home(ix.slots[pos].id))&ix.mask >= (pos-hole)&ix.mask {
+	for pos := (hole + 1) & ix.mask; ix.slots[pos].ref != 0; pos = (pos + 1) & ix.mask {
+		if (pos-ix.home(ix.slots[pos].tag))&ix.mask >= (pos-hole)&ix.mask {
 			ix.slots[hole] = ix.slots[pos]
 			hole = pos
 		}
@@ -105,16 +133,15 @@ func (ix *blockIndex) remove(id BlockID) bool {
 }
 
 // resize rehashes every entry into a fresh table of size slots (a
-// power of two).
+// power of two, at most 2^32).
 func (ix *blockIndex) resize(size int) {
 	old := ix.slots
 	ix.slots = make([]indexSlot, size)
 	ix.mask = uint64(size - 1)
-	ix.shift = 64 - uint(bits.TrailingZeros(uint(size)))
-	for i := range old {
-		if old[i].used {
-			pos, _ := ix.lookup(old[i].id)
-			ix.slots[pos] = old[i]
+	ix.shift = 32 - uint(bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		if s.ref != 0 {
+			ix.place(s)
 		}
 	}
 }

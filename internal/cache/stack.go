@@ -32,7 +32,7 @@ import (
 // of its times are stale, the live times are renumbered 1..n in order.
 type Stack struct {
 	depth  int32
-	index  blockIndex // block -> time of its last access
+	index  blockIndex // block -> time of its last access, confirmed by ids
 	tree   []int32    // Fenwick tree over times; tree[0] is unused
 	ids    []BlockID  // ids[t]: the block accessed at time t
 	live   []uint64   // bit t: time t is the last access of a block on the stack
@@ -73,7 +73,7 @@ func (s *Stack) Access(id BlockID) int {
 		s.compact()
 	}
 	now := int32(len(s.tree))
-	pos, ok := s.index.lookup(id)
+	pos, ok := s.index.find(id, s.ids)
 	if !ok {
 		if s.n == s.depth {
 			s.forgetDeepest()
@@ -81,12 +81,12 @@ func (s *Stack) Access(id BlockID) int {
 		s.n++
 		s.ones++
 		s.push(id)
-		s.index.put(id, now, false)
+		s.index.insert(id, now)
 		return 0
 	}
 	slot := &s.index.slots[pos]
-	then := slot.val
-	slot.val = now
+	then := slot.val()
+	slot.set(now)
 	d := s.ones - s.prefix(then) + 1
 	s.live[then/64] &^= 1 << (then % 64)
 	for t := then; t < now; t += t & -t {
@@ -105,7 +105,7 @@ func (s *Stack) forgetDeepest() {
 	}
 	s.oldest += int32(bits.TrailingZeros64(s.live[s.oldest/64] >> (s.oldest % 64)))
 	s.live[s.oldest/64] &^= 1 << (s.oldest % 64)
-	s.index.remove(s.ids[s.oldest])
+	s.index.remove(s.ids[s.oldest], s.oldest)
 	s.n--
 }
 
@@ -138,15 +138,25 @@ func (s *Stack) push(id BlockID) {
 // compact renumbers the blocks on the stack 1..n, keeping their order,
 // and rebuilds the tree with a 1 at every time. A block's new time is
 // its rank among the live times: its prefix count less the forgotten
-// 1s, which all come first. Distances depend only on the order of last
-// accesses, so none changes. The caller compacts only when at least
-// half the tree is stale, so the cost is amortized O(1) per access.
+// 1s, which all come first. The index entries take their new times
+// first, while the tree still counts the old ones; then the ids move
+// down in time order, each to a time no later than its own, so none
+// is overwritten before it moves. Distances depend only on the order
+// of last accesses, so none changes. The caller compacts only when at
+// least half the tree is stale, so the cost is amortized O(1) per
+// access.
 func (s *Stack) compact() {
 	forgotten := s.ones - s.n
 	for p := range s.index.slots {
-		if slot := &s.index.slots[p]; slot.used {
-			slot.val = s.prefix(slot.val) - forgotten
-			s.ids[slot.val] = slot.id
+		if slot := &s.index.slots[p]; slot.ref != 0 {
+			slot.set(s.prefix(slot.val()) - forgotten)
+		}
+	}
+	rank := int32(0)
+	for w, word := range s.live {
+		for ; word != 0; word &= word - 1 {
+			rank++
+			s.ids[rank] = s.ids[int32(w*64+bits.TrailingZeros64(word))]
 		}
 	}
 	s.tree, s.ids = s.tree[:s.n+1], s.ids[:s.n+1]

@@ -15,6 +15,10 @@ package cfs
 // pooled here either: each call borrows a record from its file system
 // for as long as it is in flight.
 //
+// A file system given no arena (SetArena) keeps one of its own, so
+// even a single study reuses the handles and open groups of finished
+// node programs.
+//
 // An Arena is not safe for concurrent use; give each worker its own.
 // The zero value is ready to use.
 type Arena struct {

@@ -1,6 +1,7 @@
 package cfs
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -613,5 +614,50 @@ func TestPrefetchDoesNotChangeData(t *testing.T) {
 			h.Close(p)
 		})
 		k.Run()
+	}
+}
+
+// TestHandlesPooledWithoutArena: a file system built without an arena
+// pools handles in one of its own, so a second job's opens take the
+// handles the first job released and allocate none. A handle still
+// returns to the pool only at Release: reopening within a job takes a
+// new handle, and a closed one keeps reporting ErrClosed.
+func TestHandlesPooledWithoutArena(t *testing.T) {
+	k := sim.New()
+	fs := newTestFS(k)
+	if _, err := fs.Preload("/in", 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	opens := func(job uint32, mode IOMode) (hs []*Handle) {
+		k.Spawn("job", func(p *sim.Proc) {
+			c := NewClient(fs, job, 0, nil)
+			for i := 0; i < 3; i++ {
+				h, err := c.Open(p, "/in", ORdOnly, mode)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := h.Close(p); err != nil {
+					t.Error(err)
+				}
+				hs = append(hs, h)
+			}
+			if _, err := hs[0].Read(p, 10); err != ErrClosed {
+				t.Errorf("job %d: read on a closed handle: %v, want ErrClosed", job, err)
+			}
+			c.Release()
+		})
+		k.Run()
+		return hs
+	}
+	first := opens(1, Mode1)
+	if first[0] == first[1] || first[1] == first[2] || first[0] == first[2] {
+		t.Fatal("a closed handle served another open of its job")
+	}
+	second := opens(2, Mode0)
+	for _, h := range second {
+		if !slices.Contains(first, h) {
+			t.Fatal("the second job's open allocated a handle")
+		}
 	}
 }

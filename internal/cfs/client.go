@@ -21,8 +21,7 @@ type Client struct {
 	tracer Tracer
 
 	// handles tracks every handle this client opened, so Release can
-	// return them to the arena pool when the node program ends. Only
-	// maintained when the file system has an arena.
+	// return them to the arena pool when the node program ends.
 	handles []*Handle
 }
 
@@ -38,36 +37,28 @@ func NewClient(fs *FileSystem, job uint32, node int, tracer Tracer) *Client {
 // Release returns the client's handles to the file system's arena for
 // reuse by a later job, or a later study on the same arena. Call it
 // only after the node program has finished: the client, its handles,
-// and any in-flight transfers must all be done. Without an arena it is
-// a no-op.
+// and any in-flight transfers must all be done.
 func (c *Client) Release() {
-	a := c.fs.arena
-	if a == nil {
-		return
-	}
 	// Handles are pooled only here, never on Close: a stale reference
 	// to a closed handle therefore keeps observing ErrClosed for the
 	// rest of the job instead of silently aliasing a newer open.
 	for i, h := range c.handles {
-		a.putHandle(h)
+		c.fs.arena.putHandle(h)
 		c.handles[i] = nil
 	}
 	c.handles = c.handles[:0]
 }
 
-// newHandle returns a zeroed handle bound to the client, pooled when
-// the file system has an arena.
+// newHandle returns a zeroed handle bound to the client, from the
+// file system's arena.
 func (c *Client) newHandle() *Handle {
-	if a := c.fs.arena; a != nil {
-		h := a.getHandle()
-		if h == nil {
-			h = &Handle{}
-		}
-		h.c = c
-		c.handles = append(c.handles, h)
-		return h
+	h := c.fs.arena.getHandle()
+	if h == nil {
+		h = &Handle{}
 	}
-	return &Handle{c: c}
+	h.c = c
+	c.handles = append(c.handles, h)
+	return h
 }
 
 // xfer is one CFS call in flight: a leg per I/O node, the WaitGroup
@@ -177,15 +168,6 @@ func (x *xfer) wait(p *sim.Proc) {
 	x.fs.xfers = append(x.fs.xfers, x)
 }
 
-// newGroup returns an empty open group, pooled when the file system
-// has an arena.
-func (c *Client) newGroup(mode IOMode) *openGroup {
-	if a := c.fs.arena; a != nil {
-		return a.getGroup(mode)
-	}
-	return &openGroup{mode: mode}
-}
-
 // Handle is an open file descriptor on one node.
 type Handle struct {
 	c       *Client
@@ -233,7 +215,7 @@ func (c *Client) Open(p *sim.Proc, name string, flags int, mode IOMode) (*Handle
 	if mode != Mode0 {
 		g := f.groups[c.job]
 		if g == nil || g.mode != mode {
-			g = c.newGroup(mode)
+			g = c.fs.arena.getGroup(mode)
 			f.groups[c.job] = g
 		}
 		g.members = append(g.members, c.node)
@@ -555,9 +537,7 @@ func (h *Handle) Close(p *sim.Proc) error {
 			delete(h.f.groups, h.c.job)
 			// No members means no waiters; the group can serve the
 			// next open.
-			if a := h.c.fs.arena; a != nil {
-				a.putGroup(h.group)
-			}
+			h.c.fs.arena.putGroup(h.group)
 		}
 		h.group = nil
 	}

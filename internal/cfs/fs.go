@@ -177,7 +177,7 @@ type FileSystem struct {
 	cfg     Config
 	tp      Transport
 	ionodes []*IONode
-	arena   *Arena  // optional cross-study pools; nil allocates fresh
+	arena   *Arena  // the file system's own pools, or a cross-study arena
 	xfers   []*xfer // free transfer records, reused LIFO
 
 	byName map[string]*file
@@ -199,6 +199,7 @@ func New(k *sim.Kernel, cfg Config, tp Transport) *FileSystem {
 		k:      k,
 		cfg:    cfg,
 		tp:     tp,
+		arena:  new(Arena),
 		byName: make(map[string]*file),
 		byID:   make(map[uint64]*file),
 	}
@@ -209,17 +210,14 @@ func New(k *sim.Kernel, cfg Config, tp Transport) *FileSystem {
 }
 
 // SetArena makes the file system draw files, handles and open groups
-// from the given cross-study pool. Call it right after New, before
-// any file is created.
+// from the given cross-study pool instead of its own, which serves
+// one study. Call it right after New, before any file is created.
 func (fs *FileSystem) SetArena(a *Arena) { fs.arena = a }
 
 // Recycle returns every file struct, with its open groups, to the
 // arena. Call it once the simulation is over and the trace collected;
 // the file system must not be used afterwards.
 func (fs *FileSystem) Recycle() {
-	if fs.arena == nil {
-		return
-	}
 	for id, f := range fs.byID {
 		fs.arena.putFile(f)
 		delete(fs.byID, id)
@@ -263,10 +261,7 @@ func (fs *FileSystem) lookup(name string) (*file, bool) {
 // create registers a new file.
 func (fs *FileSystem) create(name string, job uint32) *file {
 	fs.nextID++
-	var f *file
-	if fs.arena != nil {
-		f = fs.arena.getFile()
-	}
+	f := fs.arena.getFile()
 	if f == nil {
 		f = &file{groups: make(map[uint32]*openGroup)}
 	}

@@ -19,7 +19,7 @@ type IONode struct {
 	id    int
 	k     *sim.Kernel
 	disk  disk.Model
-	cache cache.Cache
+	cache *cache.LRU
 
 	busyUntil sim.Time
 	nextFree  int32   // next never-allocated disk block

@@ -435,8 +435,7 @@ func (m *Machine) startJob(qj queuedJob, base int) {
 				spec.Body(ctx)
 			}
 			// The node program is done: its client's handles can serve
-			// the next job. With no arena on the file system this is a
-			// no-op.
+			// the next job.
 			client.Release()
 			m.nodeDone(rj, node)
 		})
