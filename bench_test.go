@@ -582,22 +582,6 @@ func BenchmarkRunSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkArenaStudySteadyState measures the per-study cost once a
-// worker's arena is warm: every iteration runs a full study on the
-// same arena and recycles it, so B/op and allocs/op here versus
-// BenchmarkRunStudy quantify how much of a study's allocation the
-// arena reuse removes (acceptance: <= 25% of a cold study).
-func BenchmarkArenaStudySteadyState(b *testing.B) {
-	arena := core.NewArena()
-	cfg := core.DefaultConfig(42, benchScale)
-	arena.Recycle(arena.RunStudy(cfg)) // warm the pools
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arena.Recycle(arena.RunStudy(cfg))
-	}
-}
-
 // BenchmarkPredict is the analytical twin end to end (core.Predict):
 // the NAS mix at seed 42, scale 0.1, walked on the simulated machine
 // with tracing off. No trace or analysis runs, so its time and bytes

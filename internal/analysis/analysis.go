@@ -100,10 +100,10 @@ func Analyze(header trace.Header, events []trace.Event, horizon sim.Time) *Repor
 	return o.Finish(horizon)
 }
 
-func newClassCDFs(s *Scratch) map[FileClass]*stats.CDF {
+func newClassCDFs() map[FileClass]*stats.CDF {
 	m := make(map[FileClass]*stats.CDF, numClasses)
 	for c := Untouched; c < numClasses; c++ {
-		m[c] = s.cdf()
+		m[c] = new(stats.CDF)
 	}
 	return m
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -156,13 +157,12 @@ func NewOnline(header trace.Header) *Online {
 	return OnlineInto(nil, header)
 }
 
-// OnlineInto is NewOnline drawing its working state and statistic
-// objects from the given scratch, which a worker reuses across studies
-// (see core.Arena); the analyzer must be finished before the scratch
-// serves another. The Report that Finish returns borrows pooled CDFs
-// and histograms: once it is discarded, return them with
-// ReclaimReport. A nil scratch allocates everything fresh (identical
-// to NewOnline).
+// OnlineInto is NewOnline drawing its working state from the given
+// scratch, which a worker reuses across studies (see core's sweep
+// worker); the analyzer must be finished before the scratch serves
+// another. The Report that Finish returns is freshly allocated, so it
+// stays valid however the scratch is reused. A nil scratch allocates
+// the state fresh (identical to NewOnline).
 func OnlineInto(s *Scratch, header trace.Header) *Online {
 	st := new(state)
 	if s != nil {
@@ -174,23 +174,23 @@ func OnlineInto(s *Scratch, header trace.Header) *Online {
 		r: &Report{
 			Header:         header,
 			JobConcurrency: make(map[int]sim.Time),
-			NodesPerJob:    s.hist(),
+			NodesPerJob:    new(stats.Hist),
 			NodeTime:       make(map[int]float64),
-			FilesPerJob:    s.hist(),
+			FilesPerJob:    new(stats.Hist),
 			FilesByClass:   make(map[FileClass]int),
-			FileSizeCDF:    s.cdf(),
+			FileSizeCDF:    new(stats.CDF),
 
-			ReadCountBySize:  s.cdf(),
-			ReadBytesBySize:  s.cdf(),
-			WriteCountBySize: s.cdf(),
-			WriteBytesBySize: s.cdf(),
+			ReadCountBySize:  new(stats.CDF),
+			ReadBytesBySize:  new(stats.CDF),
+			WriteCountBySize: new(stats.CDF),
+			WriteBytesBySize: new(stats.CDF),
 
-			SeqPct:       newClassCDFs(s),
-			ConsPct:      newClassCDFs(s),
-			IntervalHist: s.hist(),
-			ReqSizeHist:  s.hist(),
-			ByteSharing:  newClassCDFs(s),
-			BlockSharing: newClassCDFs(s),
+			SeqPct:       newClassCDFs(),
+			ConsPct:      newClassCDFs(),
+			IntervalHist: new(stats.Hist),
+			ReqSizeHist:  new(stats.Hist),
+			ByteSharing:  newClassCDFs(),
+			BlockSharing: newClassCDFs(),
 		},
 		blockBytes: header.BlockSize(),
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -29,28 +30,27 @@ type refOnline struct {
 }
 
 func newRefOnline(header trace.Header) *refOnline {
-	var s *Scratch
 	return &refOnline{
 		r: &Report{
 			Header:         header,
 			JobConcurrency: make(map[int]sim.Time),
-			NodesPerJob:    s.hist(),
+			NodesPerJob:    new(stats.Hist),
 			NodeTime:       make(map[int]float64),
-			FilesPerJob:    s.hist(),
+			FilesPerJob:    new(stats.Hist),
 			FilesByClass:   make(map[FileClass]int),
-			FileSizeCDF:    s.cdf(),
+			FileSizeCDF:    new(stats.CDF),
 
-			ReadCountBySize:  s.cdf(),
-			ReadBytesBySize:  s.cdf(),
-			WriteCountBySize: s.cdf(),
-			WriteBytesBySize: s.cdf(),
+			ReadCountBySize:  new(stats.CDF),
+			ReadBytesBySize:  new(stats.CDF),
+			WriteCountBySize: new(stats.CDF),
+			WriteBytesBySize: new(stats.CDF),
 
-			SeqPct:       newClassCDFs(s),
-			ConsPct:      newClassCDFs(s),
-			IntervalHist: s.hist(),
-			ReqSizeHist:  s.hist(),
-			ByteSharing:  newClassCDFs(s),
-			BlockSharing: newClassCDFs(s),
+			SeqPct:       newClassCDFs(),
+			ConsPct:      newClassCDFs(),
+			IntervalHist: new(stats.Hist),
+			ReqSizeHist:  new(stats.Hist),
+			ByteSharing:  newClassCDFs(),
+			BlockSharing: newClassCDFs(),
 		},
 		blockBytes: header.BlockSize(),
 		files:      make(map[uint64]*refFileAcc),

@@ -1,8 +1,8 @@
 package cfs
 
 // Arena pools the file system's per-study allocations so a worker
-// running many studies back to back (see core.Arena) stops paying for
-// them after its first study:
+// running many studies back to back (core.RunSweep's workers) stops
+// paying for them after its first study:
 //
 //   - file structs (with their open-group maps), returned by
 //     FileSystem.Recycle.

@@ -1,20 +1,27 @@
-// Arena: one worker's reusable simulation state. PR 1 made a single
-// study allocation-light; the arena makes the *second* study on the
-// same worker nearly allocation-free by keeping every layer's backing
-// storage alive between studies:
+// The sweep worker's arena: the storage one worker's studies reuse
+// from one study to the next. It keeps only the pools that pay for
+// themselves. Dropping one of them raised machines-sweep's allocation
+// per op by the share given (PERFORMANCE.md, "Arenas: only the pools
+// that pay"):
 //
-//   - the sim kernel's event-queue bucket arrays (sim.Kernel.Reset),
 //   - the trace pipeline's node-buffer chunks and collector block
-//     slice (trace.Arena), and the merged event stream a study keeps,
-//   - the CFS file structs, handles and open groups (cfs.Arena; block
-//     tables are not pooled, since their pages never copy as a file
-//     grows),
-//   - the analyzer's dense working state and -- once a report is
-//     recycled -- its CDFs and histograms (analysis.Scratch).
+//     slice (trace.Arena): +52%;
+//   - the kept event stream, or the analyzer's batch buffer when no
+//     stream is kept (events): +28%;
+//   - the analyzer's dense working state (analysis.Scratch): +14.5%;
+//   - the CFS file structs, handles and open groups (cfs.Arena,
+//     returned by FileSystem.Recycle): +2.6%;
+//   - the sim kernel's event-queue bucket arrays (sim.Kernel.Reset):
+//     +2.2%.
 //
-// Reuse never changes behavior: pooled storage is length-zeroed and
-// fully rewritten, so a study run on a warm arena is byte-identical
-// to a cold RunStudy (TestArenaStudyDeterminism pins this).
+// Reports are not pooled (pooling them saved 0.5%): each study's
+// report is allocated fresh, so nothing a study returns aliases the
+// arena.
+//
+// Reuse never changes behavior: pooled storage is emptied and fully
+// rewritten, so a study on a warm arena is byte-identical to a cold
+// one (TestArenaStudyDeterminism and TestArenaAcrossStudyKinds pin
+// this).
 package core
 
 import (
@@ -24,49 +31,32 @@ import (
 	"repro/internal/trace"
 )
 
-// Arena is one worker's reusable simulation state. It is not safe for
-// concurrent use: a sweep gives each worker goroutine its own.
-type Arena struct {
+// arena is one worker's reusable simulation state. It is not safe for
+// concurrent use: each worker goroutine has its own (workerArenas).
+type arena struct {
 	kernel  *sim.Kernel
 	mach    machine.Arena
 	scratch analysis.Scratch
-	// events is the last kept merged stream, reused: Result.Events, or
-	// a sweep study's stream for its cache plan.
+	// events is the last study's kept merged stream (for its cache
+	// plan) or the analyzer's batch buffer.
 	events []trace.Event
 }
 
-// NewArena returns an empty arena; its pools fill as studies run.
-func NewArena() *Arena {
-	return &Arena{kernel: sim.New()}
+// newArena returns an empty arena; its pools fill as studies run.
+func newArena() *arena {
+	return &arena{kernel: sim.New()}
 }
 
-// RunStudy runs one study, drawing storage from the arena's pools.
-// The result is identical to core.RunStudy's, with one ownership
-// caveat: the Result borrows arena storage, so it (and its Trace,
-// Events, and Report) is valid only until the arena's next RunStudy
-// call. Copy out anything that must outlive it, then return the
-// storage with Recycle.
-func (a *Arena) RunStudy(cfg Config) *Result {
-	return runStudy(cfg, a)
-}
-
-// Recycle returns a finished study's storage -- the trace blocks and
-// the report's statistics -- to the arena pools and poisons res. The
-// event stream needs no handing back: the arena owns it throughout
-// and overwrites it on the next RunStudy.
-// Call it once the result has been read; skipping it is safe but
-// forfeits the reuse (the next study allocates afresh).
-func (a *Arena) Recycle(res *Result) {
-	if res == nil {
-		return
+// workerArenas returns the arena lookup of an executor that runs n
+// studies on workerCount(workers, n) goroutines: arena(w) is worker
+// w's, made at its first study. Each goroutine passes only its own w,
+// so the slots need no lock.
+func workerArenas(workers, n int) func(w int) *arena {
+	arenas := make([]*arena, workerCount(workers, n))
+	return func(w int) *arena {
+		if arenas[w] == nil {
+			arenas[w] = newArena()
+		}
+		return arenas[w]
 	}
-	if res.Trace != nil {
-		a.mach.Trace.ReclaimTrace(res.Trace)
-		res.Trace = nil
-	}
-	if res.Report != nil {
-		analysis.ReclaimReport(&a.scratch, res.Report)
-		res.Report = nil
-	}
-	res.Events = nil
 }

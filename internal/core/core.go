@@ -15,8 +15,9 @@
 //
 // Many studies -- seed replications, scale sweeps, workload or
 // machine variants -- run in parallel through the sweep engine, which
-// fans specs across worker goroutines with one reusable Arena each
-// and merges outcomes deterministically in spec order:
+// fans specs across worker goroutines, each reusing its storage from
+// one study to the next, and merges outcomes deterministically in spec
+// order:
 //
 //	specs := core.CrossSpecs([]uint64{1, 2, 3, 4}, []float64{0.05})
 //	sweep := core.RunSweep(ctx, core.SweepConfig{Specs: specs})
@@ -124,9 +125,25 @@ func (r *Result) BlockBytes() int64 { return int64(r.Header.BlockBytes) }
 
 // RunStudy generates the workload, simulates the machine while tracing
 // all instrumented CFS activity, postprocesses the trace, and analyzes
-// it.
+// it. Everything is freshly allocated; a caller that runs many studies
+// and wants them to reuse storage runs them through RunSweep (one
+// worker reuses it across all its studies).
 func RunStudy(cfg Config) *Result {
-	return runStudy(cfg, nil)
+	m, horizon, tr, rd, _ := simulate(cfg, nil, nil) // no sink: cannot fail
+	var events []trace.Event
+	report, _ := analyze(rd, horizon, nil, &events, true) // collected blocks: cannot fail
+	report.Degradation = m.FaultReport()
+	return &Result{
+		Header:        tr.Header,
+		Trace:         tr,
+		Events:        events,
+		Report:        report,
+		Horizon:       horizon,
+		TraceRecords:  m.TraceRecords(),
+		TraceMessages: m.TraceMessages(),
+		DiskOps:       m.FS().TotalDiskOps(),
+		IOQueue:       m.IONodeQueueStats(),
+	}
 }
 
 // studyParams resolves a normalized config into the workload and
@@ -164,25 +181,22 @@ func studyParams(cfg Config) (workload.Params, machine.Config) {
 // analyze is the second. It resolves the config, builds the machine,
 // runs the workload and finishes tracing, and returns the machine, the
 // horizon, the collected trace and a Reader over its blocks. With a
-// non-nil arena the machine is built on its pools (the kernel reset,
-// the file system recycled once the trace is collected). With a
-// non-nil sink the collector spills every block through it as it
-// arrives, on a private arena whose trace chunks cycle block by block;
-// the trace then holds only the header, and the Reader reads the
-// spill back. Only a spill can fail.
-func simulate(cfg Config, a *Arena, sink StreamSink) (*machine.Machine, sim.Time, *trace.Trace, *trace.Reader, error) {
+// non-nil arena the machine is built on its pools and its reset
+// kernel; runSpec hands the trace and files back once the study is
+// done. With a non-nil sink the collector spills every block through
+// it as it arrives, recycling the block's chunk into the machine's
+// arena; the trace then holds only the header, and the Reader reads
+// the spill back. Only a spill can fail.
+func simulate(cfg Config, a *arena, sink StreamSink) (*machine.Machine, sim.Time, *trace.Trace, *trace.Reader, error) {
 	cfg = cfg.normalized()
 	wp, mc := studyParams(cfg)
 
 	var k *sim.Kernel
-	var mach *machine.Arena
-	switch {
-	case a != nil:
+	var mach *machine.Arena // nil: the machine's private pools
+	if a != nil {
 		a.kernel.Reset()
 		k, mach = a.kernel, &a.mach
-	case sink != nil:
-		k, mach = sim.New(), &machine.Arena{}
-	default:
+	} else {
 		k = sim.New()
 	}
 	m := machine.NewWith(k, mc, mach)
@@ -197,12 +211,6 @@ func simulate(cfg Config, a *Arena, sink StreamSink) (*machine.Machine, sim.Time
 	horizon := workload.NewGenerator(wp).Install(m)
 	k.Run()
 	tr := m.FinishTracing()
-	if a != nil {
-		// The trace is collected: the file system's file structs and
-		// open groups can serve the next study even while this one is
-		// analyzed.
-		m.FS().Recycle()
-	}
 	if sink == nil {
 		return m, horizon, tr, tr.Reader(), nil
 	}
@@ -268,31 +276,6 @@ func analyze(rd *trace.Reader, horizon sim.Time, scratch *analysis.Scratch, buf 
 	observe()
 	*buf = evs
 	return o.Finish(horizon), nil
-}
-
-// runStudy is RunStudy (a == nil, everything freshly allocated) and
-// Arena.RunStudy (storage drawn from and returned to the arena's
-// pools). Both keep the merged stream as Result.Events.
-func runStudy(cfg Config, a *Arena) *Result {
-	m, horizon, tr, rd, _ := simulate(cfg, a, nil) // no sink: cannot fail
-	keep := new([]trace.Event)
-	var scratch *analysis.Scratch
-	if a != nil {
-		keep, scratch = &a.events, &a.scratch
-	}
-	report, _ := analyze(rd, horizon, scratch, keep, true) // collected blocks: cannot fail
-	report.Degradation = m.FaultReport()
-	return &Result{
-		Header:        tr.Header,
-		Trace:         tr,
-		Events:        *keep,
-		Report:        report,
-		Horizon:       horizon,
-		TraceRecords:  m.TraceRecords(),
-		TraceMessages: m.TraceMessages(),
-		DiskOps:       m.FS().TotalDiskOps(),
-		IOQueue:       m.IONodeQueueStats(),
-	}
 }
 
 // Fig8Result is the compute-node caching experiment at one cache size.

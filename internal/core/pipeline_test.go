@@ -17,12 +17,12 @@ import (
 // (simulate, then analyze) on the NAS, read-mostly and checkpoint-heavy
 // mixes:
 //
-//   - RunStudy, Arena.RunStudy on a warm arena, RunStudyStreaming and
-//     RunSweep outcomes at 1 and 2 workers give the same report text
-//     and counters;
+//   - RunStudy, the sweep worker (runSpec) on a warm arena,
+//     RunStudyStreaming and RunSweep outcomes at 1 and 2 workers give
+//     the same report text and counters;
 //   - RunStudy's stream equals Postprocess, its report equals Analyze
 //     over that stream (neither shares analyze's batching), and the
-//     arena's stream equals RunStudy's;
+//     warm arena's kept stream equals RunStudy's;
 //   - the cache experiments read the same from a sweep's kept stream,
 //     from RunStudy's Events and from a replay of the spilled .trc.
 func TestStudyPipelinesAgree(t *testing.T) {
@@ -86,10 +86,10 @@ func TestStudyPipelinesAgree(t *testing.T) {
 		RunSweep(context.Background(), SweepConfig{Specs: specs, Workers: 2, Cache: plan}),
 	}
 
-	arena := NewArena()
-	warm := specs[0].Config
-	warm.Seed = 3
-	arena.Recycle(arena.RunStudy(warm))
+	arena := newArena()
+	warm := specs[0]
+	warm.Config.Seed = 3
+	runSpec(arena, plan, warm)
 	for i, spec := range specs {
 		label := spec.Label
 		cold := RunStudy(spec.Config)
@@ -105,16 +105,19 @@ func TestStudyPipelinesAgree(t *testing.T) {
 			t.Fatalf("%s: RunStudy report differs from Analyze over its events (first diff near byte %d)", label, firstDiff(got, want))
 		}
 
-		warmRes := arena.RunStudy(spec.Config)
-		if got := warmRes.Report.Format(); got != want {
-			t.Fatalf("%s: warm arena report differs from RunStudy (first diff near byte %d)", label, firstDiff(got, want))
-		}
-		sameEvents(t, warmRes.Events, cold.Events, label+": arena events vs RunStudy")
-		if warmRes.Header != cold.Header || warmRes.Horizon != cold.Horizon || warmRes.TraceRecords != cold.TraceRecords ||
-			warmRes.TraceMessages != cold.TraceMessages || warmRes.DiskOps != cold.DiskOps {
-			t.Fatalf("%s: arena counters differ from RunStudy", label)
-		}
-		arena.Recycle(warmRes)
+		sameOutcome(t, runSpec(arena, plan, spec), StudyOutcome{
+			Spec:          spec,
+			Done:          true,
+			ReportText:    want,
+			CacheText:     wantCache,
+			Header:        cold.Header,
+			Horizon:       cold.Horizon,
+			EventCount:    len(cold.Events),
+			TraceRecords:  cold.TraceRecords,
+			TraceMessages: cold.TraceMessages,
+			DiskOps:       cold.DiskOps,
+		}, label+": warm arena vs RunStudy")
+		sameEvents(t, arena.events, cold.Events, label+": warm arena's kept stream vs RunStudy")
 
 		s := streamed[i]
 		if got := s.Report.Format(); got != want {

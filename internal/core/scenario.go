@@ -12,9 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/scenario"
@@ -64,37 +62,17 @@ func RunScenario(ctx context.Context, spec *scenario.Spec) (*ScenarioResult, err
 func runReplayScenario(ctx context.Context, spec *scenario.Spec) (*ScenarioResult, error) {
 	plan := spec.CachePlan()
 	paths := spec.ReplayTraces()
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	sweep := &SweepResult{Outcomes: make([]StudyOutcome, len(paths)), Workers: workers}
-	errs := make([]error, len(paths))
+	specs := make([]StudySpec, len(paths))
 	for i, path := range paths {
-		sweep.Outcomes[i].Spec = StudySpec{Label: replayLabel(path)}
+		specs[i] = StudySpec{Label: replayLabel(path)}
 	}
-	start := time.Now()
-	parallelEach(ctx, len(paths), workers, func(_, i int) {
-		out, err := replayStudy(paths[i], plan)
-		if err != nil {
-			errs[i] = fmt.Errorf("core: replay %s: %w", sweep.Outcomes[i].Spec.Label, err)
-			return
-		}
-		out.Spec = sweep.Outcomes[i].Spec
-		sweep.Outcomes[i] = out
+	sweep, err := runStudies(ctx, specs, spec.Workers, func(a *arena, i int) (StudyOutcome, error) {
+		return replayStudy(a, paths[i], plan)
 	})
-	sweep.Elapsed = time.Since(start)
-	sweep.Err = ctx.Err()
-	res := &ScenarioResult{Spec: spec, Sweep: sweep}
-	for _, err := range errs {
-		if err != nil {
-			return res, err
-		}
+	if err == nil {
+		err = sweep.Err
 	}
-	return res, sweep.Err
+	return &ScenarioResult{Spec: spec, Sweep: sweep}, err
 }
 
 // replayLabel names a replay study after its trace file.
@@ -103,22 +81,24 @@ func replayLabel(path string) string {
 }
 
 // replayStudy runs one recorded trace through the merge pass and the
-// cache experiments. The event stream is kept only for the cache plan
-// (the cache simulations make several passes over it); the raw blocks
-// are never materialized. A recorded trace carries no simulation end
-// time, so the horizon is the last event's.
-func replayStudy(path string, plan *scenario.ResolvedCache) (StudyOutcome, error) {
+// cache experiments on the worker's arena, as runSpec does a simulated
+// study. The event stream is kept only for the cache plan (the cache
+// simulations make several passes over it); the raw blocks are never
+// materialized. A recorded trace carries no simulation end time, so
+// the horizon is the last event's. An error names the study's label.
+func replayStudy(a *arena, path string, plan *scenario.ResolvedCache) (StudyOutcome, error) {
+	spec := StudySpec{Label: replayLabel(path)}
 	rd, err := trace.OpenReader(path)
 	if err != nil {
-		return StudyOutcome{}, err
+		return StudyOutcome{}, fmt.Errorf("core: replay %s: %w", spec.Label, err)
 	}
 	defer rd.Close()
-	var events []trace.Event
-	report, err := analyze(rd, 0, nil, &events, plan != nil)
+	report, err := analyze(rd, 0, &a.scratch, &a.events, plan != nil)
 	if err != nil {
-		return StudyOutcome{}, err
+		return StudyOutcome{}, fmt.Errorf("core: replay %s: %w", spec.Label, err)
 	}
 	out := StudyOutcome{
+		Spec:          spec,
 		Done:          true,
 		ReportText:    report.Format(),
 		Header:        rd.Header(),
@@ -128,7 +108,7 @@ func replayStudy(path string, plan *scenario.ResolvedCache) (StudyOutcome, error
 		TraceMessages: int64(rd.NumBlocks()),
 	}
 	if plan != nil {
-		out.CacheText = cacheExperimentText(plan, events, rd.Header().BlockSize())
+		out.CacheText = cacheExperimentText(plan, a.events, rd.Header().BlockSize())
 	}
 	return out, nil
 }

@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -758,7 +757,7 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 // RunSweepStore drains cfg.Specs against the run directory: specs
 // whose outcome file already exists are skipped, the rest are
 // claimed one at a time (most expensive first) by cfg.Workers
-// goroutines (one reusable Arena each, exactly like RunSweep), and
+// goroutines (one reusable arena each, exactly like RunSweep), and
 // every outcome -- with its cache text under cfg.Cache -- is persisted
 // the moment it completes, so a killed process loses at most its
 // in-flight studies, and any other worker sharing the directory
@@ -775,13 +774,10 @@ func RunSweepStore(ctx context.Context, cfg SweepConfig, store StoreConfig) (*St
 
 // runSweepStore is RunSweepStore on fingerprinted specs.
 func runSweepStore(ctx context.Context, cfg SweepConfig, store StoreConfig, labels, fps []string) (*StoreRun, error) {
-	arenas := make([]*Arena, workerCount(cfg.Workers, len(cfg.Specs)))
+	arena := workerArenas(cfg.Workers, len(cfg.Specs))
 	return runStore(ctx, cfg.Workers, store, labels, fps, specCosts(cfg.Specs),
 		func(w, i int) (StudyOutcome, error) {
-			if arenas[w] == nil {
-				arenas[w] = NewArena()
-			}
-			return runSpec(arenas[w], cfg.Cache, cfg.Specs[i]), nil
+			return runSpec(arena(w), cfg.Cache, cfg.Specs[i]), nil
 		})
 }
 
@@ -812,20 +808,6 @@ func specKeys(salt string, specs []StudySpec) (labels, fps []string) {
 		fps[i] = SpecFingerprint(salt, s)
 	}
 	return labels, fps
-}
-
-// workerCount resolves a Workers field the way parallelEach does.
-func workerCount(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }
 
 // SweepMerge is the reconstruction of a (possibly still running)
@@ -916,14 +898,10 @@ func RunScenarioStore(ctx context.Context, spec *scenario.Spec, store StoreConfi
 	plan := spec.CachePlan()
 	var run *StoreRun
 	if spec.IsReplay() {
+		arena := workerArenas(spec.Workers, len(keys.paths))
 		run, err = runStore(ctx, spec.Workers, store, keys.labels, keys.fps, keys.costs,
-			func(_, i int) (StudyOutcome, error) {
-				out, err := replayStudy(keys.paths[i], plan)
-				if err != nil {
-					return out, fmt.Errorf("core: replay %s: %w", keys.labels[i], err)
-				}
-				out.Spec = keys.specs[i]
-				return out, nil
+			func(w, i int) (StudyOutcome, error) {
+				return replayStudy(arena(w), keys.paths[i], plan)
 			})
 	} else {
 		// The store's salt already carries the plan.

@@ -269,7 +269,7 @@ func TestSweepStoreLeaseCancelReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	labels, fps := specKeys(store.Salt, specs)
-	arena := NewArena()
+	a := newArena()
 	run1, err := runStore(ctx, 1, store, labels, fps, specCosts(specs),
 		func(_, i int) (StudyOutcome, error) {
 			leases, _ := filepath.Glob(filepath.Join(dir, "*.lease"))
@@ -277,7 +277,7 @@ func TestSweepStoreLeaseCancelReleases(t *testing.T) {
 				t.Errorf("exec holds %d leases, want 1", len(leases))
 			}
 			cancel()
-			return runSpec(arena, nil, specs[i]), nil
+			return runSpec(a, nil, specs[i]), nil
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,10 @@
 // workload-mixture sweeps, machine-variant comparisons -- and each
 // study is an independent, deterministic simulation. RunSweep fans a
 // deterministic list of study specs across a pool of worker
-// goroutines, one reusable Arena per worker, and merges the outcomes
-// in spec order, so the merged output is byte-identical regardless of
-// worker count (TestRunSweepWorkerCountInvariance pins this).
+// goroutines, each with one arena its studies reuse, and merges the
+// outcomes in spec order, so the merged output is byte-identical
+// regardless of worker count (TestRunSweepWorkerCountInvariance pins
+// this).
 package core
 
 import (
@@ -18,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -77,50 +77,65 @@ type SweepResult struct {
 }
 
 // RunSweep runs every spec across a pool of workers and merges the
-// outcomes in spec order. Each worker owns one Arena, so its second
+// outcomes in spec order. Each worker owns one arena, so its second
 // and later studies reuse the first's storage. Cancelling the context
 // stops workers between studies; already-finished outcomes are kept
 // and unrun specs are left with Done == false.
 func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
+	res, _ := runStudies(ctx, cfg.Specs, cfg.Workers, func(a *arena, i int) (StudyOutcome, error) {
+		return runSpec(a, cfg.Cache, cfg.Specs[i]), nil
+	}) // runSpec cannot fail
+	return res
+}
+
+// runStudies is the in-memory study executor of RunSweep and replay
+// scenarios: it runs study(a, i) for every spec across
+// workerCount(workers, len(specs)) goroutines, a being the worker's
+// arena, and merges the outcomes in spec order. A cancelled context
+// stops workers between studies; a study that fails or never runs
+// leaves its outcome with only Spec set. The error is the first study
+// error in spec order; the result's Err holds the context's.
+func runStudies(ctx context.Context, specs []StudySpec, workers int, study func(a *arena, i int) (StudyOutcome, error)) (*SweepResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := len(cfg.Specs)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	res := &SweepResult{Outcomes: make([]StudyOutcome, n), Workers: workers}
+	n := len(specs)
+	res := &SweepResult{Outcomes: make([]StudyOutcome, n)}
 	for i := range res.Outcomes {
-		res.Outcomes[i].Spec = cfg.Specs[i]
+		res.Outcomes[i].Spec = specs[i]
 	}
 	if n == 0 {
-		return res
+		return res, nil
 	}
+	res.Workers = workerCount(workers, n)
+	arena := workerArenas(res.Workers, n)
+	errs := make([]error, n)
 	start := time.Now()
-	arenas := make([]*Arena, workers)
-	parallelEach(ctx, n, workers, func(w, i int) {
-		if arenas[w] == nil {
-			arenas[w] = NewArena()
+	parallelEach(ctx, n, res.Workers, func(w, i int) {
+		if out, err := study(arena(w), i); err != nil {
+			errs[i] = err
+		} else {
+			res.Outcomes[i] = out
 		}
-		res.Outcomes[i] = runSpec(arenas[w], cfg.Cache, cfg.Specs[i])
 	})
 	res.Elapsed = time.Since(start)
 	res.Err = ctx.Err()
-	return res
+	for _, err := range errs {
+		if err != nil {
+			return res, err
+		}
+	}
+	return res, nil
 }
 
 // runSpec runs one study on the worker's arena, keeping the merged
 // stream only for the cache plan (the arena's event storage holds the
-// analyzer's batches either way), and returns the arena's storage
-// once the outcome holds the study's text and counters.
-func runSpec(a *Arena, plan *scenario.ResolvedCache, spec StudySpec) StudyOutcome {
+// analyzer's batches either way), and hands the study's trace and file
+// structs back to the arena once the outcome holds its text and
+// counters.
+func runSpec(a *arena, plan *scenario.ResolvedCache, spec StudySpec) StudyOutcome {
 	m, horizon, tr, rd, _ := simulate(spec.Config, a, nil)                // no sink: cannot fail
 	report, _ := analyze(rd, horizon, &a.scratch, &a.events, plan != nil) // collected blocks: cannot fail
-	a.mach.Trace.ReclaimTrace(tr)
 	report.Degradation = m.FaultReport()
 	out := StudyOutcome{
 		Spec:          spec,
@@ -133,7 +148,8 @@ func runSpec(a *Arena, plan *scenario.ResolvedCache, spec StudySpec) StudyOutcom
 		TraceMessages: m.TraceMessages(),
 		DiskOps:       m.FS().TotalDiskOps(),
 	}
-	analysis.ReclaimReport(&a.scratch, report)
+	a.mach.Trace.ReclaimTrace(tr)
+	m.FS().Recycle()
 	if plan != nil {
 		out.CacheText = cacheExperimentText(plan, a.events, rd.Header().BlockSize())
 	}
@@ -234,20 +250,24 @@ func minMedianMax(vals []float64) (mn, md, mx float64) {
 	return vals[0], md, vals[n-1]
 }
 
-// parallelEach runs fn(worker, i) for i in 0..n-1 across
-// min(workers, n) goroutines (GOMAXPROCS when workers <= 0). Indexes
-// are claimed from a shared atomic counter, each exactly once; the
-// worker id lets fn keep per-worker state (e.g. one Arena each). fn
-// must write only to its own index's state. A non-nil cancelled
-// context stops workers between items, leaving later indexes unrun.
-func parallelEach(ctx context.Context, n, workers int, fn func(worker, i int)) {
+// workerCount resolves a Workers field for n items: GOMAXPROCS when
+// workers <= 0, never more than n, and at least 1.
+func workerCount(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	return max(1, min(workers, n))
+}
+
+// parallelEach runs fn(worker, i) for i in 0..n-1 across
+// workerCount(workers, n) goroutines. Indexes are claimed from a
+// shared atomic counter, each exactly once; the worker id lets fn keep
+// per-worker state (e.g. one arena each). fn must write only to its
+// own index's state. A non-nil cancelled context stops workers between
+// items, leaving later indexes unrun.
+func parallelEach(ctx context.Context, n, workers int, fn func(worker, i int)) {
+	workers = workerCount(workers, n)
+	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if ctx != nil && ctx.Err() != nil {
 				return

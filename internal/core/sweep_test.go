@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -65,48 +66,24 @@ func TestSweepMatchesStandaloneStudy(t *testing.T) {
 	}
 }
 
-// TestArenaStudyDeterminism pins the arena-reuse contract directly:
-// the first and the Nth study on one arena both match a cold
-// RunStudy byte for byte, even with recycling in between.
-func TestArenaStudyDeterminism(t *testing.T) {
-	cfg := DefaultConfig(42, MinScale)
-	cold := RunStudy(cfg)
-	coldText := cold.Report.Format()
-
-	arena := NewArena()
-	for round := 0; round < 3; round++ {
-		res := arena.RunStudy(cfg)
-		if got := res.Report.Format(); got != coldText {
-			t.Fatalf("arena round %d: report diverged from cold RunStudy:\n%s", round, got)
+// TestWorkerCount pins the one worker-count rule every executor uses.
+func TestWorkerCount(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ workers, n, want int }{
+		{0, 1000, min(procs, 1000)},
+		{-2, 1000, min(procs, 1000)},
+		{1, 5, 1},
+		{3, 5, 3},
+		{8, 3, 3},
+		{4, 0, 1},
+		{0, 0, 1},
+	} {
+		if got := workerCount(c.workers, c.n); got != c.want {
+			t.Errorf("workerCount(%d, %d) = %d, want %d", c.workers, c.n, got, c.want)
 		}
-		if len(res.Events) != len(cold.Events) {
-			t.Fatalf("arena round %d: %d events, cold run had %d", round, len(res.Events), len(cold.Events))
-		}
-		for i := range res.Events {
-			if res.Events[i] != cold.Events[i] {
-				t.Fatalf("arena round %d: event %d differs", round, i)
-			}
-		}
-		if res.DiskOps != cold.DiskOps {
-			t.Fatalf("arena round %d: disk ops %d vs %d", round, res.DiskOps, cold.DiskOps)
-		}
-		arena.Recycle(res)
 	}
-}
-
-// TestArenaDifferentSeedsAfterRecycle runs different seeds on one
-// arena and checks each against its own cold run, guarding against
-// state leaking from one study into the next.
-func TestArenaDifferentSeedsAfterRecycle(t *testing.T) {
-	arena := NewArena()
-	for seed := uint64(1); seed <= 3; seed++ {
-		cfg := DefaultConfig(seed, MinScale)
-		warm := arena.RunStudy(cfg)
-		warmText := warm.Report.Format()
-		arena.Recycle(warm)
-		if cold := RunStudy(cfg).Report.Format(); warmText != cold {
-			t.Fatalf("seed %d: warm arena report differs from cold run", seed)
-		}
+	if res := RunSweep(context.Background(), SweepConfig{Workers: 4}); res.Workers != 0 || len(res.Outcomes) != 0 {
+		t.Fatalf("empty sweep: %d workers, %d outcomes; want 0 and 0", res.Workers, len(res.Outcomes))
 	}
 }
 

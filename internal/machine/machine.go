@@ -140,11 +140,14 @@ func (t transport) FromIONode(ioNode, computeNode, bytes int) sim.Time {
 	return t.m.ioAttach[ioNode].LatencyFrom(computeNode, bytes)
 }
 
-// Arena bundles the cross-study pools a worker threads through every
-// machine it builds: the trace pipeline's chunk and scratch pools and
-// the file system's file, handle and open-group pools.
-// See core.Arena. The zero value is ready to use; an Arena is not safe
-// for concurrent use.
+// Arena bundles the pools a machine draws its trace and file-system
+// storage from: the trace pipeline's event chunks and collector block
+// slice, and the file system's files, handles and open groups. A
+// machine built without one gets a private Arena, so a spilled trace's
+// chunks and finished node programs' handles cycle within the study;
+// core's sweep worker passes one Arena to every machine it builds, so
+// its pools also serve the worker's next study. The zero value is
+// ready to use; an Arena is not safe for concurrent use.
 type Arena struct {
 	Trace trace.Arena
 	CFS   cfs.Arena
@@ -154,8 +157,11 @@ type Arena struct {
 func New(k *sim.Kernel, cfg Config) *Machine { return NewWith(k, cfg, nil) }
 
 // NewWith builds the machine on the given kernel, drawing reusable
-// storage from the arena when it is non-nil.
+// storage from the arena (a private one when it is nil).
 func NewWith(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
+	if arena == nil {
+		arena = new(Arena)
+	}
 	m := build(k, cfg, arena)
 	m.instrument(arena)
 	return m
@@ -174,7 +180,7 @@ func NewWith(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
 // per-message jitter (faults.Net.JitterMicros): trace blocks draw from
 // the same jitter stream, so removing them moves every later message's
 // delay.
-func NewUntraced(k *sim.Kernel, cfg Config) *Machine { return build(k, cfg, nil) }
+func NewUntraced(k *sim.Kernel, cfg Config) *Machine { return build(k, cfg, new(Arena)) }
 
 // build assembles the machine minus its tracing pipeline: network,
 // allocator, I/O and service attachments, file system, and fault
@@ -199,9 +205,7 @@ func build(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
 	}
 	m.svcAttach = m.net.Attach(cfg.ServiceHost)
 	m.fs = cfs.New(k, cfg.FS, transport{m})
-	if arena != nil {
-		m.fs.SetArena(&arena.CFS)
-	}
+	m.fs.SetArena(&arena.CFS)
 	if cfg.Faults.Enabled() {
 		if err := cfg.Faults.Validate(cfg.FS.IONodes, m.net.LinkClasses()); err != nil {
 			panic(fmt.Sprintf("machine: %v", err))
@@ -252,9 +256,7 @@ func (m *Machine) instrument(arena *Arena) {
 		BufferBytes:  uint32(cfg.TraceBufferBytes),
 		Seed:         cfg.Seed,
 	})
-	if arena != nil {
-		m.collector.SetArena(&arena.Trace)
-	}
+	m.collector.SetArena(&arena.Trace)
 	// Per-node trace buffers ship blocks over the network to the
 	// service node's collector.
 	for n := 0; n < cfg.ComputeNodes; n++ {
@@ -267,18 +269,14 @@ func (m *Machine) instrument(arena *Arena) {
 					m.collector.Deliver(blk)
 				})
 			})
-		if arena != nil {
-			nb.SetArena(&arena.Trace)
-		}
+		nb.SetArena(&arena.Trace)
 		m.nodeBuffers = append(m.nodeBuffers, nb)
 	}
 	// Job starts/ends are logged by the resource manager on the
 	// service node itself: no drift, no network hop.
 	m.jobLog = trace.NewNodeBuffer(uint16(cfg.ComputeNodes), collectorClock,
 		cfg.TraceBufferBytes, func(blk trace.Block) { m.collector.Deliver(blk) })
-	if arena != nil {
-		m.jobLog.SetArena(&arena.Trace)
-	}
+	m.jobLog.SetArena(&arena.Trace)
 }
 
 // Kernel returns the simulation kernel.

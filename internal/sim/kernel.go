@@ -63,8 +63,8 @@ func New() *Kernel { return &Kernel{} }
 // Reset returns the kernel to its initial state -- clock at zero, no
 // pending events -- while keeping the queue's bucket arrays, cleared so
 // no closure stays reachable. A kernel reused across simulations
-// (see core.Arena) therefore stops allocating queue storage once the
-// first simulation has sized it. Resetting a kernel with live
+// (core's sweep worker reuses one for all its studies) therefore stops
+// allocating queue storage once the first simulation has sized it. Resetting a kernel with live
 // processes is not supported; call it only after Run has drained the
 // queue.
 func (k *Kernel) Reset() {

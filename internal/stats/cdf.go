@@ -66,13 +66,6 @@ func (c *CDF) AddN(v float64, n int) {
 // Len reports the number of samples (counting multiplicity).
 func (c *CDF) Len() int { return int(c.total) }
 
-// Reset empties the CDF while keeping its backing arrays, so a pooled
-// CDF (see analysis.Scratch) accumulates the next study's samples
-// without reallocating.
-func (c *CDF) Reset() {
-	*c = CDF{entries: c.entries[:0], cum: c.cum[:0]}
-}
-
 // compact sorts the entries by value and merges equal values in
 // place, then lets the entries double before the next compaction.
 func (c *CDF) compact() {

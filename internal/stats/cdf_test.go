@@ -402,18 +402,12 @@ func compareCDF(c *CDF, ref *refCDF, pool []float64, rng *rand.Rand) error {
 
 // TestCDFMatchesReference is the differential against the CDF that
 // coalesced only at query time: random finite samples, Add and AddN
-// mixed, repeats and runs, queries between additions and Reset
-// between fills.
+// mixed, repeats and runs, and queries between additions.
 func TestCDFMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 1))
-	var c CDF
 	for i := 0; i < 3000; i++ {
+		var c CDF
 		var ref refCDF
-		if rng.IntN(4) == 0 {
-			c = CDF{}
-		} else {
-			c.Reset()
-		}
 		pool := finitePool(rng)
 		for j, n := 0, rng.IntN(3000); j < n; j++ {
 			v := pool[rng.IntN(len(pool))]

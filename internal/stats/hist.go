@@ -26,14 +26,6 @@ func (h *Hist) AddN(k int64, n int64) {
 	h.total += n
 }
 
-// Reset empties the histogram while keeping its count map, so a
-// pooled histogram (see analysis.Scratch) can be refilled without
-// reallocating buckets.
-func (h *Hist) Reset() {
-	clear(h.counts)
-	h.total = 0
-}
-
 // Count returns the count recorded for key k.
 func (h *Hist) Count(k int64) int64 { return h.counts[k] }
 

@@ -1,16 +1,17 @@
 package trace
 
 // Arena pools the trace pipeline's per-study storage so that a worker
-// running many studies back to back (see core.Arena and core.RunSweep)
+// running many studies back to back (core.RunSweep's workers)
 // allocates trace memory only for its first study:
 //
 //   - NodeBuffer chunks: each buffer fill ships one []Event chunk to
-//     the collector; ReclaimTrace returns them for the next study.
+//     the collector; ReclaimTrace returns them for the next study, and
+//     a collector with a sink returns each as soon as it is spilled.
 //   - The collector's block slice: the arrival-ordered []Block backing.
 //
 // Postprocessing needs no scratch here: the merge reads the collected
-// blocks in place (Trace.Reader), and core.Arena pools the merged
-// stream it keeps.
+// blocks in place (Trace.Reader), and the sweep worker's arena reuses
+// the merged stream it keeps.
 //
 // An Arena is not safe for concurrent use; give each worker its own.
 // The zero value is ready to use.
