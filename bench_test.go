@@ -375,7 +375,7 @@ func BenchmarkAblationTraceBuffering(b *testing.B) {
 
 func shipCount(bufferBytes int) (records, messages int64) {
 	clk := fixedClock{}
-	nb := trace.NewNodeBuffer(0, clk, bufferBytes, func(trace.Block) {})
+	nb := trace.NewNodeBuffer(0, clk, bufferBytes, new(trace.Arena), func(trace.Block) {})
 	for i := 0; i < 10000; i++ {
 		nb.Record(trace.Event{Type: trace.EvRead, Size: 100})
 	}

@@ -318,13 +318,12 @@ func checkModeFlags(cfg appConfig) error {
 }
 
 // runList prints every name registry the pipeline consults, one
-// section per registry, each in its stable registry order (machine
-// presets and workload archetypes list in registration order, the
-// rest are already sorted or fixed by their registries). Scenario
-// authors read this instead of the source to learn what a machines
-// axis entry, workload mix, cache policy grid, or -faults flag may
-// name; CI smokes it to catch a registration that silently stopped
-// firing.
+// section per registry, each in its registry's fixed order (machine
+// presets, workload archetypes and cache policies list in table
+// order, the rest sorted). Scenario authors read this instead of the
+// source to learn what a machines axis entry, workload mix, cache
+// policy grid, or -faults flag may name; CI smokes it to catch a
+// section that went missing.
 func runList(stdout io.Writer) error {
 	sections := []struct {
 		title string

@@ -390,8 +390,8 @@ func TestModeFlagConflicts(t *testing.T) {
 
 // TestListCLI pins the -list registry dump: every registry section
 // appears in order with the names the other modes actually resolve
-// (including this PR's registrations: cluster2026, mesh, fattree,
-// nvme), and nothing is simulated so stderr stays empty.
+// (cluster2026, mesh, fattree and nvme among them), and nothing is
+// simulated so stderr stays empty.
 func TestListCLI(t *testing.T) {
 	code, out, stderr := app("-list")
 	if code != 0 {

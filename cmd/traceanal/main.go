@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	traceanal study.trc [-raw]
+//	traceanal [-raw] study.trc
 //
 // With -raw, the drift correction is skipped (an ablation showing what
 // the correction buys): events are merged on their raw local-clock

@@ -83,7 +83,7 @@ type Net struct {
 
 // Link multiplies the per-hop latency of every link in one link class:
 // Dim names the class (a hypercube dimension, a mesh axis, or a
-// fat-tree level; see topo.Interconnect.LinkClasses).
+// fat-tree level; see topo.Network.LinkClasses).
 type Link struct {
 	Dim               int
 	LatencyMultiplier float64 // >= 1

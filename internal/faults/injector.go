@@ -185,7 +185,7 @@ type NetState struct {
 // links in the given class (a hypercube dimension, a mesh axis, a
 // fat-tree level); perHop is the healthy per-hop unit. Each degraded
 // hop's cost is truncated to the clock tick individually, matching
-// the arithmetic of builds that predate the topology registry.
+// the arithmetic of the hypercube-only builds that came first.
 func (d *NetState) HopCost(class, hops int, perHop sim.Time) sim.Time {
 	if d.linkMul == nil {
 		return sim.Time(hops) * perHop

@@ -27,8 +27,8 @@ import (
 // Config sizes the machine.
 type Config struct {
 	ComputeNodes int // must be a power of two (128 at NAS)
-	// Net configures the interconnect; Net.Kind selects the registered
-	// topology model ("" means hypercube).
+	// Net configures the interconnect; Net.Kind names its topology
+	// (one of topo.Names; "" means hypercube).
 	Net              topo.Config
 	FS               cfs.Config
 	ServiceHost      int      // compute node the service node attaches to
@@ -98,7 +98,7 @@ type Machine struct {
 	cfg Config
 	rng *stats.RNG
 
-	net         topo.Interconnect
+	net         *topo.Network
 	injector    *faults.Injector // nil on a healthy machine
 	ioAttach    []topo.Attachment
 	svcAttach   topo.Attachment
@@ -255,28 +255,25 @@ func (m *Machine) instrument(arena *Arena) {
 		BlockBytes:   uint32(cfg.FS.BlockBytes),
 		BufferBytes:  uint32(cfg.TraceBufferBytes),
 		Seed:         cfg.Seed,
-	})
-	m.collector.SetArena(&arena.Trace)
+	}, &arena.Trace)
 	// Per-node trace buffers ship blocks over the network to the
 	// service node's collector.
 	for n := 0; n < cfg.ComputeNodes; n++ {
 		node := n
 		nb := trace.NewNodeBuffer(
-			uint16(node), m.clocks[node], cfg.TraceBufferBytes,
+			uint16(node), m.clocks[node], cfg.TraceBufferBytes, &arena.Trace,
 			func(blk trace.Block) {
 				bytes := len(blk.Events) * trace.EventSize
 				m.svcAttach.SendTo(node, bytes, func() {
 					m.collector.Deliver(blk)
 				})
 			})
-		nb.SetArena(&arena.Trace)
 		m.nodeBuffers = append(m.nodeBuffers, nb)
 	}
 	// Job starts/ends are logged by the resource manager on the
 	// service node itself: no drift, no network hop.
 	m.jobLog = trace.NewNodeBuffer(uint16(cfg.ComputeNodes), collectorClock,
-		cfg.TraceBufferBytes, func(blk trace.Block) { m.collector.Deliver(blk) })
-	m.jobLog.SetArena(&arena.Trace)
+		cfg.TraceBufferBytes, &arena.Trace, func(blk trace.Block) { m.collector.Deliver(blk) })
 }
 
 // Kernel returns the simulation kernel.
@@ -313,7 +310,7 @@ func (m *Machine) Preload(name string, size int64) error {
 }
 
 // Network returns the interconnect.
-func (m *Machine) Network() topo.Interconnect { return m.net }
+func (m *Machine) Network() *topo.Network { return m.net }
 
 // FaultReport returns the degradation summary for a faulted machine,
 // or nil when the machine ran healthy. Call it after the simulation.

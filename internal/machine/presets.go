@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cfs"
 	"repro/internal/disk"
@@ -12,12 +11,11 @@ import (
 	"repro/internal/trace"
 )
 
-// The machine-preset registry: stable names a scenario spec can use
-// to pick a machine configuration. "nas" is the paper's facility; the
-// others widen the scenario space beyond it. Presets register
-// themselves in init via RegisterPreset, the same discipline the
-// topology and disk-model registries follow, so a new machine is one
-// self-contained registration away.
+// The machine presets: stable names a scenario spec can use to pick a
+// machine configuration. "nas" is the paper's facility; the others
+// widen the scenario space beyond it. The presets are one fixed table,
+// as the topology kinds, disk models and fault presets are, so a new
+// machine is a builder and one table row.
 //
 // A preset's Seed field is zero; whoever runs a study stamps the
 // study seed onto it (core.RunStudy does this for every machine
@@ -83,49 +81,19 @@ func Cluster2026Config(seed uint64) Config {
 	}
 }
 
-// presetEntry pairs a registry name with its builder.
-type presetEntry struct {
+// presets lists every machine preset in the stable order PresetNames
+// reports.
+var presets = [...]struct {
 	name  string
 	build func(seed uint64) Config
+}{
+	{"nas", NASConfig},
+	{"mini", MiniConfig},
+	{"cluster2026", Cluster2026Config},
 }
 
-var (
-	presetMu sync.RWMutex
-	// presets holds the registry in registration order, which is the
-	// stable order PresetNames reports.
-	presets []presetEntry
-)
-
-// RegisterPreset adds a machine preset to the registry. It panics on
-// a duplicate, empty, or non-lowercase name; call it from init.
-func RegisterPreset(name string, build func(seed uint64) Config) {
-	presetMu.Lock()
-	defer presetMu.Unlock()
-	if name == "" || name != strings.ToLower(name) {
-		panic(fmt.Sprintf("machine: register preset %q: names must be non-empty lowercase", name))
-	}
-	if build == nil {
-		panic(fmt.Sprintf("machine: register preset %q: nil builder", name))
-	}
-	for _, e := range presets {
-		if e.name == name {
-			panic(fmt.Sprintf("machine: duplicate preset registration %q", name))
-		}
-	}
-	presets = append(presets, presetEntry{name: name, build: build})
-}
-
-func init() {
-	RegisterPreset("nas", NASConfig)
-	RegisterPreset("mini", MiniConfig)
-	RegisterPreset("cluster2026", Cluster2026Config)
-}
-
-// PresetNames returns the machine-preset registry names, in stable
-// order.
+// PresetNames returns the machine-preset names, in stable order.
 func PresetNames() []string {
-	presetMu.RLock()
-	defer presetMu.RUnlock()
 	out := make([]string, len(presets))
 	for i, e := range presets {
 		out[i] = e.name
@@ -133,21 +101,15 @@ func PresetNames() []string {
 	return out
 }
 
-// Preset resolves a registry name (case-insensitive) to its machine
+// Preset resolves a preset name (case-insensitive) to its machine
 // configuration, with a zero seed for the caller to stamp.
 func Preset(name string) (Config, error) {
 	key := strings.ToLower(name)
-	presetMu.RLock()
-	defer presetMu.RUnlock()
 	for _, e := range presets {
 		if e.name == key {
 			return e.build(0), nil
 		}
 	}
-	names := make([]string, len(presets))
-	for i, e := range presets {
-		names[i] = e.name
-	}
 	return Config{}, fmt.Errorf("machine: unknown preset %q (known: %s)",
-		name, strings.Join(names, ", "))
+		name, strings.Join(PresetNames(), ", "))
 }

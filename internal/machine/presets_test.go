@@ -7,7 +7,7 @@ import (
 	"repro/internal/topo"
 )
 
-// TestPresetRegistry checks every registered preset resolves to a
+// TestPresetRegistry checks every preset resolves to a
 // buildable configuration whose shape is self-consistent.
 func TestPresetRegistry(t *testing.T) {
 	names := PresetNames()

@@ -10,7 +10,7 @@ import (
 	"repro/internal/topo"
 )
 
-// kinds lists every registered topology; the shared tests run each one
+// kinds lists every topology; the shared tests run each one
 // on 32 nodes.
 var kinds = []string{"hypercube", "mesh", "fattree"}
 
@@ -65,8 +65,17 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
+// TestHypercubeRegistered checks that the iPSC/860's parameters name
+// the default kind, a 7-dimensional cube of 4 KB packets, and build a
+// 128-node network with one link class per dimension.
 func TestHypercubeRegistered(t *testing.T) {
 	cfg := topo.IPSC860()
+	if cfg.Kind != "" || cfg.Dim != 7 || cfg.PacketBytes != 4096 {
+		t.Fatalf("IPSC860() = %+v, want the default kind, 7 dimensions, 4 KB packets", cfg)
+	}
+	if kind, err := topo.Resolve(cfg.Kind); err != nil || kind != "hypercube" {
+		t.Fatalf("IPSC860 kind resolves to %q, %v", kind, err)
+	}
 	n := topo.New(sim.New(), 128, cfg)
 	if n.Nodes() != 128 || n.LinkClasses() != 7 {
 		t.Fatalf("nodes=%d classes=%d", n.Nodes(), n.LinkClasses())
@@ -80,6 +89,52 @@ func TestHypercubeRegistered(t *testing.T) {
 		}
 	}()
 	topo.New(sim.New(), 64, cfg)
+}
+
+func TestHypercubeLatency(t *testing.T) {
+	cfg := testConfig("hypercube")
+	cfg.Dim = 7
+	n := topo.New(sim.New(), 128, cfg)
+	software := cfg.Startup + cfg.PerPacket
+	// E-cube distance: a message crosses one link per address bit its
+	// endpoints differ in. A zero-byte message to self still pays the
+	// software cost: startup and one minimum packet.
+	for _, tc := range []struct{ a, b, hops int }{
+		{0, 0, 0},
+		{0, 1, 1},
+		{0, 3, 2},
+		{0, 127, 7},
+		{5, 6, 2}, // 101 vs 110
+	} {
+		want := software + sim.Time(tc.hops)*cfg.PerHop
+		if got := n.Latency(tc.a, tc.b, 0); got != want {
+			t.Errorf("Latency(%d,%d) = %v, want %v (%d hops)", tc.a, tc.b, got, want, tc.hops)
+		}
+	}
+	if got, want := n.Latency(0, 127, 100)-n.Latency(0, 1, 100), 6*cfg.PerHop; got != want {
+		t.Fatalf("7-hop latency exceeds 1-hop latency by %v, want 6 hops (%v)", got, want)
+	}
+	// One 4096-byte packet is exactly 1 us of transfer; 1 MiB is 256
+	// packets and 256 us. One byte past a full packet starts a second
+	// packet; the byte's own transfer time is below the clock's
+	// resolution.
+	if got, want := n.Latency(0, 1, 4096), software+cfg.PerHop+1*sim.Microsecond; got != want {
+		t.Fatalf("Latency(0,1,4096) = %v, want %v", got, want)
+	}
+	if got, want := n.Latency(0, 1, 1<<20), cfg.Startup+256*cfg.PerPacket+cfg.PerHop+256*sim.Microsecond; got != want {
+		t.Fatalf("Latency(0,1,1MiB) = %v, want %v", got, want)
+	}
+	if gap := n.Latency(0, 1, 4097) - n.Latency(0, 1, 4096); gap != cfg.PerPacket {
+		t.Fatalf("crossing a packet boundary added %v, want %v", gap, cfg.PerPacket)
+	}
+	// The peripheral link is one class-less hop past the host.
+	att := n.Attach(3)
+	if att.Host() != 3 {
+		t.Fatalf("Host() = %d", att.Host())
+	}
+	if got, want := att.LatencyFrom(0, 500), n.Latency(0, 3, 500)+cfg.PerHop; got != want {
+		t.Fatalf("peripheral latency %v, want %v", got, want)
+	}
 }
 
 func TestMeshLatency(t *testing.T) {
@@ -161,6 +216,9 @@ func TestFattreeLatency(t *testing.T) {
 	}
 }
 
+// TestSendCounters checks that node-to-node messages and peripheral
+// messages both ways land exactly their modeled latency after the send,
+// and that the traffic counters count them.
 func TestSendCounters(t *testing.T) {
 	for _, kind := range kinds {
 		k := sim.New()
@@ -243,7 +301,7 @@ func TestQuickLatencyMonotoneInSize(t *testing.T) {
 
 // hopCost is the hop part of a healthy zero-byte message's latency:
 // what it pays beyond the software cost a message to self pays.
-func hopCost(n topo.Interconnect, a, b int) sim.Time {
+func hopCost(n *topo.Network, a, b int) sim.Time {
 	return n.Latency(a, b, 0) - n.Latency(a, a, 0)
 }
 
@@ -332,9 +390,9 @@ func TestDegraderProtocol(t *testing.T) {
 		}
 		wantBase := cfg.Startup + cfg.PerPacket + sim.Time(hops)*cfg.PerHop
 		// A peripheral attachment adds one class-less hop to the base.
-		for extra, lat := range []func(topo.Interconnect) sim.Time{
-			func(n topo.Interconnect) sim.Time { return n.Latency(tc.src, tc.dst, 4096) },
-			func(n topo.Interconnect) sim.Time { return n.Attach(tc.dst).LatencyFrom(tc.src, 4096) },
+		for extra, lat := range []func(*topo.Network) sim.Time{
+			func(n *topo.Network) sim.Time { return n.Latency(tc.src, tc.dst, 4096) },
+			func(n *topo.Network) sim.Time { return n.Attach(tc.dst).LatencyFrom(tc.src, 4096) },
 		} {
 			deg.calls, deg.msgs = nil, 0
 			if got, want := lat(n), lat(healthy); got != want {

@@ -35,7 +35,7 @@ type NodeBuffer struct {
 	limit   int // records per block
 	pending []Event
 	flush   func(Block)
-	arena   *Arena // optional chunk pool; nil allocates fresh chunks
+	arena   *Arena // the pool chunks come from
 
 	recorded int64
 	flushes  int64
@@ -43,8 +43,10 @@ type NodeBuffer struct {
 
 // NewNodeBuffer returns a buffer for the given node. bufferBytes is
 // the buffer capacity in bytes (records per block = bufferBytes /
-// EventSize, minimum 1); flush is invoked with each full block.
-func NewNodeBuffer(node uint16, clock Clock, bufferBytes int, flush func(Block)) *NodeBuffer {
+// EventSize, minimum 1); chunks come from arena's pool (the machine
+// passes every node buffer the study arena's); flush is invoked with
+// each full block.
+func NewNodeBuffer(node uint16, clock Clock, bufferBytes int, arena *Arena, flush func(Block)) *NodeBuffer {
 	limit := bufferBytes / EventSize
 	if limit < 1 {
 		limit = 1
@@ -54,24 +56,12 @@ func NewNodeBuffer(node uint16, clock Clock, bufferBytes int, flush func(Block))
 		clock: clock,
 		limit: limit,
 		flush: flush,
-		// Chunks are allocated lazily on first Record (idle nodes never
+		arena: arena,
+		// Chunks are taken lazily on first Record (idle nodes never
 		// pay) and full-size: records append into preallocated capacity,
-		// so a block costs one allocation -- or none, with an arena --
-		// instead of a doubling growth chain per fill cycle.
+		// so a block costs at most one allocation instead of a doubling
+		// growth chain per fill cycle.
 	}
-}
-
-// SetArena makes the buffer draw its chunks from the given pool
-// instead of allocating; the machine wires every node buffer to the
-// study arena's pool. Call it before the first Record.
-func (b *NodeBuffer) SetArena(a *Arena) { b.arena = a }
-
-// newChunk returns an empty full-size chunk for the next block.
-func (b *NodeBuffer) newChunk() []Event {
-	if b.arena != nil {
-		return b.arena.getChunk(b.limit)
-	}
-	return make([]Event, 0, b.limit)
 }
 
 // Node returns the owning compute node.
@@ -89,7 +79,7 @@ func (b *NodeBuffer) Record(ev Event) {
 	ev.Node = b.node
 	ev.Time = int64(b.clock.Now())
 	if b.pending == nil {
-		b.pending = b.newChunk()
+		b.pending = b.arena.getChunk(b.limit)
 	}
 	b.pending = append(b.pending, ev)
 	b.recorded++
@@ -110,8 +100,8 @@ func (b *NodeBuffer) Flush() {
 		Events:    b.pending,
 	}
 	// The collector retains the shipped events, so the next Record
-	// starts a fresh chunk (from the arena pool, when present) rather
-	// than reusing the backing array.
+	// starts a fresh chunk from the arena's pool rather than reusing
+	// the backing array.
 	b.pending = nil
 	b.flushes++
 	b.flush(blk)

@@ -30,27 +30,19 @@ type BlockSink interface {
 }
 
 // NewCollector returns a collector using the given clock (normally the
-// service node's drifting clock) and trace header.
-func NewCollector(clock Clock, header Header) *Collector {
-	return &Collector{clock: clock, header: header}
-}
-
-// SetArena seeds the collector's block slice from the arena's pooled
-// backing (returned there by Arena.ReclaimTrace) and, in sink mode,
-// lets the collector recycle each spilled block's event chunk. Call it
-// before the first Deliver.
-func (c *Collector) SetArena(a *Arena) {
-	c.arena = a
-	if a != nil && len(c.blocks) == 0 {
-		c.blocks = a.takeBlocks()
-	}
+// service node's drifting clock) and trace header. Its block slice
+// starts from the arena's pooled backing (returned there by
+// Arena.ReclaimTrace), and in sink mode it recycles each spilled
+// block's event chunk into the arena.
+func NewCollector(clock Clock, header Header, arena *Arena) *Collector {
+	return &Collector{clock: clock, header: header, arena: arena, blocks: arena.takeBlocks()}
 }
 
 // SetSink switches the collector to streaming mode: every delivered
 // block is written to the sink (after arrival stamping) instead of
-// retained, and -- when an arena is attached -- its event chunk goes
-// straight back to the pool. Call it before the first Deliver; the
-// first sink error is sticky and reported by Err.
+// retained, and its event chunk goes straight back to the arena's
+// pool. Call it before the first Deliver; the first sink error is
+// sticky and reported by Err.
 func (c *Collector) SetSink(s BlockSink) { c.sink = s }
 
 // Err returns the first error the sink reported, if any.
@@ -66,9 +58,7 @@ func (c *Collector) Deliver(b Block) {
 		if c.sinkErr == nil {
 			c.sinkErr = c.sink.WriteBlock(b)
 		}
-		if c.arena != nil {
-			c.arena.putChunk(b.Events)
-		}
+		c.arena.putChunk(b.Events)
 		return
 	}
 	c.blocks = append(c.blocks, b)

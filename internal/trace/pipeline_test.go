@@ -21,7 +21,7 @@ func TestNodeBufferFlushesWhenFull(t *testing.T) {
 	clk := &fakeClock{}
 	var blocks []Block
 	limit := DefaultBufferBytes / EventSize
-	b := NewNodeBuffer(3, clk, DefaultBufferBytes, func(blk Block) { blocks = append(blocks, blk) })
+	b := NewNodeBuffer(3, clk, DefaultBufferBytes, new(Arena), func(blk Block) { blocks = append(blocks, blk) })
 	for i := 0; i < limit; i++ {
 		clk.t += 10
 		b.Record(Event{Type: EvRead, File: 1, Size: 100})
@@ -43,7 +43,7 @@ func TestNodeBufferFlushesWhenFull(t *testing.T) {
 func TestNodeBufferStampsNodeAndTime(t *testing.T) {
 	clk := &fakeClock{t: 777}
 	var got Block
-	b := NewNodeBuffer(9, clk, EventSize, func(blk Block) { got = blk })
+	b := NewNodeBuffer(9, clk, EventSize, new(Arena), func(blk Block) { got = blk })
 	b.Record(Event{Type: EvOpen, Node: 55, Time: 1}) // stamps override caller values
 	if len(got.Events) != 1 {
 		t.Fatal("tiny buffer should flush immediately")
@@ -56,7 +56,7 @@ func TestNodeBufferStampsNodeAndTime(t *testing.T) {
 func TestNodeBufferManualFlush(t *testing.T) {
 	clk := &fakeClock{}
 	flushed := 0
-	b := NewNodeBuffer(0, clk, DefaultBufferBytes, func(Block) { flushed++ })
+	b := NewNodeBuffer(0, clk, DefaultBufferBytes, new(Arena), func(Block) { flushed++ })
 	b.Flush() // empty: no-op
 	if flushed != 0 {
 		t.Fatal("empty flush shipped a block")
@@ -73,7 +73,7 @@ func TestBufferingReducesMessages(t *testing.T) {
 	// ~99 records vs one per record.
 	clk := &fakeClock{}
 	blocks := 0
-	b := NewNodeBuffer(0, clk, DefaultBufferBytes, func(Block) { blocks++ })
+	b := NewNodeBuffer(0, clk, DefaultBufferBytes, new(Arena), func(Block) { blocks++ })
 	const records = 10000
 	for i := 0; i < records; i++ {
 		b.Record(Event{Type: EvRead})
@@ -86,7 +86,7 @@ func TestBufferingReducesMessages(t *testing.T) {
 
 func TestCollectorStampsArrival(t *testing.T) {
 	clk := &fakeClock{t: 5000}
-	c := NewCollector(clk, testHeader())
+	c := NewCollector(clk, testHeader(), new(Arena))
 	c.Deliver(Block{Node: 1, SendLocal: 4000, Events: []Event{{Type: EvRead}}})
 	clk.t = 6000
 	c.Deliver(Block{Node: 2, SendLocal: 4500, Events: []Event{{Type: EvWrite}}})
