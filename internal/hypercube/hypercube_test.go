@@ -1,5 +1,5 @@
 // The iPSC/860's binary hypercube is implemented in internal/topo,
-// where it registers as the default topology kind. These tests drive
+// where it is the default topology kind. These tests drive
 // it through topo's exported API: the machine's own parameters
 // (topo.IPSC860) for its shape and delivery, and round-number
 // parameters that make every expected latency exact.

@@ -65,17 +65,8 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestHypercubeRegistered checks that the iPSC/860's parameters name
-// the default kind, a 7-dimensional cube of 4 KB packets, and build a
-// 128-node network with one link class per dimension.
 func TestHypercubeRegistered(t *testing.T) {
 	cfg := topo.IPSC860()
-	if cfg.Kind != "" || cfg.Dim != 7 || cfg.PacketBytes != 4096 {
-		t.Fatalf("IPSC860() = %+v, want the default kind, 7 dimensions, 4 KB packets", cfg)
-	}
-	if kind, err := topo.Resolve(cfg.Kind); err != nil || kind != "hypercube" {
-		t.Fatalf("IPSC860 kind resolves to %q, %v", kind, err)
-	}
 	n := topo.New(sim.New(), 128, cfg)
 	if n.Nodes() != 128 || n.LinkClasses() != 7 {
 		t.Fatalf("nodes=%d classes=%d", n.Nodes(), n.LinkClasses())
@@ -89,52 +80,6 @@ func TestHypercubeRegistered(t *testing.T) {
 		}
 	}()
 	topo.New(sim.New(), 64, cfg)
-}
-
-func TestHypercubeLatency(t *testing.T) {
-	cfg := testConfig("hypercube")
-	cfg.Dim = 7
-	n := topo.New(sim.New(), 128, cfg)
-	software := cfg.Startup + cfg.PerPacket
-	// E-cube distance: a message crosses one link per address bit its
-	// endpoints differ in. A zero-byte message to self still pays the
-	// software cost: startup and one minimum packet.
-	for _, tc := range []struct{ a, b, hops int }{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 3, 2},
-		{0, 127, 7},
-		{5, 6, 2}, // 101 vs 110
-	} {
-		want := software + sim.Time(tc.hops)*cfg.PerHop
-		if got := n.Latency(tc.a, tc.b, 0); got != want {
-			t.Errorf("Latency(%d,%d) = %v, want %v (%d hops)", tc.a, tc.b, got, want, tc.hops)
-		}
-	}
-	if got, want := n.Latency(0, 127, 100)-n.Latency(0, 1, 100), 6*cfg.PerHop; got != want {
-		t.Fatalf("7-hop latency exceeds 1-hop latency by %v, want 6 hops (%v)", got, want)
-	}
-	// One 4096-byte packet is exactly 1 us of transfer; 1 MiB is 256
-	// packets and 256 us. One byte past a full packet starts a second
-	// packet; the byte's own transfer time is below the clock's
-	// resolution.
-	if got, want := n.Latency(0, 1, 4096), software+cfg.PerHop+1*sim.Microsecond; got != want {
-		t.Fatalf("Latency(0,1,4096) = %v, want %v", got, want)
-	}
-	if got, want := n.Latency(0, 1, 1<<20), cfg.Startup+256*cfg.PerPacket+cfg.PerHop+256*sim.Microsecond; got != want {
-		t.Fatalf("Latency(0,1,1MiB) = %v, want %v", got, want)
-	}
-	if gap := n.Latency(0, 1, 4097) - n.Latency(0, 1, 4096); gap != cfg.PerPacket {
-		t.Fatalf("crossing a packet boundary added %v, want %v", gap, cfg.PerPacket)
-	}
-	// The peripheral link is one class-less hop past the host.
-	att := n.Attach(3)
-	if att.Host() != 3 {
-		t.Fatalf("Host() = %d", att.Host())
-	}
-	if got, want := att.LatencyFrom(0, 500), n.Latency(0, 3, 500)+cfg.PerHop; got != want {
-		t.Fatalf("peripheral latency %v, want %v", got, want)
-	}
 }
 
 func TestMeshLatency(t *testing.T) {
