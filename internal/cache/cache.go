@@ -137,7 +137,7 @@ func NewLRU(capacity int) *LRU {
 	}
 	return &LRU{
 		capacity: capacity,
-		index:    newBlockIndex(),
+		index:    newBlockIndex(capacity),
 		entries:  newEntries(capacity),
 		order:    newList(),
 	}
@@ -220,7 +220,7 @@ func NewFIFO(capacity int) *FIFO {
 	}
 	return &FIFO{
 		capacity: capacity,
-		index:    newBlockIndex(),
+		index:    newBlockIndex(0),
 		entries:  newEntries(capacity),
 		order:    newList(),
 		last:     -1,

@@ -30,7 +30,7 @@ func NewClock(capacity int) *Clock {
 	}
 	return &Clock{
 		capacity: capacity,
-		index:    newBlockIndex(),
+		index:    newBlockIndex(0),
 		last:     -1,
 	}
 }
@@ -146,7 +146,7 @@ func NewSLRU(capacity int) *SLRU {
 	return &SLRU{
 		capacity:  capacity,
 		protCap:   protCap,
-		index:     newBlockIndex(),
+		index:     newBlockIndex(0),
 		entries:   e,
 		protected: make([]bool, 0, cap(e.ids)),
 		prob:      newList(),

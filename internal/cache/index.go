@@ -21,9 +21,13 @@ import (
 // and lookups take that slice. Distinct blocks can share a tag, so a
 // tag match counts only once ids confirms it.
 //
-// The table grows by doubling only while its cache or stack fills: one
-// that holds a handful of blocks (one of Figure 8's per-(job, node)
-// stacks, say) never pays for its nominal capacity.
+// An LRU cache's table starts at the size its cache reaches when full,
+// up to maxPresizedSlots: the CFS I/O nodes' caches fill in a study,
+// and doubling up to that size allocated each table about twice over.
+// Every other table grows by doubling only while its cache or stack
+// fills: one that holds a handful of blocks (one of Figure 8's
+// per-(job, node) stacks, or most caches of a FIFO, Clock or SLRU
+// ladder) never pays for its nominal capacity.
 //
 // Slot positions depend on a per-table random seed, so a crafted trace
 // cannot line its blocks up into one long probe run. Only Stack's
@@ -51,12 +55,23 @@ func (s indexSlot) val() int32 { return int32(s.ref - 1) }
 // set makes an occupied table slot hold policy slot v.
 func (s *indexSlot) set(v int32) { s.ref = uint32(v) + 1 }
 
-// minIndexSlots is the initial table size.
-const minIndexSlots = 8
+// minIndexSlots is the smallest table; maxPresizedSlots the largest a
+// table starts at, the cap newEntries puts on a cache's slot slices.
+const (
+	minIndexSlots    = 8
+	maxPresizedSlots = 1 << 16
+)
 
-func newBlockIndex() blockIndex {
+// newBlockIndex returns an empty index whose table holds entries
+// entries before it first grows, within [minIndexSlots,
+// maxPresizedSlots] slots. 0 asks for the smallest table.
+func newBlockIndex(entries int) blockIndex {
+	size := minIndexSlots
+	for size < 2*entries && size < maxPresizedSlots {
+		size *= 2
+	}
 	ix := blockIndex{seed: rand.Uint64()}
-	ix.resize(minIndexSlots)
+	ix.resize(size)
 	return ix
 }
 

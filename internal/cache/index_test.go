@@ -58,7 +58,7 @@ type indexHarness struct {
 }
 
 func newIndexHarness(seed uint64) *indexHarness {
-	h := &indexHarness{ix: newBlockIndex(), ref: make(map[BlockID]int32)}
+	h := &indexHarness{ix: newBlockIndex(0), ref: make(map[BlockID]int32)}
 	h.ix.seed = seed
 	return h
 }
@@ -286,5 +286,27 @@ func TestBlockIndexTagCollisions(t *testing.T) {
 	}
 	if len(h.ix.slots) <= grown || grown <= minIndexSlots {
 		t.Fatalf("table went %d -> %d -> %d slots; the test needs two resizes", minIndexSlots, grown, len(h.ix.slots))
+	}
+}
+
+// TestLRUIndexPresized: an LRU cache's index starts at the size its
+// full cache needs, up to maxPresizedSlots, so filling the cache and
+// churning it never grows the table below that cap.
+func TestLRUIndexPresized(t *testing.T) {
+	for _, capacity := range []int{1, 3, 4, 5, 768, 4096, maxPresizedSlots / 2, maxPresizedSlots} {
+		c := NewLRU(capacity)
+		start := len(c.index.slots)
+		for b := int64(0); b < int64(2*capacity); b++ {
+			c.Access(BlockID{File: 1, Block: b})
+		}
+		if got := len(c.index.slots); capacity <= maxPresizedSlots/2 && got != start {
+			t.Errorf("capacity %d: index grew from %d to %d slots", capacity, start, got)
+		}
+		if (start < 2*capacity && start != maxPresizedSlots) || (start/2 >= 2*capacity && start != minIndexSlots) {
+			t.Errorf("capacity %d: index starts at %d slots", capacity, start)
+		}
+	}
+	if got := len(NewFIFO(4096).index.slots); got != minIndexSlots {
+		t.Errorf("a FIFO cache's index starts at %d slots, want %d", got, minIndexSlots)
 	}
 }

@@ -49,7 +49,7 @@ func NewStack(depth int) *Stack {
 	}
 	return &Stack{
 		depth:  int32(min(depth, math.MaxInt32)),
-		index:  newBlockIndex(),
+		index:  newBlockIndex(0),
 		tree:   make([]int32, 1, 8),
 		ids:    make([]BlockID, 1, 8),
 		live:   make([]uint64, 1),

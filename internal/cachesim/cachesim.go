@@ -13,6 +13,18 @@
 // one cache per (size, I/O node) side by side, splitting each event
 // into blocks once; so does an I/O-node sweep of a single LRU size,
 // where a stack would cost more than the one cache it replaces.
+//
+// Each experiment has one implementation, an observe form that takes
+// the merged stream one event at a time: ComputeNodeSim (Figure 8, at
+// every buffer count at once), IONodeSim (Figure 9: one policy and
+// I/O-node count over a ladder of totals) and CombinedSim. A study
+// feeds them from its one merge pass, so it need not keep its stream.
+// The slice entry points (ComputeNodeSweep, IONodeSweep, CombinedPolicy
+// and their one-size forms) are loops over them. Figure 8 and the
+// combined experiment restrict the compute-node caches to read-only
+// files, so their constructors take that set before the first event.
+// The set does not depend on event order: ReadOnlySet collects it
+// from a trace's raw blocks (trace.Reader.Blocks) without a merge.
 package cachesim
 
 import (
@@ -66,28 +78,69 @@ func eventBlocks(blocks []int64, ev *trace.Event, blockBytes int64) []int64 {
 	return blocks
 }
 
-// ReadOnlyFiles scans a trace and returns the set of files that were
-// read but never written, the population the paper's compute-node
-// simulation restricts itself to (write caching would need a
-// consistency protocol).
-func ReadOnlyFiles(events []trace.Event) map[uint64]bool {
-	read := make(map[uint64]bool)
-	written := make(map[uint64]bool)
+// observeAll feeds a slice of events to an observe form, in order:
+// each slice entry point is this loop over its form.
+func observeAll(o interface{ Observe(*trace.Event) }, events []trace.Event) {
 	for i := range events {
-		switch events[i].Type {
-		case trace.EvRead, trace.EvReadStrided:
-			read[events[i].File] = true
-		case trace.EvWrite, trace.EvWriteStrided:
-			written[events[i].File] = true
-		}
+		o.Observe(&events[i])
 	}
+}
+
+// ReadOnlySet accumulates the files a trace reads but never writes,
+// the population the paper's compute-node simulation restricts itself
+// to (write caching would need a consistency protocol). The set does
+// not depend on the order the events come in. The zero value is empty.
+type ReadOnlySet struct {
+	modes map[uint64]uint8 // fileRead | fileWritten, per file
+}
+
+const (
+	fileRead uint8 = 1 << iota
+	fileWritten
+)
+
+// Observe records whether ev reads or writes its file.
+func (s *ReadOnlySet) Observe(ev *trace.Event) {
+	var m uint8
+	switch ev.Type {
+	case trace.EvRead, trace.EvReadStrided:
+		m = fileRead
+	case trace.EvWrite, trace.EvWriteStrided:
+		m = fileWritten
+	default:
+		return
+	}
+	if s.modes == nil {
+		s.modes = make(map[uint64]uint8)
+	}
+	s.modes[ev.File] |= m
+}
+
+// ObserveBlock observes every event of a raw trace block. It has the
+// shape of a trace.Reader.Blocks callback: rd.Blocks(s.ObserveBlock)
+// takes the set from a trace's blocks in arrival order.
+func (s *ReadOnlySet) ObserveBlock(b trace.Block) error {
+	observeAll(s, b.Events)
+	return nil
+}
+
+// Files returns the files observed read and never written.
+func (s *ReadOnlySet) Files() map[uint64]bool {
 	ro := make(map[uint64]bool)
-	for f := range read {
-		if !written[f] {
+	for f, m := range s.modes {
+		if m == fileRead {
 			ro[f] = true
 		}
 	}
 	return ro
+}
+
+// ReadOnlyFiles scans a trace and returns the set of files that were
+// read but never written (a ReadOnlySet over the events).
+func ReadOnlyFiles(events []trace.Event) map[uint64]bool {
+	var s ReadOnlySet
+	observeAll(&s, events)
+	return s.Files()
 }
 
 // nodeKey names the compute node an event ran on within its job.
@@ -119,7 +172,19 @@ func ComputeNodeCache(events []trace.Event, blockBytes int64, buffers int) []Job
 }
 
 // ComputeNodeSweep is ComputeNodeCache at every size in buffers, in one
-// pass: out[i] holds the per-job results at buffers[i].
+// pass of a ComputeNodeSim: out[i] holds the per-job results at
+// buffers[i]. With no sizes there is nothing to simulate.
+func ComputeNodeSweep(events []trace.Event, blockBytes int64, buffers []int) [][]JobHitRate {
+	if len(buffers) == 0 {
+		return nil
+	}
+	s := NewComputeNodeSim(ReadOnlyFiles(events), blockBytes, buffers)
+	observeAll(s, events)
+	return s.Results()
+}
+
+// ComputeNodeSim is the Figure 8 simulation in observe form, at every
+// size of its buffer list at once.
 //
 // Each (job, node) pair keeps one LRU stack over its read-only blocks.
 // An LRU cache of any size touches (and on a miss loads) every block
@@ -128,12 +193,35 @@ func ComputeNodeCache(events []trace.Event, blockBytes int64, buffers int) []Job
 // at size c exactly when each of its blocks has a distance in [1, c]:
 // its blocks are distinct, so none was loaded by an earlier miss in
 // the same request, and a hit evicts nothing, so no resident block is
-// lost before its own access. With no sizes there is nothing to
-// simulate.
-func ComputeNodeSweep(events []trace.Event, blockBytes int64, buffers []int) [][]JobHitRate {
-	if len(buffers) == 0 {
-		return nil
-	}
+// lost before its own access.
+type ComputeNodeSim struct {
+	readOnly   map[uint64]bool
+	blockBytes int64
+	buffers    []int
+	depth      int // the largest size, which each stack tracks
+	nodes      map[uint64]computeNode
+	jobIndex   map[uint32]int
+	jobs       []jobCounts // in first-appearance order
+	blocks     []int64     // the current request's blocks
+}
+
+// jobCounts is one job's requests and, per size, its hits.
+type jobCounts struct {
+	job      uint32
+	accesses int64
+	hits     []int64 // per size
+}
+
+// computeNode is one compute node's cache in one job.
+type computeNode struct {
+	stack *cache.Stack
+	job   int // index in jobs
+}
+
+// NewComputeNodeSim returns an empty Figure 8 simulation whose caches
+// hold the files of readOnly, at every size in buffers (at least one,
+// each positive).
+func NewComputeNodeSim(readOnly map[uint64]bool, blockBytes int64, buffers []int) *ComputeNodeSim {
 	if blockBytes <= 0 {
 		panic("cachesim: block size must be positive")
 	}
@@ -142,66 +230,63 @@ func ComputeNodeSweep(events []trace.Event, blockBytes int64, buffers []int) [][
 			panic("cachesim: buffer count must be positive")
 		}
 	}
-	ro := ReadOnlyFiles(events)
+	return &ComputeNodeSim{
+		readOnly:   readOnly,
+		blockBytes: blockBytes,
+		buffers:    buffers,
+		depth:      slices.Max(buffers),
+		nodes:      make(map[uint64]computeNode),
+		jobIndex:   make(map[uint32]int),
+	}
+}
 
-	type jobCounts struct {
-		job      uint32
-		accesses int64
-		hits     []int64 // per size
+// Observe runs one event through the compute-node caches: a read of a
+// read-only file is a request at its compute node, and every other
+// event passes by.
+func (s *ComputeNodeSim) Observe(ev *trace.Event) {
+	if (ev.Type != trace.EvRead && ev.Type != trace.EvReadStrided) || !s.readOnly[ev.File] {
+		return
 	}
-	// computeNode is one compute node's cache in one job.
-	type computeNode struct {
-		stack *cache.Stack
-		job   int // index in jobs
+	s.blocks = eventBlocks(s.blocks[:0], ev, s.blockBytes)
+	if len(s.blocks) == 0 {
+		return
 	}
-	depth := slices.Max(buffers)
-	nodes := make(map[uint64]computeNode)
-	jobIndex := make(map[uint32]int)
-	var jobs []jobCounts // in first-appearance order
-	var blocks []int64
+	cn, ok := s.nodes[nodeKey(ev)]
+	if !ok {
+		j, seen := s.jobIndex[ev.Job]
+		if !seen {
+			j = len(s.jobs)
+			s.jobIndex[ev.Job] = j
+			s.jobs = append(s.jobs, jobCounts{job: ev.Job, hits: make([]int64, len(s.buffers))})
+		}
+		cn = computeNode{cache.NewStack(s.depth), j}
+		s.nodes[nodeKey(ev)] = cn
+	}
+	// The request hits every size at least as large as its farthest
+	// block; a first touch misses at every size.
+	far := 1
+	for _, b := range s.blocks {
+		d := cn.stack.Access(cache.BlockID{File: ev.File, Block: b})
+		if d == 0 {
+			d = math.MaxInt
+		}
+		far = max(far, d)
+	}
+	jc := &s.jobs[cn.job]
+	jc.accesses++
+	for k, c := range s.buffers {
+		if far <= c {
+			jc.hits[k]++
+		}
+	}
+}
 
-	for i := range events {
-		ev := &events[i]
-		if (ev.Type != trace.EvRead && ev.Type != trace.EvReadStrided) || !ro[ev.File] {
-			continue
-		}
-		blocks = eventBlocks(blocks[:0], ev, blockBytes)
-		if len(blocks) == 0 {
-			continue
-		}
-		cn, ok := nodes[nodeKey(ev)]
-		if !ok {
-			j, seen := jobIndex[ev.Job]
-			if !seen {
-				j = len(jobs)
-				jobIndex[ev.Job] = j
-				jobs = append(jobs, jobCounts{job: ev.Job, hits: make([]int64, len(buffers))})
-			}
-			cn = computeNode{cache.NewStack(depth), j}
-			nodes[nodeKey(ev)] = cn
-		}
-		// The request hits every size at least as large as its
-		// farthest block; a first touch misses at every size.
-		far := 1
-		for _, b := range blocks {
-			d := cn.stack.Access(cache.BlockID{File: ev.File, Block: b})
-			if d == 0 {
-				d = math.MaxInt
-			}
-			far = max(far, d)
-		}
-		jc := &jobs[cn.job]
-		jc.accesses++
-		for k, c := range buffers {
-			if far <= c {
-				jc.hits[k]++
-			}
-		}
-	}
-	out := make([][]JobHitRate, len(buffers))
+// Results reports the per-job outcomes so far: out[i] at buffers[i].
+func (s *ComputeNodeSim) Results() [][]JobHitRate {
+	out := make([][]JobHitRate, len(s.buffers))
 	for k := range out {
-		out[k] = make([]JobHitRate, len(jobs))
-		for j, jc := range jobs {
+		out[k] = make([]JobHitRate, len(s.jobs))
+		for j, jc := range s.jobs {
 			out[k][j] = JobHitRate{Job: jc.job, Accesses: jc.accesses, Hits: jc.hits[k]}
 		}
 	}
@@ -297,29 +382,49 @@ func IONodeCache(events []trace.Event, blockBytes int64, ioNodes, totalBuffers i
 	return IONodeSweep(events, blockBytes, ioNodes, []int{totalBuffers}, policy)[0]
 }
 
-// IONodeSweep is IONodeCache at every total in totals, in one pass:
-// out[i] is the configuration with totals[i] buffers. Block b always
-// lives at I/O node b % ioNodes, so every total sees the same per-node
-// access streams. With no totals there is nothing to simulate.
+// IONodeSweep is IONodeCache at every total in totals, in one pass of
+// an IONodeSim: out[i] is the configuration with totals[i] buffers.
+// With no totals there is nothing to simulate.
 func IONodeSweep(events []trace.Event, blockBytes int64, ioNodes int, totals []int, policy Policy) []IONodeResult {
 	if len(totals) == 0 {
 		return nil
 	}
+	s := NewIONodeSim(blockBytes, ioNodes, totals, policy)
+	observeAll(s, events)
+	return s.Results()
+}
+
+// IONodeSim is the Figure 9 simulation in observe form: one policy at
+// one I/O-node count, over a ladder of totals at once. Block b always
+// lives at I/O node b % ioNodes, so every total sees the same per-node
+// access streams.
+type IONodeSim struct {
+	sweep      *ioSweep
+	blockBytes int64
+	blocks     []int64 // the current request's blocks
+}
+
+// NewIONodeSim returns an empty Figure 9 simulation at every total in
+// totals, each at least ioNodes.
+func NewIONodeSim(blockBytes int64, ioNodes int, totals []int, policy Policy) *IONodeSim {
 	if blockBytes <= 0 {
 		panic("cachesim: block size must be positive")
 	}
-	s := newIOSweep(ioNodes, totals, policy)
-	var blocks []int64
-	for i := range events {
-		ev := &events[i]
-		if !ev.IsData() {
-			continue
-		}
-		blocks = eventBlocks(blocks[:0], ev, blockBytes)
-		s.touch(ev.File, blocks)
-	}
-	return s.results()
+	return &IONodeSim{sweep: newIOSweep(ioNodes, totals, policy), blockBytes: blockBytes}
 }
+
+// Observe runs a read or write request's blocks through every
+// configuration; other events pass by.
+func (s *IONodeSim) Observe(ev *trace.Event) {
+	if !ev.IsData() {
+		return
+	}
+	s.blocks = eventBlocks(s.blocks[:0], ev, s.blockBytes)
+	s.sweep.touch(ev.File, s.blocks)
+}
+
+// Results reports every total so far, in the order given.
+func (s *IONodeSim) Results() []IONodeResult { return s.sweep.results() }
 
 // ioSweep holds every configuration of one I/O-node sweep: the caller
 // hands it each request's blocks once, and it counts the hits of every
@@ -472,44 +577,75 @@ func Combined(events []trace.Event, blockBytes int64, ioNodes, buffersPerIONode 
 
 // CombinedPolicy is Combined with a selectable I/O-node replacement
 // policy (the compute-node layer stays a single LRU buffer, the
-// paper's configuration).
+// paper's configuration), in one pass of a CombinedSim.
 func CombinedPolicy(events []trace.Event, blockBytes int64, ioNodes, buffersPerIONode int, policy Policy) CombinedResult {
-	total := ioNodes * buffersPerIONode
-	res := CombinedResult{
-		IONodeAlone: IONodeCache(events, blockBytes, ioNodes, total, policy),
-	}
+	s := NewCombinedSim(ReadOnlyFiles(events), blockBytes, ioNodes, buffersPerIONode, policy)
+	observeAll(s, events)
+	return s.Result()
+}
 
-	ro := ReadOnlyFiles(events)
-	// A one-buffer LRU holds the block its compute node touched last.
-	front := make(map[uint64]cache.BlockID)
-	filtered := newIOSweep(ioNodes, []int{total}, policy)
-	var blocks []int64
+// CombinedSim is the combined experiment in observe form. Each request
+// is split into blocks once for both of its I/O-node sweeps: the one
+// with no compute-node layer and the one behind it.
+type CombinedSim struct {
+	readOnly    map[uint64]bool
+	blockBytes  int64
+	front       map[uint64]cache.BlockID // per compute node, its one buffered block
+	alone       *ioSweep                 // the I/O-node caches only
+	filtered    *ioSweep                 // the I/O-node caches behind the compute nodes'
+	computeHits int64
+	blocks      []int64 // the current request's blocks
+}
 
-	for i := range events {
-		ev := &events[i]
-		if !ev.IsData() {
-			continue
-		}
-		blocks = eventBlocks(blocks[:0], ev, blockBytes)
-		if len(blocks) == 0 {
-			continue
-		}
-		// The compute-node layer can fully absorb a read of read-only
-		// data if all its blocks are buffered locally. Touching a
-		// request's distinct blocks in turn leaves the last one
-		// buffered, and only a one-block request can find its whole
-		// span already there.
-		if (ev.Type == trace.EvRead || ev.Type == trace.EvReadStrided) && ro[ev.File] {
-			buffered, ok := front[nodeKey(ev)]
-			last := cache.BlockID{File: ev.File, Block: blocks[len(blocks)-1]}
-			front[nodeKey(ev)] = last
-			if ok && len(blocks) == 1 && buffered == last {
-				res.ComputeHits++
-				continue // never reaches the I/O nodes
-			}
-		}
-		filtered.touch(ev.File, blocks)
+// NewCombinedSim returns an empty combined experiment whose
+// compute-node buffers hold the files of readOnly.
+func NewCombinedSim(readOnly map[uint64]bool, blockBytes int64, ioNodes, buffersPerIONode int, policy Policy) *CombinedSim {
+	if blockBytes <= 0 {
+		panic("cachesim: block size must be positive")
 	}
-	res.IONodeFiltered = filtered.results()[0]
-	return res
+	totals := []int{ioNodes * buffersPerIONode}
+	return &CombinedSim{
+		readOnly:   readOnly,
+		blockBytes: blockBytes,
+		// A one-buffer LRU holds the block its compute node touched last.
+		front:    make(map[uint64]cache.BlockID),
+		alone:    newIOSweep(ioNodes, totals, policy),
+		filtered: newIOSweep(ioNodes, totals, policy),
+	}
+}
+
+// Observe runs a read or write request through both configurations;
+// other events pass by.
+func (s *CombinedSim) Observe(ev *trace.Event) {
+	if !ev.IsData() {
+		return
+	}
+	s.blocks = eventBlocks(s.blocks[:0], ev, s.blockBytes)
+	if len(s.blocks) == 0 {
+		return
+	}
+	s.alone.touch(ev.File, s.blocks)
+	// The compute-node layer can fully absorb a read of read-only data
+	// if all its blocks are buffered locally. Touching a request's
+	// distinct blocks in turn leaves the last one buffered, and only a
+	// one-block request can find its whole span already there.
+	if (ev.Type == trace.EvRead || ev.Type == trace.EvReadStrided) && s.readOnly[ev.File] {
+		buffered, ok := s.front[nodeKey(ev)]
+		last := cache.BlockID{File: ev.File, Block: s.blocks[len(s.blocks)-1]}
+		s.front[nodeKey(ev)] = last
+		if ok && len(s.blocks) == 1 && buffered == last {
+			s.computeHits++
+			return // never reaches the I/O nodes
+		}
+	}
+	s.filtered.touch(ev.File, s.blocks)
+}
+
+// Result reports the experiment so far.
+func (s *CombinedSim) Result() CombinedResult {
+	return CombinedResult{
+		IONodeAlone:    s.alone.results()[0],
+		IONodeFiltered: s.filtered.results()[0],
+		ComputeHits:    s.computeHits,
+	}
 }

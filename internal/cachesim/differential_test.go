@@ -2,6 +2,7 @@ package cachesim_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -213,5 +214,157 @@ func TestSweepsWithNoSizes(t *testing.T) {
 	}
 	if got := core.RunFig8Buffers(events, 4096, nil); len(got) != 0 {
 		t.Fatalf("RunFig8Buffers with no sizes = %+v", got)
+	}
+}
+
+// observer is the observe form every cachesim experiment has.
+type observer interface{ Observe(*trace.Event) }
+
+// feedInBatches hands events to every form a batch at a time, each
+// form observing a whole batch before the next form starts, as a
+// study's merge pass feeds a cache plan. Batches end at random points,
+// so some hold one event and some none.
+func feedInBatches(rng *rand.Rand, events []trace.Event, forms []observer) {
+	for start := 0; start < len(events); {
+		end := start
+		switch rng.IntN(4) {
+		case 0: // an empty batch
+		case 1:
+			end++
+		default:
+			end += rng.IntN(len(events)/8 + 2)
+		}
+		end = min(end, len(events))
+		for _, f := range forms {
+			for i := start; i < end; i++ {
+				f.Observe(&events[i])
+			}
+		}
+		start = end
+	}
+}
+
+// checkFormsAgainstReference builds every observe form over the
+// read-only set ro -- a ComputeNodeSim over fig8, an IONodeSim per
+// policy over the clamped ladder, and a CombinedSim per policy and
+// per-node size -- feeds them the events in random batches, and
+// compares every result with the per-configuration reference
+// simulations.
+func checkFormsAgainstReference(t *testing.T, rng *rand.Rand, events []trace.Event, ro map[uint64]bool, blockBytes int64, ioNodes int, ladder, fig8 []int) {
+	t.Helper()
+	if want := cachesim.ReadOnlyFiles(events); !maps.Equal(ro, want) {
+		t.Fatalf("read-only set has %d files, want %d", len(ro), len(want))
+	}
+	clamped := make([]int, len(ladder))
+	for i, b := range ladder {
+		clamped[i] = max(b, ioNodes)
+	}
+	perNode := []int{1, 3, 50}
+	fig8Sim := cachesim.NewComputeNodeSim(ro, blockBytes, fig8)
+	forms := []observer{fig8Sim}
+	var ioSims []*cachesim.IONodeSim
+	var combined []*cachesim.CombinedSim
+	for _, p := range cachesim.AllPolicies() {
+		ioSims = append(ioSims, cachesim.NewIONodeSim(blockBytes, ioNodes, clamped, p))
+		forms = append(forms, ioSims[len(ioSims)-1])
+		for _, per := range perNode {
+			combined = append(combined, cachesim.NewCombinedSim(ro, blockBytes, ioNodes, per, p))
+			forms = append(forms, combined[len(combined)-1])
+		}
+	}
+	rng.Shuffle(len(forms), func(i, j int) { forms[i], forms[j] = forms[j], forms[i] })
+	feedInBatches(rng, events, forms)
+
+	for pi, p := range cachesim.AllPolicies() {
+		want := make([]cachesim.IONodeResult, len(clamped))
+		for i, b := range clamped {
+			want[i] = cachesim.ReferenceIONodeCache(events, blockBytes, ioNodes, b, p)
+		}
+		if got := ioSims[pi].Results(); !slices.Equal(got, want) {
+			t.Fatalf("%s, %d I/O nodes, totals %v: IONodeSim\n got %+v\nwant %+v", p, ioNodes, clamped, got, want)
+		}
+		for ci, per := range perNode {
+			got := combined[pi*len(perNode)+ci].Result()
+			if want := cachesim.ReferenceCombinedPolicy(events, blockBytes, ioNodes, per, p); got != want {
+				t.Fatalf("%s, %d I/O nodes x %d buffers: CombinedSim\n got %+v\nwant %+v", p, ioNodes, per, got, want)
+			}
+		}
+	}
+	results := fig8Sim.Results()
+	for i, b := range fig8 {
+		if want := cachesim.ReferenceComputeNodeCache(events, blockBytes, b); !slices.Equal(results[i], want) {
+			t.Fatalf("%d compute-node buffers: ComputeNodeSim\n got %+v\nwant %+v", b, results[i], want)
+		}
+	}
+}
+
+// shuffledReadOnlySet takes the read-only set from the events in a
+// random order: the set must not depend on it.
+func shuffledReadOnlySet(rng *rand.Rand, events []trace.Event) map[uint64]bool {
+	var s cachesim.ReadOnlySet
+	for _, i := range rng.Perm(len(events)) {
+		s.Observe(&events[i])
+	}
+	return s.Files()
+}
+
+// TestObserveFormsMatchReferenceInBatches holds the observe forms,
+// fed in random batches as a study's merge pass feeds them, to the
+// per-configuration reference simulations: on the smoke trace, with
+// the read-only set taken from its raw blocks in arrival order; on one
+// traced study of every corpus mix; and on random traces with strided,
+// zero-count strided and zero-size requests.
+func TestObserveFormsMatchReferenceInBatches(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2027, 27))
+	t.Run("smoke", func(t *testing.T) {
+		rd, err := trace.OpenReader("../../testdata/traces/smoke.trc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		events, err := rd.AllEvents()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ro cachesim.ReadOnlySet
+		if err := rd.Blocks(ro.ObserveBlock); err != nil {
+			t.Fatal(err)
+		}
+		ioNodes := int(rd.Header().IONodes)
+		checkFormsAgainstReference(t, rng, events, ro.Files(), rd.Header().BlockSize(), ioNodes,
+			[]int{125, 1, 4000, 25000, 4000}, []int{1, 10, 50})
+	})
+	for _, name := range []string{"read-mostly", "checkpoint-heavy", "strided"} {
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("../../testdata/scenarios", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := scenario.Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := core.RunStudy(core.Config{Seed: 11, Scale: 0.01, Workload: spec.MixList()[0].Params})
+			checkFormsAgainstReference(t, rng, r.Events, shuffledReadOnlySet(rng, r.Events), r.BlockBytes(), 10,
+				[]int{400, 10, 3000, 1000}, []int{50, 1, 10})
+		})
+	}
+	for trial := 0; trial < 16; trial++ {
+		ioNodes := 1 + rng.IntN(16)
+		events := randomEvents(rng, 300+rng.IntN(1200))
+		for i := range events {
+			switch ev := &events[i]; {
+			case rng.IntN(8) == 0:
+				ev.Size = 0
+			case ev.IsStrided() && rng.IntN(6) == 0:
+				ev.Count = 0
+			}
+		}
+		huge := (distinctBlocks(events, 4096) + 1) * ioNodes
+		ladder := []int{huge, 1, rng.IntN(40 * ioNodes), rng.IntN(40 * ioNodes)}
+		fig8 := []int{1 + rng.IntN(30), 1, huge}
+		t.Run(fmt.Sprintf("trial%d/io%d", trial, ioNodes), func(t *testing.T) {
+			checkFormsAgainstReference(t, rng, events, shuffledReadOnlySet(rng, events), 4096, ioNodes, ladder, fig8)
+		})
 	}
 }

@@ -9,11 +9,13 @@ package cfs
 //   - Handles, returned when their client is released at the end of
 //     its node program, and open groups, returned when their last
 //     member closes.
+//   - transfer records, by I/O-node count, returned by
+//     FileSystem.Recycle. Within a study each call borrows a record
+//     from its file system for as long as it is in flight; a file
+//     system whose free list is empty takes one from the arena.
 //
 // Block tables are not pooled: a table allocates each page once, as
-// its file reaches it, and never copies it. Transfer state is not
-// pooled here either: each call borrows a record from its file system
-// for as long as it is in flight.
+// its file reaches it, and never copies it.
 //
 // A file system given no arena (SetArena) keeps one of its own, so
 // even a single study reuses the handles and open groups of finished
@@ -25,6 +27,7 @@ type Arena struct {
 	files   []*file
 	handles []*Handle
 	groups  []*openGroup
+	xfers   map[int][]*xfer // free transfer records, by len(legs)
 }
 
 // getFile returns a pooled file struct (cleared, with its groups map
@@ -86,4 +89,32 @@ func (a *Arena) getGroup(mode IOMode) *openGroup {
 func (a *Arena) putGroup(g *openGroup) {
 	*g = openGroup{members: g.members[:0]}
 	a.groups = append(a.groups, g)
+}
+
+// getXfer returns a pooled transfer record with a leg per I/O node of
+// ioNodes, still bound to the file system that built it, or nil when
+// there is none.
+func (a *Arena) getXfer(ioNodes int) *xfer {
+	free := a.xfers[ioNodes]
+	n := len(free)
+	if n == 0 {
+		return nil
+	}
+	x := free[n-1]
+	free[n-1] = nil
+	a.xfers[ioNodes] = free[:n-1]
+	return x
+}
+
+// putXfers pools a file system's free transfer records. Only call once
+// no call is in flight (FileSystem.Recycle, after the study).
+func (a *Arena) putXfers(xs []*xfer) {
+	if len(xs) == 0 {
+		return
+	}
+	if a.xfers == nil {
+		a.xfers = make(map[int][]*xfer)
+	}
+	n := len(xs[0].legs)
+	a.xfers[n] = append(a.xfers[n], xs...)
 }

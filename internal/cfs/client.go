@@ -101,12 +101,19 @@ type legBlock struct {
 }
 
 // getXfer borrows a transfer record for a call from the given compute
-// node, building one when the free list is empty.
+// node: from the free list, else from the arena (a record an earlier
+// study's file system built, rebound to this one), else a new one.
 func (fs *FileSystem) getXfer(node int) *xfer {
 	var x *xfer
 	if n := len(fs.xfers); n > 0 {
 		x = fs.xfers[n-1]
 		fs.xfers = fs.xfers[:n-1]
+	} else if x = fs.arena.getXfer(len(fs.ionodes)); x != nil {
+		// The legs' stride and bound callbacks carry over unchanged.
+		x.fs = fs
+		for i := range x.legs {
+			x.legs[i].io = fs.ionodes[i]
+		}
 	} else {
 		x = &xfer{fs: fs, legs: make([]leg, len(fs.ionodes))}
 		x.doneFn = x.wg.Done

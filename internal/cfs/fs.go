@@ -214,15 +214,18 @@ func New(k *sim.Kernel, cfg Config, tp Transport) *FileSystem {
 // one study. Call it right after New, before any file is created.
 func (fs *FileSystem) SetArena(a *Arena) { fs.arena = a }
 
-// Recycle returns every file struct, with its open groups, to the
-// arena. Call it once the simulation is over and the trace collected;
-// the file system must not be used afterwards.
+// Recycle returns every file struct, with its open groups, and every
+// free transfer record to the arena. Call it once the simulation is
+// over and the trace collected; the file system must not be used
+// afterwards.
 func (fs *FileSystem) Recycle() {
 	for id, f := range fs.byID {
 		fs.arena.putFile(f)
 		delete(fs.byID, id)
 	}
 	clear(fs.byName)
+	fs.arena.putXfers(fs.xfers)
+	fs.xfers = nil
 }
 
 // Config returns the file-system configuration.

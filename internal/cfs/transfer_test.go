@@ -451,6 +451,60 @@ func TestTransferRecordsBoundedByCallsInFlight(t *testing.T) {
 	}
 }
 
+// TestTransferRecordsCarryAcrossStudies: a file system recycled into
+// an arena hands its free records to the next file system with the
+// same I/O-node count, which rebinds them to its own I/O nodes; a file
+// system with another count builds its own.
+func TestTransferRecordsCarryAcrossStudies(t *testing.T) {
+	a := new(Arena)
+	study := func(ioNodes int) *FileSystem {
+		k := sim.New()
+		cfg := DefaultConfig()
+		cfg.IONodes = ioNodes
+		fs := New(k, cfg, stubTransport{lat: 100 * sim.Microsecond})
+		fs.SetArena(a)
+		if _, err := fs.Preload("/in", 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		for node := 0; node < 3; node++ {
+			k.Spawn("par", func(p *sim.Proc) {
+				c := NewClient(fs, 1, node, nil)
+				h, _ := c.Open(p, "/in", ORdOnly, Mode0)
+				h.Read(p, 40*4096)
+				h.Close(p)
+			})
+		}
+		k.Run()
+		if len(fs.xfers) != 3 {
+			t.Fatalf("%d records after 3 overlapping reads, want 3", len(fs.xfers))
+		}
+		return fs
+	}
+	first := study(4)
+	pooled := slices.Clone(first.xfers)
+	first.Recycle()
+	second := study(4)
+	for _, x := range second.xfers {
+		if !slices.Contains(pooled, x) {
+			t.Fatal("a file system built a record while the arena held three")
+		}
+		if x.fs != second {
+			t.Fatal("a pooled record still points at the file system that built it")
+		}
+		for i := range x.legs {
+			if x.legs[i].io != second.ionodes[i] {
+				t.Fatalf("a pooled record's leg %d serves the old file system's I/O node", i)
+			}
+		}
+	}
+	second.Recycle()
+	for _, x := range study(2).xfers {
+		if slices.Contains(pooled, x) {
+			t.Fatal("a 2-I/O-node file system took a record with 4 legs")
+		}
+	}
+}
+
 // TestPreloadNoSpaceChangesNothing: a preload that does not fit fails
 // before it registers the file or takes any block.
 func TestPreloadNoSpaceChangesNothing(t *testing.T) {

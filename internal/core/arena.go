@@ -6,11 +6,14 @@
 //
 //   - the trace pipeline's node-buffer chunks and collector block
 //     slice (trace.Arena): +52%;
-//   - the kept event stream, or the analyzer's batch buffer when no
-//     stream is kept (events): +28%;
+//   - the merge pass's batch buffer (events): one 4096-event batch,
+//     224 KiB a study, so about 4 MB of a machines-sweep op's 18
+//     studies (by arithmetic; the last ablation, +28%, was measured
+//     while cache-plan studies kept their whole stream there);
 //   - the analyzer's dense working state (analysis.Scratch): +14.5%;
 //   - the CFS file structs, handles and open groups (cfs.Arena,
-//     returned by FileSystem.Recycle): +2.6%;
+//     returned by FileSystem.Recycle): +2.6%; its transfer records:
+//     +7.7%;
 //   - the sim kernel's event-queue bucket arrays (sim.Kernel.Reset):
 //     +2.2%.
 //
@@ -37,8 +40,8 @@ type arena struct {
 	kernel  *sim.Kernel
 	mach    machine.Arena
 	scratch analysis.Scratch
-	// events is the last study's kept merged stream (for its cache
-	// plan) or the analyzer's batch buffer.
+	// events is the merge pass's batch buffer: at most analyzeBatch
+	// events, since no worker's study keeps its stream.
 	events []trace.Event
 }
 

@@ -13,7 +13,8 @@ import (
 
 // TestArenaStudyDeterminism pins the arena-reuse contract directly:
 // the first and the Nth study on one worker arena both match a cold
-// RunStudy byte for byte, kept stream and cache text included.
+// RunStudy byte for byte, cache text included, and none of them keeps
+// its merged stream in the arena.
 func TestArenaStudyDeterminism(t *testing.T) {
 	spec := StudySpec{Label: "seed=42", Config: DefaultConfig(42, MinScale)}
 	plan := testCachePlan(t)
@@ -35,7 +36,7 @@ func TestArenaStudyDeterminism(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		label := fmt.Sprintf("arena round %d", round)
 		sameOutcome(t, runSpec(a, plan, spec), want, label)
-		sameEvents(t, a.events, cold.Events, label+": kept stream vs RunStudy")
+		noKeptStream(t, a, label)
 	}
 }
 
@@ -59,9 +60,10 @@ func TestArenaDifferentSeedsAfterRecycle(t *testing.T) {
 // cluster2026 machines, NAS rewired as a mesh with NVMe drives, NAS
 // under the dying-disk fault preset, and a replay of a spilled .trc --
 // each with and without a cache plan, and holds every study to its
-// cold run on a fresh arena: report text, counters, cache text and the
-// kept stream. A pool that carries state from one study into the next,
-// or from one machine shape to another, fails it.
+// cold run on a fresh arena: report text, counters and cache text. No
+// study, cold or warm, keeps its merged stream in the arena. A pool
+// that carries state from one study into the next, or from one machine
+// shape to another, fails it.
 func TestArenaAcrossStudyKinds(t *testing.T) {
 	machines := ScenarioSpecs(mustParse(t, `{
 		"version": 1, "name": "arena-kinds", "seeds": [5], "scales": [0.01],
@@ -99,18 +101,15 @@ func TestArenaAcrossStudyKinds(t *testing.T) {
 	}})
 
 	plan := testCachePlan(t)
-	type cold struct {
-		out    StudyOutcome
-		events []trace.Event
-	}
-	colds := make([]cold, len(kinds))
+	colds := make([]StudyOutcome, len(kinds))
 	for i, k := range kinds {
 		a := newArena()
 		out, err := k.run(a, plan)
 		if err != nil {
 			t.Fatalf("%s: %v", k.label, err)
 		}
-		colds[i] = cold{out, a.events}
+		noKeptStream(t, a, k.label+" (cold)")
+		colds[i] = out
 	}
 
 	// Two passes over every kind, the cache plan alternating between
@@ -120,7 +119,7 @@ func TestArenaAcrossStudyKinds(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for i, k := range kinds {
 			withPlan := (i+pass)%2 == 0
-			p, want := plan, colds[i].out
+			p, want := plan, colds[i]
 			if !withPlan {
 				p, want.CacheText = nil, ""
 			}
@@ -130,9 +129,7 @@ func TestArenaAcrossStudyKinds(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			sameOutcome(t, got, want, label)
-			if withPlan {
-				sameEvents(t, warm.events, colds[i].events, label+": kept stream")
-			}
+			noKeptStream(t, warm, label)
 		}
 	}
 }
@@ -151,7 +148,7 @@ func testCachePlan(t *testing.T) *scenario.ResolvedCache {
 	}`).CachePlan()
 }
 
-func mustParse(t *testing.T, doc string) *scenario.Spec {
+func mustParse(t testing.TB, doc string) *scenario.Spec {
 	t.Helper()
 	spec, err := scenario.Parse([]byte(doc))
 	if err != nil {
@@ -176,25 +173,34 @@ func sameOutcome(t *testing.T, got, want StudyOutcome, label string) {
 }
 
 // BenchmarkArenaStudySteadyState measures what a worker's arena buys:
-// one sweep-worker study (runSpec at seed 42, scale 0.05, no cache
-// plan) on a fresh arena per iteration (cold) and on one arena warmed
-// before the timer starts (warm). B/op shows the allocation the pools
-// remove, ns/op whether that saves any time.
+// one sweep-worker study (runSpec at seed 42, scale 0.05) on a fresh
+// arena per iteration (cold) and on one arena warmed before the timer
+// starts (warm), with no cache plan and with the combined experiment
+// (the -combined rows, the plan machines-sweep runs). B/op shows the
+// allocation the pools remove, ns/op whether that saves any time; the
+// -combined rows' B/op also counts the experiment, which observes the
+// merge pass instead of keeping the stream.
 func BenchmarkArenaStudySteadyState(b *testing.B) {
 	spec := StudySpec{Config: DefaultConfig(42, 0.05)}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runSpec(newArena(), nil, spec)
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		a := newArena()
-		runSpec(a, nil, spec) // warm the pools
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runSpec(a, nil, spec)
-		}
-	})
+	combined := mustParse(b, `{"version": 1, "name": "plan", "seeds": [1], "cache": {"combined": {}}}`).CachePlan()
+	for _, row := range []struct {
+		suffix string
+		plan   *scenario.ResolvedCache
+	}{{"", nil}, {"-combined", combined}} {
+		b.Run("cold"+row.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runSpec(newArena(), row.plan, spec)
+			}
+		})
+		b.Run("warm"+row.suffix, func(b *testing.B) {
+			a := newArena()
+			runSpec(a, row.plan, spec) // warm the pools
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runSpec(a, row.plan, spec)
+			}
+		})
+	}
 }

@@ -230,21 +230,44 @@ func simulate(cfg Config, a *arena, sink StreamSink) (*machine.Machine, sim.Time
 	return m, horizon, tr, rd, nil
 }
 
-// analyzeBatch is how many merged events analyze hands the analyzer
-// at a time. Observing inside the merge's callback, event by event,
-// interleaves the two working sets and runs slower.
+// analyzeBatch is how many merged events analyze hands out at a time.
+// Observing inside the merge's callback, event by event, interleaves
+// the working sets and runs slower; for the same reason the analyzer,
+// and then each consumer in turn, observes a whole batch before the
+// next one starts.
 const analyzeBatch = 4096
 
+// A consumer observes one study's merged stream as analyze hands it
+// out: in batches, in stream order. The cache experiments of a plan
+// are consumers; their implementations live in cachesim, which knows
+// nothing of the merge.
+type consumer interface {
+	observeBatch(batch []trace.Event)
+}
+
+// eachEvent makes a per-event observe form (a cachesim experiment) a
+// consumer.
+type eachEvent struct {
+	o interface{ Observe(*trace.Event) }
+}
+
+func (c eachEvent) observeBatch(batch []trace.Event) {
+	for i := range batch {
+		c.o.Observe(&batch[i])
+	}
+}
+
 // analyze is the one merge pass: it runs rd's drift-corrected k-way
-// merge once and feeds the stream to an online analyzer in batches,
-// drawing the analyzer's working state from scratch (nil allocates it
-// fresh). The batches live in *buf's storage (a nil buf allocates
-// it), which is handed back in *buf: with keep, the whole stream is
-// collected there, growing it at most once, and each batch is a
-// window of it; without, it is one reused batch. horizon 0 means the
-// last event's time. The only error is a .trc read or decode failure,
-// so it is always nil for a Reader over collected blocks.
-func analyze(rd *trace.Reader, horizon sim.Time, scratch *analysis.Scratch, buf *[]trace.Event, keep bool) (*analysis.Report, error) {
+// merge once and feeds the stream in batches to an online analyzer and
+// then to each of consumers, drawing the analyzer's working state from
+// scratch (nil allocates it fresh). The batches live in *buf's storage
+// (a nil buf allocates it), which is handed back in *buf: with keep,
+// the whole stream is collected there, growing it at most once, and
+// each batch is a window of it; without, it is one reused batch of at
+// most analyzeBatch events. Only RunStudy keeps the stream. horizon 0
+// means the last event's time. The only error is a .trc read or decode
+// failure, so it is always nil for a Reader over collected blocks.
+func analyze(rd *trace.Reader, horizon sim.Time, scratch *analysis.Scratch, buf *[]trace.Event, keep bool, consumers ...consumer) (*analysis.Report, error) {
 	o := analysis.OnlineInto(scratch, rd.Header())
 	if buf == nil {
 		buf = new([]trace.Event)
@@ -254,10 +277,14 @@ func analyze(rd *trace.Reader, horizon sim.Time, scratch *analysis.Scratch, buf 
 		n = int(rd.EventCount())
 	}
 	evs := slices.Grow((*buf)[:0], n)
-	next := 0 // first event of evs the analyzer has not seen
+	next := 0 // first event of evs the consumers have not seen
 	observe := func() {
-		for i := next; i < len(evs); i++ {
-			o.Observe(&evs[i])
+		batch := evs[next:]
+		for i := range batch {
+			o.Observe(&batch[i])
+		}
+		for _, c := range consumers {
+			c.observeBatch(batch)
 		}
 		if !keep {
 			evs = evs[:0]
@@ -295,7 +322,11 @@ func RunFig8(events []trace.Event, blockBytes int64) []Fig8Result {
 // the events: the compute-node caches are LRU, so per-(job, node) stack
 // distances decide each request's hit at every size at once.
 func RunFig8Buffers(events []trace.Event, blockBytes int64, buffers []int) []Fig8Result {
-	jobs := cachesim.ComputeNodeSweep(events, blockBytes, buffers)
+	return fig8Results(buffers, cachesim.ComputeNodeSweep(events, blockBytes, buffers))
+}
+
+// fig8Results pairs each cache size with its per-job results.
+func fig8Results(buffers []int, jobs [][]cachesim.JobHitRate) []Fig8Result {
 	out := make([]Fig8Result, len(buffers))
 	for i, b := range buffers {
 		out[i] = Fig8Result{Buffers: b, Jobs: jobs[i]}
@@ -305,33 +336,61 @@ func RunFig8Buffers(events []trace.Event, blockBytes int64, buffers []int) []Fig
 
 // Fig9Sweep reproduces one Figure 9 curve: hit rate as a function of
 // total buffer count for the given policy and I/O-node count, with
-// counts below ioNodes raised to one buffer per node. An LRU curve is
-// one pass over the events, since stack distances give every size at
-// once. The other policies simulate each size, so the ladder is dealt
-// into at most GOMAXPROCS chunks, each chunk's caches run side by side
-// in one pass, and the results are merged in ladder order.
+// counts below ioNodes raised to one buffer per node. It is one
+// fig9Curve fed the whole slice as one batch, so a non-LRU ladder's
+// chunks each run over the whole slice side by side.
 func Fig9Sweep(events []trace.Event, blockBytes int64, ioNodes int, policy cachesim.Policy, bufferCounts []int) []cachesim.IONodeResult {
-	ladder := make([]int, len(bufferCounts))
-	for i, b := range bufferCounts {
-		ladder[i] = max(b, ioNodes)
-	}
+	c := newFig9Curve(blockBytes, ioNodes, policy, bufferCounts)
+	c.observeBatch(events)
+	return c.results()
+}
+
+// fig9Curve is one Figure 9 curve as a consumer. An LRU curve is one
+// IONodeSim, since stack distances give every size at once. The other
+// policies simulate each size, so the ladder is dealt into at most
+// GOMAXPROCS chunks, each an IONodeSim over its share, every batch fans
+// out to the chunks, which run side by side, and the results are
+// merged in ladder order.
+type fig9Curve struct {
+	chunks []*cachesim.IONodeSim
+	idx    [][]int // idx[c]: the ladder positions chunk c simulates
+	n      int     // ladder length
+}
+
+func newFig9Curve(blockBytes int64, ioNodes int, policy cachesim.Policy, bufferCounts []int) *fig9Curve {
+	n := len(bufferCounts)
+	chunks := min(runtime.GOMAXPROCS(0), n)
 	if policy == cachesim.LRU {
-		return cachesim.IONodeSweep(events, blockBytes, ioNodes, ladder, policy)
+		chunks = min(1, n)
 	}
-	out := make([]cachesim.IONodeResult, len(ladder))
-	chunks := min(runtime.GOMAXPROCS(0), len(ladder))
-	parallelEach(nil, chunks, chunks, func(_, c int) {
-		// Chunk c takes every chunks-th size, so each chunk holds a
+	c := &fig9Curve{chunks: make([]*cachesim.IONodeSim, chunks), idx: make([][]int, chunks), n: n}
+	for k := range chunks {
+		// Chunk k takes every chunks-th size, so each chunk holds a
 		// share of the large caches.
-		var idx, sizes []int
-		for i := c; i < len(ladder); i += chunks {
-			idx = append(idx, i)
-			sizes = append(sizes, ladder[i])
+		var sizes []int
+		for i := k; i < n; i += chunks {
+			c.idx[k] = append(c.idx[k], i)
+			sizes = append(sizes, max(bufferCounts[i], ioNodes))
 		}
-		for j, r := range cachesim.IONodeSweep(events, blockBytes, ioNodes, sizes, policy) {
-			out[idx[j]] = r
-		}
+		c.chunks[k] = cachesim.NewIONodeSim(blockBytes, ioNodes, sizes, policy)
+	}
+	return c
+}
+
+func (c *fig9Curve) observeBatch(batch []trace.Event) {
+	parallelEach(nil, len(c.chunks), len(c.chunks), func(_, k int) {
+		eachEvent{c.chunks[k]}.observeBatch(batch)
 	})
+}
+
+// results reports the curve so far, in ladder order.
+func (c *fig9Curve) results() []cachesim.IONodeResult {
+	out := make([]cachesim.IONodeResult, c.n)
+	for k, sim := range c.chunks {
+		for j, r := range sim.Results() {
+			out[c.idx[k][j]] = r
+		}
+	}
 	return out
 }
 

@@ -2,7 +2,7 @@
 // turns a validated scenario.Spec into the deterministic StudySpec
 // list (seed x scale x workload-mix x machine-preset) and runs it
 // through RunSweep with the spec's cache plan, so the trace-driven
-// cache experiments run on every study's event stream. Like the sweep
+// cache experiments observe every study's merge pass. Like the sweep
 // itself, a scenario's formatted output is byte-identical at any
 // worker count; the golden corpus under testdata/scenarios/ pins it.
 package core
@@ -80,12 +80,13 @@ func replayLabel(path string) string {
 	return "replay=" + strings.TrimSuffix(filepath.Base(path), ".trc")
 }
 
-// replayStudy runs one recorded trace through the merge pass and the
-// cache experiments on the worker's arena, as runSpec does a simulated
-// study. The event stream is kept only for the cache plan (the cache
-// simulations make several passes over it); the raw blocks are never
-// materialized. A recorded trace carries no simulation end time, so
-// the horizon is the last event's. An error names the study's label.
+// replayStudy runs one recorded trace through the merge pass on the
+// worker's arena, with the cache plan's experiments observing it, as
+// runSpec does a simulated study. Neither the raw blocks nor the merged
+// stream is ever materialized: when the plan needs the read-only file
+// set, it comes from one more sequential decode of the file's blocks,
+// not a second merge. A recorded trace carries no simulation end time,
+// so the horizon is the last event's. An error names the study's label.
 func replayStudy(a *arena, path string, plan *scenario.ResolvedCache) (StudyOutcome, error) {
 	spec := StudySpec{Label: replayLabel(path)}
 	rd, err := trace.OpenReader(path)
@@ -93,24 +94,25 @@ func replayStudy(a *arena, path string, plan *scenario.ResolvedCache) (StudyOutc
 		return StudyOutcome{}, fmt.Errorf("core: replay %s: %w", spec.Label, err)
 	}
 	defer rd.Close()
-	report, err := analyze(rd, 0, &a.scratch, &a.events, plan != nil)
+	x, err := newCacheRun(plan, rd)
 	if err != nil {
 		return StudyOutcome{}, fmt.Errorf("core: replay %s: %w", spec.Label, err)
 	}
-	out := StudyOutcome{
+	report, err := analyze(rd, 0, &a.scratch, &a.events, false, x.consumers()...)
+	if err != nil {
+		return StudyOutcome{}, fmt.Errorf("core: replay %s: %w", spec.Label, err)
+	}
+	return StudyOutcome{
 		Spec:          spec,
 		Done:          true,
 		ReportText:    report.Format(),
+		CacheText:     x.text(),
 		Header:        rd.Header(),
 		Horizon:       report.Horizon,
 		EventCount:    int(rd.EventCount()),
 		TraceRecords:  rd.EventCount(),
 		TraceMessages: int64(rd.NumBlocks()),
-	}
-	if plan != nil {
-		out.CacheText = cacheExperimentText(plan, a.events, rd.Header().BlockSize())
-	}
-	return out, nil
+	}, nil
 }
 
 // ScenarioSpecs builds the deterministic study list a scenario runs:
@@ -140,28 +142,107 @@ func ScenarioSpecs(spec *scenario.Spec) []StudySpec {
 	return specs
 }
 
-// cacheExperimentText renders every cache experiment the plan selects
-// for one study's event stream.
-func cacheExperimentText(plan *scenario.ResolvedCache, events []trace.Event, blockBytes int64) string {
+// cacheRun is one study's cache plan as consumers of its merge pass:
+// every experiment the plan selects, built before the first event. A
+// nil cacheRun runs nothing and renders no text.
+type cacheRun struct {
+	plan      *scenario.ResolvedCache
+	fig8      *cachesim.ComputeNodeSim
+	fig9      []*fig9Curve // per I/O-node count, then per policy
+	combined  []*cachesim.CombinedSim
+	observers []consumer
+}
+
+// newCacheRun builds the plan's experiments for the trace rd reads (a
+// nil plan builds none). Fig 8 and the combined experiment take the
+// read-only file set before their first event. The set does not depend
+// on event order, so it comes from one scan of rd's raw blocks before
+// the merge: a collected trace's scan walks memory, a .trc's decodes
+// the file once more. The only error is a .trc read or decode failure.
+func newCacheRun(plan *scenario.ResolvedCache, rd *trace.Reader) (*cacheRun, error) {
+	if plan == nil {
+		return nil, nil
+	}
+	blockBytes := rd.Header().BlockSize()
+	var ro map[uint64]bool
+	if plan.Fig8Buffers != nil || plan.Combined != nil {
+		var s cachesim.ReadOnlySet
+		if err := rd.Blocks(s.ObserveBlock); err != nil {
+			return nil, err
+		}
+		ro = s.Files()
+	}
+	x := &cacheRun{plan: plan}
+	if plan.Fig8Buffers != nil {
+		x.fig8 = cachesim.NewComputeNodeSim(ro, blockBytes, plan.Fig8Buffers)
+		x.observers = append(x.observers, eachEvent{x.fig8})
+	}
+	if plan.Fig9 != nil {
+		for _, ioNodes := range plan.Fig9.IONodes {
+			for _, p := range plan.Fig9.Policies {
+				c := newFig9Curve(blockBytes, ioNodes, p, plan.Fig9.Buffers)
+				x.fig9 = append(x.fig9, c)
+				x.observers = append(x.observers, c)
+			}
+		}
+	}
+	if plan.Combined != nil {
+		for _, p := range plan.Combined.Policies {
+			c := cachesim.NewCombinedSim(ro, blockBytes, plan.Combined.IONodes, plan.Combined.BuffersPerIONode, p)
+			x.combined = append(x.combined, c)
+			x.observers = append(x.observers, eachEvent{c})
+		}
+	}
+	return x, nil
+}
+
+// consumers returns the experiments, for analyze to feed.
+func (x *cacheRun) consumers() []consumer {
+	if x == nil {
+		return nil
+	}
+	return x.observers
+}
+
+// text renders the experiments' results once the merge pass is over.
+func (x *cacheRun) text() string {
+	if x == nil {
+		return ""
+	}
+	var fig8 []Fig8Result
+	if x.fig8 != nil {
+		fig8 = fig8Results(x.plan.Fig8Buffers, x.fig8.Results())
+	}
+	fig9 := make([][]cachesim.IONodeResult, len(x.fig9))
+	for i, c := range x.fig9 {
+		fig9[i] = c.results()
+	}
+	combined := make([]cachesim.CombinedResult, len(x.combined))
+	for i, c := range x.combined {
+		combined[i] = c.Result()
+	}
+	return formatCacheText(x.plan, fig8, fig9, combined)
+}
+
+// formatCacheText renders every cache experiment the plan selects from
+// its results: fig9 holds one curve per I/O-node count and policy, in
+// plan order, and combined one result per policy.
+func formatCacheText(plan *scenario.ResolvedCache, fig8 []Fig8Result, fig9 [][]cachesim.IONodeResult, combined []cachesim.CombinedResult) string {
 	var b strings.Builder
 	if plan.Fig8Buffers != nil {
-		b.WriteString(FormatFig8(RunFig8Buffers(events, blockBytes, plan.Fig8Buffers)))
+		b.WriteString(FormatFig8(fig8))
 	}
 	if plan.Fig9 != nil {
 		if b.Len() > 0 {
 			b.WriteString("\n")
 		}
-		b.WriteString(formatFig9Grid(events, blockBytes, plan.Fig9))
+		b.WriteString(formatFig9Grid(plan.Fig9, fig9))
 	}
-	if plan.Combined != nil {
-		for _, p := range plan.Combined.Policies {
-			if b.Len() > 0 {
-				b.WriteString("\n")
-			}
-			res := cachesim.CombinedPolicy(events, blockBytes,
-				plan.Combined.IONodes, plan.Combined.BuffersPerIONode, p)
-			b.WriteString(FormatCombined(res))
+	for _, res := range combined {
+		if b.Len() > 0 {
+			b.WriteString("\n")
 		}
+		b.WriteString(FormatCombined(res))
 	}
 	return b.String()
 }
@@ -204,23 +285,19 @@ func FormatFig9(events []trace.Event, blockBytes int64, ioNodes int) string {
 }
 
 // formatFig9Grid renders the I/O-node sweep as one table per I/O-node
-// count: rows are buffer counts, columns are policies.
-func formatFig9Grid(events []trace.Event, blockBytes int64, plan *scenario.ResolvedFig9) string {
+// count: rows are buffer counts, columns are policies. curves holds
+// one curve per (I/O-node count, policy), in plan order.
+func formatFig9Grid(plan *scenario.ResolvedFig9, curves [][]cachesim.IONodeResult) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 9: I/O-node caching (4 KB buffers)")
-	for _, ioNodes := range plan.IONodes {
+	for ni, ioNodes := range plan.IONodes {
 		fmt.Fprintf(&b, "\n  %d I/O node(s):\n", ioNodes)
 		fmt.Fprintf(&b, "  %10s", "buffers")
 		for _, p := range plan.Policies {
 			fmt.Fprintf(&b, "  %10s", p)
 		}
 		fmt.Fprintln(&b)
-		// One Fig9Sweep per policy gives that policy's column; rows
-		// are then assembled in buffer order.
-		curves := make([][]cachesim.IONodeResult, len(plan.Policies))
-		for pi, p := range plan.Policies {
-			curves[pi] = Fig9Sweep(events, blockBytes, ioNodes, p, plan.Buffers)
-		}
+		curves := curves[ni*len(plan.Policies) : (ni+1)*len(plan.Policies)]
 		for bi, buffers := range plan.Buffers {
 			fmt.Fprintf(&b, "  %10d", buffers)
 			for pi := range plan.Policies {

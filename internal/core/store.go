@@ -891,10 +891,10 @@ func RunScenarioStore(ctx context.Context, spec *scenario.Spec, store StoreConfi
 	if err != nil {
 		return nil, err
 	}
-	// The cache experiments run on the worker right after each study,
-	// exactly as in RunScenario; the store persists their text with
-	// the outcome so a resumed or merging process never re-simulates a
-	// finished study to recover it.
+	// The cache experiments observe each study's merge pass on the
+	// worker, exactly as in RunScenario; the store persists their text
+	// with the outcome so a resumed or merging process never
+	// re-simulates a finished study to recover it.
 	plan := spec.CachePlan()
 	var run *StoreRun
 	if spec.IsReplay() {

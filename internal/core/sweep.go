@@ -38,10 +38,10 @@ type SweepConfig struct {
 	// The merged result is identical for every worker count.
 	Workers int
 	// Cache, when non-nil, is the cache-experiment plan every study
-	// runs on its own merged stream, on the worker right after its
-	// analysis; the text lands in StudyOutcome.CacheText. Only these
-	// studies keep the stream (in the worker arena), so a sweep never
-	// holds more event slices than it has workers. The run store does
+	// runs on its own merged stream: its experiments observe the same
+	// merge pass as the analysis, on the worker, and the text lands in
+	// StudyOutcome.CacheText. No study keeps its stream, so a worker
+	// holds one batch of events, whatever the plan. The run store does
 	// not fingerprint the plan: RunScenarioStore folds it into the salt.
 	Cache *scenario.ResolvedCache
 }
@@ -128,19 +128,21 @@ func runStudies(ctx context.Context, specs []StudySpec, workers int, study func(
 	return res, nil
 }
 
-// runSpec runs one study on the worker's arena, keeping the merged
-// stream only for the cache plan (the arena's event storage holds the
-// analyzer's batches either way), and hands the study's trace and file
+// runSpec runs one study on the worker's arena, with the cache plan's
+// experiments observing its merge pass (the arena's event storage holds
+// only the pass's batches), and hands the study's trace and file
 // structs back to the arena once the outcome holds its text and
 // counters.
 func runSpec(a *arena, plan *scenario.ResolvedCache, spec StudySpec) StudyOutcome {
-	m, horizon, tr, rd, _ := simulate(spec.Config, a, nil)                // no sink: cannot fail
-	report, _ := analyze(rd, horizon, &a.scratch, &a.events, plan != nil) // collected blocks: cannot fail
+	m, horizon, tr, rd, _ := simulate(spec.Config, a, nil)                            // no sink: cannot fail
+	x, _ := newCacheRun(plan, rd)                                                     // collected blocks: cannot fail
+	report, _ := analyze(rd, horizon, &a.scratch, &a.events, false, x.consumers()...) // likewise
 	report.Degradation = m.FaultReport()
 	out := StudyOutcome{
 		Spec:          spec,
 		Done:          true,
 		ReportText:    report.Format(),
+		CacheText:     x.text(),
 		Header:        rd.Header(),
 		Horizon:       horizon,
 		EventCount:    int(rd.EventCount()),
@@ -150,9 +152,6 @@ func runSpec(a *arena, plan *scenario.ResolvedCache, spec StudySpec) StudyOutcom
 	}
 	a.mach.Trace.ReclaimTrace(tr)
 	m.FS().Recycle()
-	if plan != nil {
-		out.CacheText = cacheExperimentText(plan, a.events, rd.Header().BlockSize())
-	}
 	return out
 }
 
