@@ -38,16 +38,28 @@ type row struct {
 }
 
 func main() {
-	rows, err := convert(os.Stdin)
+	os.Exit(appMain(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// appMain is the whole command, parameterized for tests: argv is
+// os.Args[1:], and the return value is the process exit code. The
+// command reads only stdin, so any argument is a usage error.
+func appMain(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	if len(argv) > 0 {
+		fmt.Fprintf(stderr, "benchjson: unexpected argument %q (pipe go test -bench output to stdin)\n", argv[0])
+		return 2
+	}
+	rows, err := convert(stdin)
 	if err == nil {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		err = enc.Encode(rows)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
+	return 0
 }
 
 // convert reads benchmark output and returns one row per benchmark

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -58,5 +59,16 @@ func TestConvertEmpty(t *testing.T) {
 	rows, err := convert(strings.NewReader("PASS\n"))
 	if err != nil || rows == nil || len(rows) != 0 {
 		t.Fatalf("rows %v, err %v; want an empty, non-nil slice", rows, err)
+	}
+}
+
+// TestArgumentIsUsageError: benchjson reads stdin only, so a file
+// argument exits 2. It used to be dropped: "benchjson bench.out" read
+// an empty stdin and printed [].
+func TestArgumentIsUsageError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := appMain([]string{"bench.out"}, strings.NewReader(""), &stdout, &stderr)
+	if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), `unexpected argument "bench.out"`) {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 naming the argument", code, stdout.String(), stderr.String())
 	}
 }

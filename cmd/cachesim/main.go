@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,21 +29,39 @@ import (
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "figure to reproduce: 8 or 9")
-	combined := flag.Bool("combined", false, "run the combined compute+I/O cache experiment")
-	flag.Parse()
-	if flag.NArg() != 1 || (*fig == 0 && !*combined) {
-		fmt.Fprintln(os.Stderr, "usage: cachesim (-fig 8 | -fig 9 | -combined) <trace file>")
-		os.Exit(2)
+	os.Exit(appMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// appMain is the whole command, parameterized for tests: argv is
+// os.Args[1:], and the return value is the process exit code.
+func appMain(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cachesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 0, "figure to reproduce: 8 or 9")
+	combined := fs.Bool("combined", false, "run the combined compute+I/O cache experiment")
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 || (*fig == 0 && !*combined) {
+		fmt.Fprintln(stderr, "usage: cachesim (-fig 8 | -fig 9 | -combined) <trace file>")
+		return 2
+	}
+	if *fig != 0 && *combined {
+		fmt.Fprintln(stderr, "cachesim: -fig conflicts with -combined: pick one experiment")
+		return 2
 	}
 	if *fig != 0 && *fig != 8 && *fig != 9 {
-		fmt.Fprintf(os.Stderr, "cachesim: no such experiment: fig %d\n", *fig)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "cachesim: no such experiment: fig %d\n", *fig)
+		return 2
 	}
-	if err := run(os.Stdout, flag.Arg(0), *fig, *combined); err != nil {
-		fmt.Fprintln(os.Stderr, "cachesim:", err)
-		os.Exit(1)
+	if err := run(stdout, fs.Arg(0), *fig, *combined); err != nil {
+		fmt.Fprintln(stderr, "cachesim:", err)
+		return 1
 	}
+	return 0
 }
 
 // run loads the trace at path and prints the selected experiment.

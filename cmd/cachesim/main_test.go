@@ -128,3 +128,28 @@ func TestCraftedHeaderZeroIONodes(t *testing.T) {
 		t.Fatalf("-combined: %v", err)
 	}
 }
+
+// TestModeConflictsAreUsageErrors: -fig with -combined names one
+// experiment too many and exits 2 without running either, as a
+// missing mode, a missing or second trace file and an unknown figure
+// do. The pair used to print Figure 8 only.
+func TestModeConflictsAreUsageErrors(t *testing.T) {
+	for _, argv := range [][]string{
+		{"-fig", "8", "-combined", smokeTrc},
+		{"-combined", "-fig", "9", smokeTrc},
+		{smokeTrc},
+		{"-combined"},
+		{"-combined", smokeTrc, smokeTrc},
+		{"-fig", "7", smokeTrc},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := appMain(argv, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("%q: exit %d, printed %d bytes; want exit 2 and no output", argv, code, stdout.Len())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	appMain([]string{"-fig", "8", "-combined", smokeTrc}, &stdout, &stderr)
+	if !strings.Contains(stderr.String(), "-fig conflicts with -combined") {
+		t.Errorf("stderr %q does not name the conflict", stderr.String())
+	}
+}

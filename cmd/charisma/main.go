@@ -165,6 +165,12 @@ func appMain(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	// Flag parsing stops at the first positional argument, so every
+	// flag after one would be dropped with it.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "charisma: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 

@@ -388,6 +388,22 @@ func TestModeFlagConflicts(t *testing.T) {
 	}
 }
 
+// TestStrayArgumentIsUsageError: a positional argument exits 2
+// before any study runs. Flag parsing stops at the first one, so
+// "charisma report.txt -scale 0.01" used to run at the default scale.
+func TestStrayArgumentIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"report.txt", "-scale", "0.01"},
+		{"-scale", "0.01", "report.txt"},
+		{"-list", "report.txt"},
+	} {
+		code, out, stderr := app(args...)
+		if code != 2 || out != "" || !strings.Contains(stderr, `unexpected argument "report.txt"`) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 2 naming the argument", args, code, out, stderr)
+		}
+	}
+}
+
 // TestListCLI pins the -list registry dump: every registry section
 // appears in order with the names the other modes actually resolve
 // (cluster2026, mesh, fattree and nvme among them), and nothing is

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,15 +25,34 @@ import (
 )
 
 func main() {
-	out := flag.String("o", "study.trc", "output trace file")
-	scale := flag.Float64("scale", 0.1, "study scale in (0, 1]; 1.0 reproduces the full 156-hour study")
-	seed := flag.Uint64("seed", 42, "workload seed")
-	flag.Parse()
+	os.Exit(appMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := run(os.Stdout, *out, *seed, *scale); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+// appMain is the whole command, parameterized for tests: argv is
+// os.Args[1:], and the return value is the process exit code.
+func appMain(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "study.trc", "output trace file")
+	scale := fs.Float64("scale", 0.1, "study scale in (0, 1]; 1.0 reproduces the full 156-hour study")
+	seed := fs.Uint64("seed", 42, "workload seed")
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	// Flag parsing stops at the first positional argument, so every
+	// flag after one would be dropped with it.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "tracegen: unexpected argument %q (name the output with -o)\n", fs.Arg(0))
+		return 2
+	}
+	if err := run(stdout, *out, *seed, *scale); err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
+	}
+	return 0
 }
 
 // run streams the study's trace straight into the output file. A bad

@@ -79,3 +79,27 @@ func TestRunRejectsScale(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayArgumentIsUsageError: a positional argument exits 2 before
+// any study runs and creates no file. Flag parsing stops at the first
+// positional argument, so "tracegen out.trc -scale 0.01" used to drop
+// both and write study.trc at scale 0.1.
+func TestStrayArgumentIsUsageError(t *testing.T) {
+	for _, tail := range [][]string{
+		{"out.trc", "-scale", "0.01"},
+		{"-scale", "0.01", "out.trc"},
+	} {
+		dir := t.TempDir()
+		argv := append([]string{"-o", filepath.Join(dir, "t.trc")}, tail...)
+		var stdout, stderr bytes.Buffer
+		if code := appMain(argv, &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2 (stderr %q)", argv, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), `unexpected argument "out.trc"`) {
+			t.Errorf("%q: stderr %q does not name the argument", argv, stderr.String())
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 || stdout.Len() != 0 {
+			t.Errorf("%q: left %d files and printed %q", argv, len(entries), stdout.String())
+		}
+	}
+}

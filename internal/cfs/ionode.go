@@ -18,7 +18,7 @@ import (
 type IONode struct {
 	id    int
 	k     *sim.Kernel
-	disk  disk.Model
+	disk  *disk.Disk
 	cache *cache.LRU
 
 	busyUntil sim.Time
@@ -122,8 +122,8 @@ func (n *IONode) CacheHits() int64 { return n.cacheHits }
 // Prefetches reports how many readahead blocks the node fetched.
 func (n *IONode) Prefetches() int64 { return n.prefetches }
 
-// Disk exposes the underlying drive model for instrumentation.
-func (n *IONode) Disk() disk.Model { return n.disk }
+// Disk exposes the node's drive for instrumentation.
+func (n *IONode) Disk() *disk.Disk { return n.disk }
 
 // QueueStats reports the node's observation-only queueing counters:
 // batches served, total queue wait, and total service time.

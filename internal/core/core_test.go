@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -259,4 +260,47 @@ func workloadOnlyStatus() workload.Params {
 	p.UntracedParallJobs = 0
 	p.Scale = 1
 	return p
+}
+
+// TestIONodeRequestsConserved checks the I/O nodes' books on both
+// drive kinds: summed over the I/O nodes, the block requests served
+// equal the buffer-cache hits plus the disk's reads and writes. It
+// holds exactly while prefetch, which reads the disk for no request,
+// is off, as it is in every preset. The mixes are the calibrated,
+// read-mostly and checkpoint-heavy ones; the machines NAS, mini,
+// cluster2026 (flash) and NAS rewired as a mesh with NVMe drives.
+func TestIONodeRequestsConserved(t *testing.T) {
+	mixes := []*workload.Params{nil}
+	for _, name := range []string{"read-mostly", "checkpoint-heavy"} {
+		mixes = append(mixes, ScenarioSpecs(loadCorpusSpec(t, filepath.Join(corpusDir, name+".json")))[0].Config.Workload)
+	}
+	machines := ScenarioSpecs(mustParse(t, `{
+		"version": 1, "name": "conservation", "seeds": [1], "scales": [0.01],
+		"machines": ["nas", "mini", "cluster2026", {"preset": "nas", "topology": "mesh", "disk": "nvme"}]
+	}`))
+	for _, mach := range machines {
+		for i, mix := range mixes {
+			for _, seed := range []uint64{1, 42} {
+				cfg := Config{Seed: seed, Scale: 0.01, Workload: mix, Machine: mach.Config.Machine}
+				if _, mc := studyParams(cfg.normalized()); mc.FS.IONode.Prefetch {
+					t.Fatalf("%s: prefetch is on", mach.Label)
+				}
+				m, _, _, _, err := simulate(cfg, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var requests, served int64
+				fs := m.FS()
+				for n := 0; n < fs.Config().IONodes; n++ {
+					node := fs.IONode(n)
+					requests += node.Requests()
+					served += node.CacheHits() + node.Disk().Reads() + node.Disk().Writes()
+				}
+				if requests == 0 || requests != served {
+					t.Errorf("%s, mix %d, seed %d: %d requests, %d hits plus disk reads and writes",
+						mach.Label, i, seed, requests, served)
+				}
+			}
+		}
+	}
 }

@@ -71,9 +71,6 @@ type StoreConfig struct {
 	// temp-file sweeps, orphaned-lease removal, reclaims). nil
 	// discards them.
 	Log io.Writer
-	// Salt is an optional caller salt folded into every fingerprint on
-	// top of the built-in code-version salt.
-	Salt string
 	// Progress, when non-nil, is called once per spec as this run
 	// learns its outcome exists: found already committed at open
 	// (StoreSpecSkipped), committed by this process (StoreSpecRan), or
@@ -792,10 +789,11 @@ func sweepKeys(cfg SweepConfig, store StoreConfig) (StoreConfig, []string, []str
 	if err != nil {
 		return store, nil, nil, err
 	}
+	salt := ""
 	if cfg.Cache != nil {
-		store.Salt = cachePlanSalt(store.Salt, cfg.Cache)
+		salt = cachePlanSalt(cfg.Cache)
 	}
-	labels, fps := specKeys(store.Salt, cfg.Specs)
+	labels, fps := specKeys(salt, cfg.Specs)
 	return store, labels, fps, nil
 }
 
@@ -953,7 +951,7 @@ func scenarioStoreKeys(spec *scenario.Spec, store StoreConfig) (StoreConfig, *sc
 	// editing a spec's cache grid between runs then surfaces as a
 	// manifest mismatch instead of silently merging the old
 	// experiments' text.
-	store.Salt = cachePlanSalt(store.Salt, spec.CachePlan())
+	salt := cachePlanSalt(spec.CachePlan())
 	keys := &scenarioKeys{}
 	if spec.IsReplay() {
 		keys.paths = spec.ReplayTraces()
@@ -966,7 +964,7 @@ func scenarioStoreKeys(spec *scenario.Spec, store StoreConfig) (StoreConfig, *sc
 		for i, path := range keys.paths {
 			keys.specs[i] = StudySpec{Label: replayLabel(path)}
 			keys.labels[i] = keys.specs[i].Label
-			keys.fps[i], err = replayFingerprint(store.Salt, keys.labels[i], path)
+			keys.fps[i], err = replayFingerprint(salt, keys.labels[i], path)
 			if err != nil {
 				return store, nil, err
 			}
@@ -977,7 +975,7 @@ func scenarioStoreKeys(spec *scenario.Spec, store StoreConfig) (StoreConfig, *sc
 		return store, keys, nil
 	}
 	keys.specs = ScenarioSpecs(spec)
-	keys.labels, keys.fps = specKeys(store.Salt, keys.specs)
+	keys.labels, keys.fps = specKeys(salt, keys.specs)
 	keys.costs = specCosts(keys.specs)
 	return store, keys, nil
 }
@@ -1014,12 +1012,8 @@ func StoreCodeSalt() string { return storeSalt }
 // cachePlanSalt renders a scenario's resolved cache plan into the
 // fingerprint salt. The nested pointers are rendered by value (a
 // plain %+v would print their addresses).
-func cachePlanSalt(salt string, plan *scenario.ResolvedCache) string {
+func cachePlanSalt(plan *scenario.ResolvedCache) string {
 	var b strings.Builder
-	if salt != "" {
-		b.WriteString(salt)
-		b.WriteString("+")
-	}
 	b.WriteString("plan:")
 	if plan == nil {
 		b.WriteString("none")

@@ -268,7 +268,7 @@ func TestSweepStoreLeaseCancelReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, fps := specKeys(store.Salt, specs)
+	labels, fps := specKeys("", specs)
 	a := newArena()
 	run1, err := runStore(ctx, 1, store, labels, fps, specCosts(specs),
 		func(_, i int) (StudyOutcome, error) {

@@ -48,7 +48,7 @@ func TestSingleCylinderSeekFinite(t *testing.T) {
 	cfg := CDC760MB()
 	cfg.CapacityBytes = 1 << 20
 	cfg.Cylinders = 1
-	d := New(cfg).(*Disk)
+	d := New(cfg)
 	if got := d.seekTime(0, 0); got != 0 {
 		t.Fatalf("seekTime(0,0) = %v, want 0", got)
 	}

@@ -10,9 +10,10 @@
 // and leaves the machine's output byte-identical to a fault-free build.
 //
 // The hardware models (disk, cfs, topo) do not import this package;
-// they expose small hook points (disk.Wear, cfs.NodeFault,
-// topo.Degrader) that the machine package wires to the runtime state
-// built here.
+// they expose small hook points (a disk.Wear given to Disk.SetWear, a
+// cfs.NodeFault given to IONode.SetFault, a topo.Degrader given to
+// Network.SetDegrader) that the machine package wires to the runtime
+// state built here.
 package faults
 
 import (
@@ -62,7 +63,8 @@ type Window struct {
 
 // Wear models aging drives: seek and transfer multipliers, plus a
 // progressive ramp that scales both by (1 + RampPerHour * simulated
-// hours), so the machine gets slower the longer the study runs. Zero
+// hours), so the machine gets slower the longer the study runs. On a
+// flash drive the seek multiplier scales the access latency. Zero
 // fields are "off".
 type Wear struct {
 	SeekMultiplier     float64 // >= 1, 0 = off

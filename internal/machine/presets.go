@@ -14,7 +14,7 @@ import (
 // The machine presets: stable names a scenario spec can use to pick a
 // machine configuration. "nas" is the paper's facility; the others
 // widen the scenario space beyond it. The presets are one fixed table,
-// as the topology kinds, disk models and fault presets are, so a new
+// as the topology kinds, named drives and fault presets are, so a new
 // machine is a builder and one table row.
 //
 // A preset's Seed field is zero; whoever runs a study stamps the

@@ -23,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/scenario"
 )
@@ -32,6 +31,10 @@ import (
 // own limits keep a valid spec far below this; the bound only stops a
 // hostile client from streaming an unbounded body.
 const maxSpecBytes = 1 << 20
+
+// retryAfter is the backoff, in the header's whole seconds, that a 429
+// response advertises.
+const retryAfter = "1"
 
 // Handler returns the server's HTTP interface. It is safe to serve
 // from multiple listeners, and tests drive it through httptest
@@ -84,7 +87,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.submit(spec)
 	switch {
 	case errors.Is(err, errBusy):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "job queue full (%d executing, %d queued); retry shortly", s.cfg.Jobs, s.cfg.Queue)
 		return
 	case errors.Is(err, errDraining):
@@ -102,16 +105,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, st)
-}
-
-// retryAfterSeconds renders the configured backoff in the header's
-// whole-second granularity, rounding up so "soon" never becomes 0.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // handleList returns every known job's status.

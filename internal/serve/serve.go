@@ -61,10 +61,6 @@ type Config struct {
 	// LeaseTTL is the run store's work-claim TTL for job execution
 	// (0 = core.DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// RetryAfter is the backoff advertised on 429 responses
-	// (0 = 1 second; sub-second values round up to 1s, the header's
-	// granularity).
-	RetryAfter time.Duration
 	// Log, when non-nil, receives one line per lifecycle event (job
 	// accepted, started, finished, store housekeeping). nil discards.
 	Log io.Writer
@@ -256,9 +252,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = 16
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{

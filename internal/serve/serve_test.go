@@ -339,7 +339,7 @@ func TestBackpressure429(t *testing.T) {
 	gate := make(chan struct{})
 	openGate := sync.OnceFunc(func() { close(gate) })
 	defer openGate()
-	srv, ts := newTestServer(t, Config{Jobs: 1, Queue: 1, RetryAfter: 7 * time.Second})
+	srv, ts := newTestServer(t, Config{Jobs: 1, Queue: 1})
 	srv.execGate = func(*job) { <-gate }
 
 	// Job A occupies the single executor (wait until it is actually
@@ -363,8 +363,8 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job C: status %d, body %s", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After %q, want \"7\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", ra)
 	}
 	if _, ok := srv.lookup(jobKeyOf(t, gatedSpec(3))); ok {
 		t.Fatal("refused job stayed registered; a retry would coalesce onto a dead job")

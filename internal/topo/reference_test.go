@@ -544,7 +544,6 @@ type netSurface interface {
 	Delivered() int64
 	BytesSent() int64
 	LinkClasses() int
-	ClassName(class int) string
 }
 
 // peripheral is the surface Attachment and refAttachment share.
@@ -568,7 +567,7 @@ type observation struct {
 	// delivery times.
 	Arrivals         []sim.Time
 	Delivered, Bytes int64
-	Classes          []string // ClassName(-1) through ClassName(LinkClasses())
+	Classes          int
 	Log              []recCall
 }
 
@@ -593,9 +592,7 @@ func observe(k *sim.Kernel, n netSurface, attach func(host int) peripheral, msgs
 	}
 	k.Run()
 	o.Delivered, o.Bytes = n.Delivered(), n.BytesSent()
-	for c := -1; c <= n.LinkClasses(); c++ {
-		o.Classes = append(o.Classes, n.ClassName(c))
-	}
+	o.Classes = n.LinkClasses()
 	if rec != nil {
 		o.Log = rec.log
 	}

@@ -238,24 +238,9 @@ func (n *Network) Delivered() int64 { return n.delivered }
 func (n *Network) BytesSent() int64 { return n.bytesSent }
 
 // LinkClasses returns the number of link classes the topology exposes
-// for fault injection; ClassName names one.
+// for fault injection: the cube's dimensions, the mesh's x and y axes,
+// or the fat tree's edge and spine levels.
 func (n *Network) LinkClasses() int { return linkClasses(n.kind, n.cfg) }
-
-// ClassName names a link class: "dim3" on the cube, "x" or "y" on the
-// mesh, "edge" or "spine" on the fat tree.
-func (n *Network) ClassName(class int) string {
-	switch {
-	case n.kind == hypercube:
-		return fmt.Sprintf("dim%d", class)
-	case n.kind == mesh && class == 0:
-		return "x"
-	case n.kind == mesh:
-		return "y"
-	case class == 0:
-		return "edge"
-	}
-	return "spine"
-}
 
 // Latency returns the modeled delivery time for a bytes-sized message
 // between compute nodes src and dst.

@@ -16,7 +16,7 @@
 //	Wq = λ·E[S²] / 2(1−ρ)
 //
 // with the service second moment derived from the drive model's
-// closed-form random-access distribution (disk.Model.ServiceMoments).
+// closed-form random-access distribution (disk.Disk.ServiceMoments).
 // Where the two halves disagree, the gap itself is informative: the
 // paper's workload arrives in synchronized per-job waves, not as a
 // Poisson stream, so the realization-aware walk is the prediction and

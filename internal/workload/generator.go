@@ -138,201 +138,22 @@ type jobPlan struct {
 }
 
 // Install preloads the shared input data and submits the whole job
-// schedule onto the machine. It must be called before the kernel runs.
-// It returns the study horizon (pass it to analysis.Analyze).
+// schedule onto the machine: every registry row's jobs, in registry
+// order. It must be called before the kernel runs. It returns the
+// study horizon (pass it to analysis.Analyze).
 func (g *Generator) Install(m *machine.Machine) sim.Time {
 	p := g.p
 	horizon := g.Horizon()
-
-	// --- Shared input pools (pre-existing data sets). -------------
-	meshNames := make([]string, 0, scaled(p.SharedMeshFiles, p.Scale))
-	sizeRNG := g.rng.Split(1)
-	for i := 0; i < scaled(p.SharedMeshFiles, p.Scale); i++ {
-		name := fmt.Sprintf("/shared/mesh%d", i)
-		size := int64(20000 + sizeRNG.Int64n(12000)) // ~25 KB cluster
-		if err := m.Preload(name, size); err != nil {
-			panic(err)
-		}
-		meshNames = append(meshNames, name)
-	}
-	// Medium shared inputs (~250 KB cluster): read whole by
-	// single-node tools and row-padded readers.
-	fieldNames := make([]string, 0, scaled(p.SharedFieldFiles, p.Scale))
-	for i := 0; i < scaled(p.SharedFieldFiles, p.Scale); i++ {
-		name := fmt.Sprintf("/shared/field%d", i)
-		size := int64(200000 + sizeRNG.Int64n(150000))
-		if err := m.Preload(name, size); err != nil {
-			panic(err)
-		}
-		fieldNames = append(fieldNames, name)
-	}
-	// Large flow-field files: the read-byte carriers, interleave-read
-	// in big chunks and re-read every phase. Successive jobs share
-	// them, which (with the per-phase re-reads) is where the I/O-node
-	// cache's size-dependence comes from.
-	bigNames := make([]string, 0, scaled(p.SharedFieldFiles/4, p.Scale))
-	for i := 0; i < scaled(p.SharedFieldFiles/4, p.Scale); i++ {
-		name := fmt.Sprintf("/shared/big%d", i)
-		size := int64(6<<20) + sizeRNG.Int64n(8<<20)
-		if err := m.Preload(name, size); err != nil {
-			panic(err)
-		}
-		bigNames = append(bigNames, name)
-	}
-	// Shared snapshot pool, interleave-read by the CFD jobs.
-	snapNames := make([]string, 0, scaled(600, p.Scale))
-	for i := 0; i < scaled(600, p.Scale); i++ {
-		name := fmt.Sprintf("/shared/snap%d", i)
-		size := int64(50000) + sizeRNG.Int64n(220000)
-		if err := m.Preload(name, size); err != nil {
-			panic(err)
-		}
-		snapNames = append(snapNames, name)
-	}
-	// Inputs for the untraced parallel jobs.
-	if err := m.Preload("/shared/mesh-u", 24000); err != nil {
-		panic(err)
-	}
-	if err := m.Preload("/shared/field-u", 3<<20); err != nil {
-		panic(err)
-	}
-	untracedSnaps := make([]string, 6)
-	for i := range untracedSnaps {
-		untracedSnaps[i] = fmt.Sprintf("/shared/snap-u%d", i)
-		if err := m.Preload(untracedSnaps[i], 400000); err != nil {
-			panic(err)
-		}
-	}
-
-	pickMesh := func(rng *stats.RNG) string { return meshNames[rng.Intn(len(meshNames))] }
-	pickField := func(rng *stats.RNG) string { return fieldNames[rng.Intn(len(fieldNames))] }
-	pickBigs := func(rng *stats.RNG) []string {
-		n := 2 + rng.Intn(2)
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, bigNames[rng.Intn(len(bigNames))])
-		}
-		return out
-	}
-
+	in := g.preloadPools(m)
 	var plans []jobPlan
 	jobSeq := 0
-	// Node counts are drawn from the Figure 2 distribution and then
-	// clamped to the machine being simulated, so the calibrated mix
-	// runs unchanged on smaller presets (the clamp never fires on the
-	// 128-node NAS machine and consumes no extra randomness).
-	maxNodes := m.ComputeNodes()
-	drawNodes := func(rng *stats.RNG) int {
-		n := g.multiNodeCount(rng)
-		if n > maxNodes {
-			n = maxNodes
+	for _, a := range registry {
+		for i := 0; i < scaled(a.Count(&p), p.Scale); i++ {
+			jobSeq++
+			rng := g.rng.Split(uint64(jobSeq))
+			spec := a.build(in, rng, jobSeq)
+			plans = append(plans, jobPlan{at: g.arrival(rng, horizon), spec: spec})
 		}
-		return n
-	}
-	add := func(spec machine.JobSpec, rng *stats.RNG) {
-		plans = append(plans, jobPlan{at: g.arrival(rng, horizon), spec: spec})
-	}
-	// preloadRestarts creates the per-node private input files a job
-	// will read (written by predecessor runs before tracing began).
-	preloadRestarts := func(prefix string, nodes int, rng *stats.RNG, meanBytes int64) {
-		for r := 0; r < nodes; r++ {
-			size := meanBytes/2 + rng.Int64n(meanBytes)
-			if err := m.Preload(fmt.Sprintf("%s.%d", prefix, r), size); err != nil {
-				panic(err)
-			}
-		}
-	}
-
-	// --- Single-node population. -----------------------------------
-	for i := 0; i < scaled(p.StatusCheckJobs, p.Scale); i++ {
-		jobSeq++
-		add(StatusCheck(), g.rng.Split(uint64(jobSeq)))
-	}
-	for i := 0; i < scaled(p.SystemUtilJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		add(SystemUtil(rng, jobSeq), rng)
-	}
-	for i := 0; i < scaled(p.SingleReaderJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		add(SingleReader(rng, jobSeq, pickField(rng)), rng)
-	}
-
-	// --- Traced parallel population. --------------------------------
-	for i := 0; i < scaled(p.CFDSimJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		nodes := drawNodes(rng)
-		// Shared snapshots: a few from the pool (revisited by later
-		// jobs) plus several unique to this job.
-		snaps := make([]string, 0, 26)
-		for s := 0; s < 1+rng.Intn(2); s++ {
-			snaps = append(snaps, snapNames[rng.Intn(len(snapNames))])
-		}
-		for s := 0; s < 16+rng.Intn(13); s++ {
-			name := fmt.Sprintf("/job%d/snap.%d", jobSeq, s)
-			size := int64(50000) + rng.Int64n(220000)
-			if err := m.Preload(name, size); err != nil {
-				panic(err)
-			}
-			snaps = append(snaps, name)
-		}
-		// Some runs restart from private per-node state.
-		restartPrefix := ""
-		if rng.Bool(0.30) {
-			restartPrefix = fmt.Sprintf("/job%d/restart", jobSeq)
-			preloadRestarts(restartPrefix, nodes, rng, 45000)
-		}
-		add(CFDSim(rng, jobSeq, nodes, pickMesh(rng), snaps, restartPrefix, pickBigs(rng)), rng)
-	}
-	for i := 0; i < scaled(p.RestartRunJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		prefix := fmt.Sprintf("/job%d/restart", jobSeq)
-		preloadRestarts(prefix, 2, rng, 60000)
-		add(RestartRun(rng, jobSeq, prefix), rng)
-	}
-	for i := 0; i < scaled(p.ParamStudyJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		nodes := drawNodes(rng)
-		prefix := fmt.Sprintf("/job%d/input", jobSeq)
-		preloadRestarts(prefix, nodes, rng, 400000)
-		add(ParamStudy(rng, jobSeq, nodes, prefix), rng)
-	}
-	for i := 0; i < scaled(p.CheckpointJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		add(Checkpoint(rng, jobSeq, drawNodes(rng)), rng)
-	}
-	for i := 0; i < scaled(p.RowPaddedJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		add(RowPaddedReader(rng, jobSeq, drawNodes(rng), pickField(rng)), rng)
-	}
-	for i := 0; i < scaled(p.ScratchJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		nodes := []int{2, 4, 8}[rng.Intn(3)]
-		add(Scratch(rng, jobSeq, nodes), rng)
-	}
-	for i := 0; i < scaled(p.BulkDumpJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		add(BulkDump(rng, jobSeq, drawNodes(rng)), rng)
-	}
-	for i := 0; i < scaled(p.LegacySharedJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		nodes := []int{2, 4, 8}[rng.Intn(3)]
-		add(LegacyShared(rng, jobSeq, nodes, pickField(rng)), rng)
-	}
-	for i := 0; i < scaled(p.UntracedParallJobs, p.Scale); i++ {
-		jobSeq++
-		rng := g.rng.Split(uint64(jobSeq))
-		nodes := drawNodes(rng)
-		add(UntracedParallel(rng, jobSeq, nodes, untracedSnaps, ""), rng)
 	}
 
 	// Deterministic submission order: by arrival time, then by
@@ -342,4 +163,96 @@ func (g *Generator) Install(m *machine.Machine) sim.Time {
 		m.SubmitAt(pl.at, pl.spec)
 	}
 	return horizon
+}
+
+// installer is what the archetypes' builders draw a job's inputs from
+// during one Install: the machine and the shared input pools (the
+// pre-existing data sets).
+type installer struct {
+	g *Generator
+	m *machine.Machine
+
+	meshes, fields, bigs, snaps []string
+	untracedSnaps               []string
+}
+
+// preloadPools creates the shared input pools on m, before any job is
+// built.
+func (g *Generator) preloadPools(m *machine.Machine) *installer {
+	p := g.p
+	in := &installer{g: g, m: m}
+	sizeRNG := g.rng.Split(1)
+	// Small meshes (~25 KB cluster), broadcast-read by the CFD jobs.
+	in.meshes = in.pool(sizeRNG, "/shared/mesh", scaled(p.SharedMeshFiles, p.Scale), 20000, 12000)
+	// Medium shared inputs (~250 KB cluster): read whole by
+	// single-node tools and row-padded readers.
+	in.fields = in.pool(sizeRNG, "/shared/field", scaled(p.SharedFieldFiles, p.Scale), 200000, 150000)
+	// Large flow-field files: the read-byte carriers, interleave-read
+	// in big chunks and re-read every phase. Successive jobs share
+	// them, which (with the per-phase re-reads) is where the I/O-node
+	// cache's size-dependence comes from.
+	in.bigs = in.pool(sizeRNG, "/shared/big", scaled(p.SharedFieldFiles/4, p.Scale), 6<<20, 8<<20)
+	// Shared snapshot pool, interleave-read by the CFD jobs.
+	in.snaps = in.pool(sizeRNG, "/shared/snap", scaled(600, p.Scale), 50000, 220000)
+	// Inputs for the untraced parallel jobs.
+	in.preload("/shared/mesh-u", 24000)
+	in.preload("/shared/field-u", 3<<20)
+	in.untracedSnaps = make([]string, 6)
+	for i := range in.untracedSnaps {
+		in.untracedSnaps[i] = fmt.Sprintf("/shared/snap-u%d", i)
+		in.preload(in.untracedSnaps[i], 400000)
+	}
+	return in
+}
+
+// preload creates a file of the given size, as data written before
+// tracing began.
+func (in *installer) preload(name string, size int64) {
+	if err := in.m.Preload(name, size); err != nil {
+		panic(err)
+	}
+}
+
+// pool preloads n shared files prefix0, prefix1, ..., each of base
+// plus a uniform draw below spread bytes, and returns their names.
+func (in *installer) pool(rng *stats.RNG, prefix string, n int, base, spread int64) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i)
+		in.preload(names[i], base+rng.Int64n(spread))
+	}
+	return names
+}
+
+// restarts preloads the per-node private input files prefix.0 to
+// prefix.(nodes-1) a job will read (written by predecessor runs
+// before tracing began).
+func (in *installer) restarts(prefix string, nodes int, rng *stats.RNG, meanBytes int64) {
+	for r := 0; r < nodes; r++ {
+		in.preload(fmt.Sprintf("%s.%d", prefix, r), meanBytes/2+rng.Int64n(meanBytes))
+	}
+}
+
+// nodes draws a parallel job's node count from the Figure 2
+// distribution, clamped to the machine being simulated, so the
+// calibrated mix runs unchanged on smaller presets (the clamp never
+// fires on the 128-node NAS machine and consumes no extra
+// randomness).
+func (in *installer) nodes(rng *stats.RNG) int {
+	return min(in.g.multiNodeCount(rng), in.m.ComputeNodes())
+}
+
+// mesh and field pick one shared input from their pools.
+func (in *installer) mesh(rng *stats.RNG) string  { return in.meshes[rng.Intn(len(in.meshes))] }
+func (in *installer) field(rng *stats.RNG) string { return in.fields[rng.Intn(len(in.fields))] }
+
+// bigFields picks the two or three large flow-field files a CFD job
+// re-reads every phase.
+func (in *installer) bigFields(rng *stats.RNG) []string {
+	n := 2 + rng.Intn(2)
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, in.bigs[rng.Intn(len(in.bigs))])
+	}
+	return out
 }

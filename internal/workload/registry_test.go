@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // TestRegistryCoversEveryJobField pins the registry against Params by
@@ -103,5 +106,45 @@ func TestEmptyKeepsPoolsZerosJobs(t *testing.T) {
 	}
 	if TotalJobs(&def) == 0 {
 		t.Fatal("calibrated default has no jobs?")
+	}
+}
+
+// TestInstallPerArchetype installs each registry row alone -- an Empty
+// mix holding only that archetype at its calibrated count, plus the
+// shared input pools Empty keeps -- and requires exactly the scaled
+// count of jobs, each with the archetype's tracing flag. The
+// calibrated mix installs the sum of every row's scaled count.
+func TestInstallPerArchetype(t *testing.T) {
+	const seed, scale = 3, 0.01
+	untraced := map[string]bool{"status-check": true, "system-util": true, "untraced-parallel": true}
+	install := func(p Params) []machine.JobRecord {
+		k := sim.New()
+		m := machine.NewUntraced(k, machine.NASConfig(seed))
+		NewGenerator(p).Install(m)
+		k.Run()
+		return m.JobRecords()
+	}
+	def := Default(seed)
+	total := 0
+	for _, a := range registry {
+		p := Empty(seed)
+		p.Scale = scale
+		a.SetCount(&p, a.Count(&def))
+		want := scaled(a.Count(&def), scale)
+		total += want
+		jobs := install(p)
+		if len(jobs) != want {
+			t.Errorf("%s: installed %d jobs, want %d", a.Name, len(jobs), want)
+		}
+		for _, j := range jobs {
+			if j.Traced == untraced[a.Name] {
+				t.Errorf("%s: job %d traced = %v", a.Name, j.ID, j.Traced)
+				break
+			}
+		}
+	}
+	def.Scale = scale
+	if got := len(install(def)); got != total {
+		t.Errorf("calibrated mix installed %d jobs, want %d", got, total)
 	}
 }
