@@ -1,12 +1,22 @@
-// Lease-based dynamic work stealing, the persistent run store's one
-// executor. The run directory itself is the queue: a worker claims a pending spec by creating its
+// Lease-based work stealing, the persistent run store's claim
+// protocol between processes. The run directory itself is the queue.
+// Within one process, each of runStore's passes hands every pending
+// spec to exactly one worker (parallelEach), so a process's workers
+// never compete for a spec. That worker claims it by creating its
 // "<fingerprint>.lease" file with O_CREATE|O_EXCL (atomic on local
-// and NFS-style shared filesystems alike), heartbeats the lease while
-// the study runs, commits the outcome through the usual
-// temp-file+rename path, and removes the lease. Any worker that finds
-// a lease past its deadline reclaims the spec, so heterogeneous
-// processes or machines drain one queue and load-balance
-// automatically -- no up-front partition, no manual resume.
+// and NFS-style shared filesystems alike), heartbeats the lease at
+// TTL/3 while the study runs, commits the outcome through the usual
+// temp-file+rename path, and removes the lease. A spec whose lease
+// another process holds is left for the next pass, and a pass that
+// changed nothing waits one poll interval (TTL/4, clamped to
+// [5 ms, 2 s]) before the next. Once the lease is past its deadline
+// (its holder died or stalled), the next pass reaps it and runs the
+// spec. A worker that has run out of specs waits for its pass's
+// in-flight studies to end before the next pass begins, so a dead
+// process's spec is taken over at most one in-flight study later than
+// by a worker polling on its own. Heterogeneous processes or machines
+// thus drain one queue and load-balance automatically -- no up-front
+// partition, no manual resume.
 //
 // Mutual exclusion here is a throughput optimization, not a
 // correctness requirement: studies are deterministic and commits are

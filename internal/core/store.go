@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -103,9 +104,8 @@ type StoreProgress struct {
 }
 
 // normalized returns the store config with the lease defaults filled
-// in, or an error for an empty run directory. It is idempotent: the
-// scenario path normalizes, then hands the config to RunSweepStore,
-// which normalizes again.
+// in, or an error for an empty run directory. The store entry points
+// call it once, in sweepKeys or scenarioStoreKeys.
 func (sc StoreConfig) normalized() (StoreConfig, error) {
 	if sc.Dir == "" {
 		return sc, errors.New("core: store: empty run directory")
@@ -430,23 +430,10 @@ func checkManifest(dir string, fps []string) error {
 		return fmt.Errorf("core: store: corrupt manifest in %s: %w", dir, err)
 	}
 	if got.StoreVersion != storeVersion || got.NumSpecs != len(fps) ||
-		!equalStrings(got.Fingerprints, fps) {
+		!slices.Equal(got.Fingerprints, fps) {
 		return fmt.Errorf("core: store: %s holds a different run (manifest fingerprints differ); use a fresh directory", dir)
 	}
 	return nil
-}
-
-// equalStrings reports element-wise equality.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // StoreRun reports what one RunSweepStore (or scenario-store)
@@ -512,12 +499,17 @@ func loadOutcome(dir, fp string) (*storedOutcome, error) {
 	return &doc, nil
 }
 
-// runStore is the executor shared by the sweep and replay paths: it
-// opens the store (manifest check plus a stale-debris sweep) and
-// drains the pending specs through the lease-based work-stealing
-// drain, persisting outcomes as they complete. exec runs one spec on
-// one worker and returns its finished outcome. costs, one per spec,
-// ranks claim order (most expensive first, ties in spec order).
+// runStore is the executor shared by the sweep and replay paths. It
+// opens the store (manifest check plus a stale-debris sweep), then
+// drains it in passes until every spec's outcome exists or ctx is
+// cancelled. Each pass hands every pending spec, most expensive first
+// (costs, one per spec; ties in spec order), to exactly one of this
+// process's workers through parallelEach. That worker commits the spec
+// (claim, heartbeat, exec, persist, release), records it as observed
+// when another process has committed it, or leaves it for the next
+// pass while another process's live lease holds it; a pass that
+// changes nothing waits one poll interval first (see lease.go). exec
+// runs one spec on one worker and returns its finished outcome.
 func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
 	exec func(worker, specIdx int) (StudyOutcome, error)) (*StoreRun, error) {
 	if ctx == nil {
@@ -527,91 +519,36 @@ func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps [
 		return nil, err
 	}
 	sweepStale(store)
-	return runLeaseStore(ctx, workers, store, labels, fps, costs, exec)
-}
-
-// progressTracker counts known-committed outcomes across worker
-// goroutines and fires the store's Progress callback exactly once per
-// spec transition.
-type progressTracker struct {
-	store  StoreConfig
-	labels []string
-	total  int
-	done   atomic.Int64
-}
-
-// emit records one spec's outcome becoming known and notifies the
-// callback. Callers guarantee exactly-once per spec (the spec states'
-// compare-and-swap).
-func (p *progressTracker) emit(i int, state string, reclaimed bool) {
-	done := int(p.done.Add(1))
-	if p.store.Progress == nil {
-		return
-	}
-	p.store.Progress(StoreProgress{
-		Index: i, Label: p.labels[i],
-		Done: done, Total: p.total,
-		State: state, Reclaimed: reclaimed,
-	})
-}
-
-// A spec's state within one runLeaseStore call.
-const (
-	specPending   int32 = iota // no outcome known yet
-	specRunning                // claimed and executing in this process
-	specCommitted              // outcome known to exist; progress emitted
-)
-
-// runLeaseStore is the work-stealing drain: every worker goroutine
-// walks the pending specs in descending estimated cost, claims the
-// first claimable one via its lease file, executes it, commits, and
-// releases. Workers that find nothing claimable -- everything
-// committed or under a live lease held elsewhere -- poll until every
-// outcome exists, reclaiming any lease whose holder stops
-// heartbeating; so the call returns only when the whole sweep is
-// drained (or ctx is cancelled), with no manual resume step. Claims
-// are exclusive in the common case, but even a duplicate execution
-// (a presumed-dead worker waking up) commits byte-identical outcomes
-// via atomic rename, so the merge guarantee never depends on the
-// lease protocol being airtight.
-func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
-	exec func(worker, specIdx int) (StudyOutcome, error)) (*StoreRun, error) {
-	order := costOrder(costs)
-	n := len(fps)
-	run := &StoreRun{}
-	prog := &progressTracker{store: store, labels: labels, total: n}
 	start := time.Now()
-
-	// state[i] moves pending -> running -> committed, or straight to
-	// committed when outcome i is found on disk, so each worker pass
-	// stats only still-pending specs. Transitions go through
-	// CompareAndSwap so the progress tracker fires exactly once per
-	// spec even when two workers observe the same commit. A spec this
-	// process is running is never observed: its outcome appears, and
-	// its lease is released, before its runner marks it committed.
-	state := make([]atomic.Int32, n)
-	for i := range fps {
-		if _, err := os.Stat(outcomePath(store.Dir, fps[i])); err == nil {
-			state[i].Store(specCommitted)
-			run.Skipped = append(run.Skipped, i)
-			prog.emit(i, StoreSpecSkipped, false)
+	run := &StoreRun{Worker: WorkerStats{WorkerID: store.WorkerID}}
+	exists := func(i int) bool {
+		_, err := os.Stat(outcomePath(store.Dir, fps[i]))
+		return err == nil
+	}
+	// committed[i] is set, and Progress called, by whoever learns that
+	// outcome i exists: the opening scan, or the one worker a pass gives
+	// spec i to. A committed spec is in no later pass, so Progress fires
+	// once per spec.
+	committed := make([]bool, len(fps))
+	var done atomic.Int64
+	settle := func(i int, state string, reclaimed bool) {
+		committed[i] = true
+		n := int(done.Add(1))
+		if store.Progress != nil {
+			store.Progress(StoreProgress{Index: i, Label: labels[i], Done: n, Total: len(fps), State: state, Reclaimed: reclaimed})
 		}
 	}
-	observe := func(i int) {
-		if state[i].CompareAndSwap(specPending, specCommitted) {
-			prog.emit(i, StoreSpecObserved, false)
+	for i := range fps {
+		if exists(i) {
+			run.Skipped = append(run.Skipped, i)
+			settle(i, StoreSpecSkipped, false)
 		}
 	}
 
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	var mu sync.Mutex // guards run.Ran, simSeconds, reclaims, firstErr, commitSig
+	var mu sync.Mutex // guards run.Ran, run.Reclaims, run.Worker and firstErr
 	var firstErr error
-	var simSeconds float64
-	var reclaims int
-	// commitSig is closed and replaced on every commit by this process,
-	// so idle siblings re-scan at once instead of sleeping out a poll.
-	commitSig := make(chan struct{})
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -620,135 +557,78 @@ func runLeaseStore(ctx context.Context, workers int, store StoreConfig, labels, 
 		mu.Unlock()
 		cancelRun()
 	}
-
-	poll := store.LeaseTTL / 4
-	if poll < 5*time.Millisecond {
-		poll = 5 * time.Millisecond
-	}
-	if poll > 2*time.Second {
-		poll = 2 * time.Second
-	}
-
-	workers = workerCount(workers, n)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			// Each goroutine claims under its own lease identity so
-			// in-process workers steal from each other through the very
-			// same protocol as cross-process ones.
-			owner := fmt.Sprintf("%s#%d", store.WorkerID, w)
-			for {
-				progress, pending := false, false
-				mu.Lock()
-				sig := commitSig
-				mu.Unlock()
-				for _, i := range order {
-					if runCtx.Err() != nil {
-						return
-					}
-					switch state[i].Load() {
-					case specCommitted:
-						continue
-					case specRunning:
-						pending = true
-						continue
-					}
-					if _, err := os.Stat(outcomePath(store.Dir, fps[i])); err == nil {
-						observe(i)
-						continue
-					}
-					pending = true
-					claimed, reclaimed, err := tryClaim(store.Dir, fps[i], owner, store.LeaseTTL)
-					if err != nil {
-						fail(fmt.Errorf("core: store: claiming %s: %w", fps[i], err))
-						return
-					}
-					if reclaimed {
-						// Counted where the lease was reaped, even if a
-						// sibling's claim took the freed slot first.
-						store.logf("%s reclaimed %s from an expired lease", owner, fps[i])
-						mu.Lock()
-						reclaims++
-						mu.Unlock()
-					}
-					if !claimed {
-						continue
-					}
-					// A sibling may have committed and released between
-					// the stat above and this claim. Holders persist
-					// before they release, so once the lease is ours a
-					// second stat is conclusive.
-					if _, err := os.Stat(outcomePath(store.Dir, fps[i])); err == nil {
-						releaseLease(store.Dir, fps[i])
-						observe(i)
-						continue
-					}
-					if !state[i].CompareAndSwap(specPending, specRunning) {
-						// A sibling got here first: it observed the
-						// outcome landing since our stat, or runs the
-						// spec under the lease we took over as expired.
-						releaseLease(store.Dir, fps[i])
-						continue
-					}
-					stopHB := heartbeatLease(store.Dir, fps[i], owner, store.LeaseTTL)
-					out, err := exec(w, i)
-					if err == nil {
-						err = persistOutcome(store, fps[i], &out)
-					}
-					stopHB()
-					releaseLease(store.Dir, fps[i])
-					if err != nil {
-						fail(err)
-						return
-					}
-					state[i].Store(specCommitted)
-					prog.emit(i, StoreSpecRan, reclaimed)
-					progress = true
-					mu.Lock()
-					run.Ran = append(run.Ran, i)
-					simSeconds += out.Horizon.ToSeconds()
-					close(commitSig)
-					commitSig = make(chan struct{})
-					mu.Unlock()
-				}
-				if !pending {
-					return // every spec has a committed outcome
-				}
-				if !progress {
-					// Everything pending is leased elsewhere: wait for
-					// a sibling's commit, or poll for other processes'
-					// commits and expired leases.
-					select {
-					case <-runCtx.Done():
-						return
-					case <-sig:
-					case <-time.After(poll):
-					}
-				}
+	poll := min(max(store.LeaseTTL/4, 5*time.Millisecond), 2*time.Second)
+	isCommitted := func(i int) bool { return committed[i] }
+	pending := slices.DeleteFunc(costOrder(costs), isCommitted)
+	for len(pending) > 0 && runCtx.Err() == nil {
+		parallelEach(runCtx, len(pending), workers, func(w, k int) {
+			i, fp := pending[k], fps[pending[k]]
+			if exists(i) {
+				settle(i, StoreSpecObserved, false)
+				return
 			}
-		}(w)
+			// Leases name the process: its workers never share a spec.
+			claimed, reclaimed, err := tryClaim(store.Dir, fp, store.WorkerID, store.LeaseTTL)
+			if err != nil {
+				fail(fmt.Errorf("core: store: claiming %s: %w", fp, err))
+				return
+			}
+			if reclaimed {
+				// Counted where the lease was reaped, even if another
+				// process's claim took the freed slot first.
+				store.logf("%s reclaimed %s from an expired lease", store.WorkerID, fp)
+				mu.Lock()
+				run.Reclaims++
+				mu.Unlock()
+			}
+			if !claimed {
+				return // another process's live lease: the next pass retries
+			}
+			// Another process may have committed and released between
+			// the stat above and this claim. Holders persist before they
+			// release, so once the lease is ours a second stat is
+			// conclusive.
+			if exists(i) {
+				releaseLease(store.Dir, fp)
+				settle(i, StoreSpecObserved, false)
+				return
+			}
+			stopHB := heartbeatLease(store.Dir, fp, store.WorkerID, store.LeaseTTL)
+			out, err := exec(w, i)
+			if err == nil {
+				err = persistOutcome(store, fp, &out)
+			}
+			stopHB()
+			releaseLease(store.Dir, fp)
+			if err != nil {
+				fail(err)
+				return
+			}
+			settle(i, StoreSpecRan, reclaimed)
+			mu.Lock()
+			run.Ran = append(run.Ran, i)
+			run.Worker.SimSeconds += out.Horizon.ToSeconds()
+			mu.Unlock()
+		})
+		left := len(pending)
+		if pending = slices.DeleteFunc(pending, isCommitted); len(pending) == left {
+			// Everything pending is leased by other processes: poll
+			// for their commits and expired leases.
+			select {
+			case <-runCtx.Done():
+			case <-time.After(poll):
+			}
+		}
 	}
-	wg.Wait()
 	run.Elapsed = time.Since(start)
 	run.Err = ctx.Err()
-	run.Reclaims = reclaims
 	sort.Ints(run.Ran)
-	run.Worker = WorkerStats{
-		WorkerID:    store.WorkerID,
-		Completed:   len(run.Ran),
-		SimSeconds:  simSeconds,
-		WallSeconds: run.Elapsed.Seconds(),
-		Reclaims:    reclaims,
-	}
+	run.Worker.Completed, run.Worker.Reclaims = len(run.Ran), run.Reclaims
+	run.Worker.WallSeconds = run.Elapsed.Seconds()
 	if err := persistWorkerStats(store.Dir, run.Worker); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if firstErr != nil {
-		return run, firstErr
-	}
-	return run, nil
+	return run, firstErr
 }
 
 // RunSweepStore drains cfg.Specs against the run directory: specs

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -28,5 +31,38 @@ func BenchmarkSweepStoreClaim(b *testing.B) {
 			b.Fatal(err)
 		}
 		releaseLease(dir, fp)
+	}
+}
+
+// BenchmarkSweepStoreDrain measures one whole drain of 64 instant
+// specs into a fresh run directory, at one and at four workers: the
+// manifest, the stale sweep, every spec's stat, claim, commit and
+// release, and the worker stats, with no simulation in the way.
+func BenchmarkSweepStoreDrain(b *testing.B) {
+	seeds := make([]uint64, 64)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	specs := CrossSpecs(seeds, []float64{0.01})
+	labels, fps := specKeys("", specs)
+	costs := specCosts(specs)
+	exec := func(_, i int) (StudyOutcome, error) {
+		return StudyOutcome{Spec: specs[i], Done: true}, nil
+	}
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			root := b.TempDir()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				store := StoreConfig{Dir: filepath.Join(root, strconv.Itoa(i)), WorkerID: "bench", LeaseTTL: time.Minute}
+				run, err := runStore(context.Background(), workers, store, labels, fps, costs, exec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(run.Ran) != len(specs) {
+					b.Fatalf("drain ran %d specs, want %d", len(run.Ran), len(specs))
+				}
+			}
+		})
 	}
 }

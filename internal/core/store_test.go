@@ -346,9 +346,9 @@ func TestLeaseStoreClaimsCostOrder(t *testing.T) {
 	}
 }
 
-// TestLeaseStoreWakesOnInProcessCommit: a worker that finds the last
-// pending spec leased by an in-process sibling wakes on the sibling's
-// commit, so the run returns promptly instead of after a full poll
+// TestLeaseStoreWakesOnInProcessCommit: a worker that runs out of
+// specs while an in-process sibling still runs the last one waits only
+// for that commit, which ends the pass and the run, not for a poll
 // interval (2 s at the default 30 s TTL).
 func TestLeaseStoreWakesOnInProcessCommit(t *testing.T) {
 	specs := CrossSpecs([]uint64{1}, []float64{0.01, 0.02})
@@ -357,8 +357,8 @@ func TestLeaseStoreWakesOnInProcessCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spec 1 (the costlier, claimed first) runs long; whoever takes
-	// spec 0 finishes early and must wait on spec 1's lease.
+	// Spec 1 (the costlier, handed out first) runs long; whoever takes
+	// spec 0 finishes early, with spec 1 still in flight.
 	var mu sync.Mutex
 	var lastExec time.Time
 	_, err = runStore(context.Background(), 2, store, labels, fps, specCosts(specs),
@@ -377,12 +377,14 @@ func TestLeaseStoreWakesOnInProcessCommit(t *testing.T) {
 	}
 }
 
-// TestLeaseStoreNoDuplicateExecution: in-process workers racing over
-// many instant specs each run exactly once. A worker that stats a spec
-// as pending can lose it to a sibling that commits and releases before
-// the worker's claim; the claim then succeeds on a fresh lease file,
-// so the worker must check for the outcome again under its lease
-// rather than run the spec a second time.
+// TestLeaseStoreNoDuplicateExecution: many instant specs each run
+// exactly once, whether four workers of one store or four stores
+// sharing the directory drain them. A store that stats a spec as
+// pending can lose it to another that commits and releases before its
+// claim; the claim then succeeds on a fresh lease file, so the store
+// must check for the outcome again under its lease rather than run the
+// spec a second time. Only the cross-store leg reaches that race once
+// a store's own workers never share a spec.
 func TestLeaseStoreNoDuplicateExecution(t *testing.T) {
 	seeds := make([]uint64, 64)
 	for i := range seeds {
@@ -414,6 +416,45 @@ func TestLeaseStoreNoDuplicateExecution(t *testing.T) {
 		}
 		if len(run.Ran) != len(specs) || run.Worker.Completed != len(specs) {
 			t.Fatalf("round %d: Ran=%d Completed=%d, want %d", round, len(run.Ran), run.Worker.Completed, len(specs))
+		}
+	}
+
+	// Four stores with distinct identities, one worker each, drain one
+	// directory as four processes would.
+	const stores = 4
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		execs := make([]int, len(specs))
+		var mu sync.Mutex
+		errs := make([]error, stores)
+		var wg sync.WaitGroup
+		for p := range errs {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				store, err := StoreConfig{Dir: dir, WorkerID: fmt.Sprintf("p%d", p), LeaseTTL: 200 * time.Millisecond}.normalized()
+				if err == nil {
+					_, err = runStore(context.Background(), 1, store, labels, fps, specCosts(specs),
+						func(_, i int) (StudyOutcome, error) {
+							mu.Lock()
+							execs[i]++
+							mu.Unlock()
+							return StudyOutcome{Spec: specs[i], Done: true}, nil
+						})
+				}
+				errs[p] = err
+			}(p)
+		}
+		wg.Wait()
+		for p, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: store p%d: %v", round, p, err)
+			}
+		}
+		for i, n := range execs {
+			if n != 1 {
+				t.Fatalf("round %d: spec %d ran %d times across %d stores (executions %v)", round, i, n, stores, execs)
+			}
 		}
 	}
 }

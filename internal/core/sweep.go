@@ -41,8 +41,8 @@ type SweepConfig struct {
 	// runs on its own merged stream: its experiments observe the same
 	// merge pass as the analysis, on the worker, and the text lands in
 	// StudyOutcome.CacheText. No study keeps its stream, so a worker
-	// holds one batch of events, whatever the plan. The run store does
-	// not fingerprint the plan: RunScenarioStore folds it into the salt.
+	// holds one batch of events, whatever the plan. The run store folds
+	// a non-nil plan into every study's fingerprint salt (sweepKeys).
 	Cache *scenario.ResolvedCache
 }
 
@@ -261,9 +261,10 @@ func workerCount(workers, n int) int {
 // parallelEach runs fn(worker, i) for i in 0..n-1 across
 // workerCount(workers, n) goroutines. Indexes are claimed from a
 // shared atomic counter, each exactly once; the worker id lets fn keep
-// per-worker state (e.g. one arena each). fn must write only to its
-// own index's state. A non-nil cancelled context stops workers between
-// items, leaving later indexes unrun.
+// per-worker state (e.g. one arena each). fn may write its own index's
+// state unsynchronized, and the caller reads it once parallelEach
+// returns; anything else fn shares needs a lock. A non-nil cancelled
+// context stops workers between items, leaving later indexes unrun.
 func parallelEach(ctx context.Context, n, workers int, fn func(worker, i int)) {
 	workers = workerCount(workers, n)
 	if workers == 1 {

@@ -140,15 +140,20 @@ type Disk struct {
 
 // New builds the drive cfg.Kind selects: "" or "rotating" is the
 // position-aware rotating drive, with the head parked at cylinder 0;
-// "flash" the seekless flash drive. It panics on unknown kinds and
-// invalid geometry, like every hardware-model constructor here;
-// registry names are validated earlier via Drive.
+// "flash" the seekless flash drive. It panics on unknown kinds,
+// invalid geometry and timing that would make a service time negative
+// or meaningless (a transfer rate that is not finite and positive, a
+// negative seek, rotation or access time), like every hardware-model
+// constructor here; registry names are validated earlier via Drive.
 func New(cfg Config) *Disk {
 	d := &Disk{cfg: cfg, nextBlock: -1}
 	switch strings.ToLower(cfg.Kind) {
 	case "", "rotating":
 		if cfg.BlockBytes <= 0 || cfg.CapacityBytes <= 0 || cfg.Cylinders <= 0 {
 			panic("disk: invalid geometry")
+		}
+		if cfg.MinSeek < 0 || cfg.MaxSeek < 0 || cfg.RotationPeriod < 0 {
+			panic("disk: negative seek or rotation time")
 		}
 	case "flash":
 		if cfg.BlockBytes <= 0 || cfg.CapacityBytes <= 0 {
@@ -158,7 +163,7 @@ func New(cfg Config) *Disk {
 	default:
 		panic(fmt.Sprintf("disk: unknown model kind %q", cfg.Kind))
 	}
-	if cfg.BytesPerSecond <= 0 {
+	if !(cfg.BytesPerSecond > 0) || math.IsInf(cfg.BytesPerSecond, 1) {
 		panic("disk: invalid transfer rate")
 	}
 	if d.flash && cfg.AccessLatency < 0 {

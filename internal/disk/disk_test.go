@@ -25,6 +25,14 @@ func TestInvalidConfigPanics(t *testing.T) {
 		{CapacityBytes: 1 << 20, BlockBytes: 0, Cylinders: 10, BytesPerSecond: 1},
 		{CapacityBytes: 1 << 20, BlockBytes: 4096, Cylinders: 0, BytesPerSecond: 1},
 		{CapacityBytes: 1 << 20, BlockBytes: 4096, Cylinders: 10, BytesPerSecond: 0},
+		{CapacityBytes: 1 << 20, BlockBytes: 4096, Cylinders: 10, BytesPerSecond: math.NaN()},
+		{CapacityBytes: 1 << 20, BlockBytes: 4096, Cylinders: 10, BytesPerSecond: math.Inf(1)},
+		{CapacityBytes: 1 << 20, BlockBytes: 4096, Cylinders: 10, BytesPerSecond: math.Inf(-1)},
+		{Kind: "flash", CapacityBytes: 1 << 20, BlockBytes: 4096, BytesPerSecond: math.NaN()},
+		{Kind: "flash", CapacityBytes: 1 << 20, BlockBytes: 4096, BytesPerSecond: math.Inf(1)},
+		{CapacityBytes: 1 << 20, BlockBytes: 4096, Cylinders: 10, BytesPerSecond: 1, MinSeek: -30 * sim.Millisecond},
+		{CapacityBytes: 1 << 20, BlockBytes: 4096, Cylinders: 10, BytesPerSecond: 1, MaxSeek: -30 * sim.Millisecond},
+		{CapacityBytes: 1 << 20, BlockBytes: 4096, Cylinders: 10, BytesPerSecond: 1, RotationPeriod: -40 * sim.Millisecond},
 	}
 	for i, cfg := range bad {
 		func() {

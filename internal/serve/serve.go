@@ -322,9 +322,6 @@ func (s *Server) submit(spec *scenario.Spec) (*job, error) {
 		return nil, err
 	}
 	total := spec.Studies()
-	if spec.IsReplay() {
-		total = len(spec.ReplayTraces())
-	}
 
 	s.mu.Lock()
 	if j, ok := s.jobs[id]; ok {
