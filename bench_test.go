@@ -261,7 +261,7 @@ func BenchmarkAblationStridedSmall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := sim.New()
-		fs := cfs.New(k, cfs.DefaultConfig(), benchTransport{})
+		fs := cfs.New(k, cfs.DefaultConfig(), benchTransport{}, nil)
 		if _, err := fs.Preload("/data", 1<<20); err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func BenchmarkAblationStridedBatched(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := sim.New()
-		fs := cfs.New(k, cfs.DefaultConfig(), benchTransport{})
+		fs := cfs.New(k, cfs.DefaultConfig(), benchTransport{}, nil)
 		if _, err := fs.Preload("/data", 1<<20); err != nil {
 			b.Fatal(err)
 		}
@@ -473,7 +473,7 @@ func BenchmarkHypercubeLatency(b *testing.B) {
 
 func BenchmarkCFSWritePath(b *testing.B) {
 	k := sim.New()
-	fs := cfs.New(k, cfs.DefaultConfig(), benchTransport{})
+	fs := cfs.New(k, cfs.DefaultConfig(), benchTransport{}, nil)
 	done := false
 	k.Spawn("writer", func(p *sim.Proc) {
 		c := cfs.NewClient(fs, 1, 0, nil)
@@ -617,7 +617,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 		k := sim.New()
 		cfg := cfs.DefaultConfig()
 		cfg.IONode.Prefetch = prefetch
-		fs := cfs.New(k, cfg, benchTransport{})
+		fs := cfs.New(k, cfg, benchTransport{}, nil)
 		if _, err := fs.Preload("/seq", 512*4096); err != nil {
 			b.Fatal(err)
 		}

@@ -77,6 +77,11 @@ func newEntries(capacity int) entries {
 	return entries{ids: make([]BlockID, 0, n), links: make([]link, 0, n)}
 }
 
+// reset empties the slot space, keeping its storage.
+func (e *entries) reset() {
+	e.ids, e.links, e.free = e.ids[:0], e.links[:0], e.free[:0]
+}
+
 // alloc returns a slot for id, reusing a freed slot when available.
 func (e *entries) alloc(id BlockID) int32 {
 	if n := len(e.free); n > 0 {
@@ -141,6 +146,16 @@ func NewLRU(capacity int) *LRU {
 		entries:  newEntries(capacity),
 		order:    newList(),
 	}
+}
+
+// Reset empties the cache and zeroes its counters, keeping its storage:
+// afterwards it answers every access as a fresh NewLRU of the same
+// capacity would.
+func (c *LRU) Reset() {
+	c.index.reset()
+	c.entries.reset()
+	c.order = newList()
+	c.stats = Stats{}
 }
 
 // Access implements Cache.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -193,5 +194,69 @@ func TestQuickNoSpuriousEvictions(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLRUResetMatchesFresh: an LRU cache Reset after a random stream
+// (evictions, invalidations, so freed slots too) answers a second
+// random stream exactly as a fresh NewLRU of the same capacity does:
+// every Access, Contains and Len, and the counters. The CFS I/O nodes
+// of a sweep worker's studies run on caches reset this way. A Reset
+// that kept the index or the freed slots fails it.
+func TestLRUResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// stream plays n random operations on the caches, which must agree
+	// on each, over a universe of about three times the capacity.
+	stream := func(round int, capacity, n int, cs ...*LRU) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			bid := id(uint64(rng.Intn(3)), int64(rng.Intn(capacity+1)))
+			op := rng.Intn(8)
+			var got []bool
+			for _, c := range cs {
+				switch op {
+				case 0:
+					c.Invalidate(bid)
+					got = append(got, false)
+				case 1:
+					got = append(got, c.Contains(bid))
+				default:
+					got = append(got, c.Access(bid))
+				}
+				if c.Len() != cs[0].Len() {
+					t.Fatalf("round %d, op %d: Len %d after reset, %d fresh", round, i, c.Len(), cs[0].Len())
+				}
+			}
+			for _, g := range got[1:] {
+				if g != got[0] {
+					t.Fatalf("round %d, op %d (%d on %v): reset cache says %v, fresh %v", round, i, op, bid, g, got[0])
+				}
+			}
+		}
+	}
+	reused := map[int]*LRU{}
+	for round := 0; round < 300; round++ {
+		capacity := 1 + rng.Intn(48)
+		c := reused[capacity]
+		if c == nil {
+			c = NewLRU(capacity)
+			reused[capacity] = c
+		}
+		stream(round, capacity, rng.Intn(400), c)
+		// Leave freed slots behind.
+		for b := 0; b <= capacity; b++ {
+			if rng.Intn(2) == 0 {
+				c.Invalidate(id(uint64(rng.Intn(3)), int64(b)))
+			}
+		}
+		c.Reset()
+		if c.Len() != 0 || c.Stats() != (Stats{}) || c.Capacity() != capacity {
+			t.Fatalf("round %d: reset cache holds %d blocks, stats %+v, capacity %d", round, c.Len(), c.Stats(), c.Capacity())
+		}
+		fresh := NewLRU(capacity)
+		stream(round, capacity, rng.Intn(400), fresh, c)
+		if c.Stats() != fresh.Stats() {
+			t.Fatalf("round %d: reset cache counts %+v, fresh %+v", round, c.Stats(), fresh.Stats())
+		}
 	}
 }

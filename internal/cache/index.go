@@ -147,6 +147,12 @@ func (ix *blockIndex) remove(id BlockID, val int32) bool {
 	return true
 }
 
+// reset removes every entry, keeping the table and its seed.
+func (ix *blockIndex) reset() {
+	clear(ix.slots)
+	ix.n = 0
+}
+
 // resize rehashes every entry into a fresh table of size slots (a
 // power of two, at most 2^32).
 func (ix *blockIndex) resize(size int) {

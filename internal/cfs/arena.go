@@ -1,5 +1,7 @@
 package cfs
 
+import "repro/internal/cache"
+
 // Arena pools the file system's per-study allocations so a worker
 // running many studies back to back (core.RunSweep's workers) stops
 // paying for them after its first study:
@@ -13,13 +15,15 @@ package cfs
 //     FileSystem.Recycle. Within a study each call borrows a record
 //     from its file system for as long as it is in flight; a file
 //     system whose free list is empty takes one from the arena.
+//   - the I/O nodes' buffer caches, by capacity, returned by
+//     FileSystem.Recycle and reset when New takes one.
+//   - block-table pages, returned by FileSystem.Recycle and when a
+//     file is deleted (no handle reads a deleted file's table), and
+//     refilled with -1 when a table takes one.
 //
-// Block tables are not pooled: a table allocates each page once, as
-// its file reaches it, and never copies it.
-//
-// A file system given no arena (SetArena) keeps one of its own, so
-// even a single study reuses the handles and open groups of finished
-// node programs.
+// A file system given no arena (New's nil) keeps one of its own, so
+// even a single study reuses the handles, open groups and block pages
+// of finished node programs and deleted files.
 //
 // An Arena is not safe for concurrent use; give each worker its own.
 // The zero value is ready to use.
@@ -27,7 +31,9 @@ type Arena struct {
 	files   []*file
 	handles []*Handle
 	groups  []*openGroup
-	xfers   map[int][]*xfer // free transfer records, by len(legs)
+	xfers   map[int][]*xfer      // free transfer records, by len(legs)
+	caches  map[int][]*cache.LRU // I/O-node caches, by capacity
+	pages   []*blockPage
 }
 
 // getFile returns a pooled file struct (cleared, with its groups map
@@ -117,4 +123,56 @@ func (a *Arena) putXfers(xs []*xfer) {
 	}
 	n := len(xs[0].legs)
 	a.xfers[n] = append(a.xfers[n], xs...)
+}
+
+// getCache returns an empty LRU cache of the given capacity: a pooled
+// one, reset, or a new one.
+func (a *Arena) getCache(capacity int) *cache.LRU {
+	free := a.caches[capacity]
+	n := len(free)
+	if n == 0 {
+		return cache.NewLRU(capacity)
+	}
+	c := free[n-1]
+	free[n-1] = nil
+	a.caches[capacity] = free[:n-1]
+	c.Reset()
+	return c
+}
+
+// putCache pools an I/O node's cache. Only call once no call is in
+// flight (FileSystem.Recycle, after the study).
+func (a *Arena) putCache(c *cache.LRU) {
+	if a.caches == nil {
+		a.caches = make(map[int][]*cache.LRU)
+	}
+	a.caches[c.Capacity()] = append(a.caches[c.Capacity()], c)
+}
+
+// getPage returns a block-table page with every entry -1.
+func (a *Arena) getPage() *blockPage {
+	var p *blockPage
+	if n := len(a.pages); n > 0 {
+		p = a.pages[n-1]
+		a.pages[n-1] = nil
+		a.pages = a.pages[:n-1]
+	} else {
+		p = new(blockPage)
+	}
+	for j := range p {
+		p[j] = -1
+	}
+	return p
+}
+
+// putPages pools a block table's pages and empties the table. Only
+// call once nothing reads the table again: its file is deleted, or
+// the study is over (FileSystem.Recycle).
+func (a *Arena) putPages(t *blockTable) {
+	for _, p := range t.pages {
+		if p != nil {
+			a.pages = append(a.pages, p)
+		}
+	}
+	*t = blockTable{}
 }

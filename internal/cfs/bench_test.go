@@ -16,7 +16,7 @@ func (benchTransport) FromIONode(_, _, _ int) sim.Time { return 100 * sim.Micros
 func benchFS(b *testing.B, size int64) *FileSystem {
 	b.Helper()
 	k := sim.New()
-	fs := New(k, DefaultConfig(), benchTransport{})
+	fs := New(k, DefaultConfig(), benchTransport{}, nil)
 	if _, err := fs.Preload("/data", size); err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func BenchmarkTransferStrided(b *testing.B) {
 // exercises block allocation on first touch.
 func BenchmarkTransferWrite(b *testing.B) {
 	k := sim.New()
-	fs := New(k, DefaultConfig(), benchTransport{})
+	fs := New(k, DefaultConfig(), benchTransport{}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0

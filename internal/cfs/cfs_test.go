@@ -30,7 +30,7 @@ func (m *memTracer) ofType(t trace.EventType) []trace.Event {
 }
 
 func newTestFS(k *sim.Kernel) *FileSystem {
-	return New(k, DefaultConfig(), stubTransport{lat: 100 * sim.Microsecond})
+	return New(k, DefaultConfig(), stubTransport{lat: 100 * sim.Microsecond}, nil)
 }
 
 // run executes body as a single process and finishes the simulation.
@@ -561,7 +561,7 @@ func TestPrefetchSpeedsSequentialReads(t *testing.T) {
 		k := sim.New()
 		cfg := DefaultConfig()
 		cfg.IONode.Prefetch = prefetch
-		fs := New(k, cfg, stubTransport{lat: 100 * sim.Microsecond})
+		fs := New(k, cfg, stubTransport{lat: 100 * sim.Microsecond}, nil)
 		fs.Preload("/seq", 256*4096)
 		var elapsed sim.Time
 		k.Spawn("r", func(p *sim.Proc) {
@@ -603,7 +603,7 @@ func TestPrefetchDoesNotChangeData(t *testing.T) {
 		k := sim.New()
 		cfg := DefaultConfig()
 		cfg.IONode.Prefetch = prefetch
-		fs := New(k, cfg, stubTransport{lat: 100 * sim.Microsecond})
+		fs := New(k, cfg, stubTransport{lat: 100 * sim.Microsecond}, nil)
 		fs.Preload("/f", 10000)
 		k.Spawn("r", func(p *sim.Proc) {
 			c := NewClient(fs, 1, 0, nil)

@@ -460,7 +460,7 @@ func (h *Handle) transfer(p *sim.Proc, off, n int64, isWrite bool) {
 				// 7.6 GB study volume never fills in practice.
 				continue
 			}
-			h.f.blocks.set(b, newBlock)
+			h.f.blocks.set(b, newBlock, fs.arena)
 			db = newBlock
 			allocated = true
 		}
@@ -525,6 +525,7 @@ func (h *Handle) Close(p *sim.Proc) error {
 	h.closed = true
 	h.c.metadataDelay(p)
 	h.f.opens--
+	h.c.fs.closes++
 	if h.group != nil {
 		// Detach from the group, snapshotting the shared pointer so
 		// Pointer() on the closed handle answers from the moment of

@@ -105,8 +105,9 @@ func (t *blockTable) get(b int64) (int32, bool) {
 	return 0, false
 }
 
-// set records the disk block for file block b.
-func (t *blockTable) set(b int64, db int32) {
+// set records the disk block for file block b, taking a page from the
+// arena when b is the first block of its page the table holds.
+func (t *blockTable) set(b int64, db int32, a *Arena) {
 	if b < denseBlockLimit {
 		i := int(b >> pageShift)
 		if i >= len(t.pages) {
@@ -114,10 +115,7 @@ func (t *blockTable) set(b int64, db int32) {
 		}
 		p := t.pages[i]
 		if p == nil {
-			p = new(blockPage)
-			for j := range p {
-				p[j] = -1
-			}
+			p = a.getPage()
 			t.pages[i] = p
 		}
 		p[b&(1<<pageShift-1)] = db
@@ -185,47 +183,52 @@ type FileSystem struct {
 	nextID uint64
 
 	opens      int64
+	closes     int64
 	modeCounts [4]int64
 }
 
-// New returns an empty file system. It panics on an invalid
+// New returns an empty file system whose storage comes from the arena
+// (a private one when it is nil; see Arena). It panics on an invalid
 // configuration, including a drive of more than math.MaxInt32 blocks
-// (see NewIONode).
-func New(k *sim.Kernel, cfg Config, tp Transport) *FileSystem {
-	if cfg.BlockBytes <= 0 || cfg.IONodes <= 0 {
+// (see newIONode).
+func New(k *sim.Kernel, cfg Config, tp Transport, a *Arena) *FileSystem {
+	if cfg.BlockBytes <= 0 || cfg.IONodes <= 0 || cfg.IONode.CacheBuffers <= 0 {
 		panic("cfs: invalid configuration")
+	}
+	if a == nil {
+		a = new(Arena)
 	}
 	fs := &FileSystem{
 		k:      k,
 		cfg:    cfg,
 		tp:     tp,
-		arena:  new(Arena),
+		arena:  a,
 		byName: make(map[string]*file),
 		byID:   make(map[uint64]*file),
 	}
 	for i := 0; i < cfg.IONodes; i++ {
-		fs.ionodes = append(fs.ionodes, NewIONode(k, i, cfg.IONode))
+		fs.ionodes = append(fs.ionodes, newIONode(k, i, cfg.IONode, a.getCache(cfg.IONode.CacheBuffers)))
 	}
 	return fs
 }
 
-// SetArena makes the file system draw files, handles and open groups
-// from the given cross-study pool instead of its own, which serves
-// one study. Call it right after New, before any file is created.
-func (fs *FileSystem) SetArena(a *Arena) { fs.arena = a }
-
-// Recycle returns every file struct, with its open groups, and every
-// free transfer record to the arena. Call it once the simulation is
-// over and the trace collected; the file system must not be used
-// afterwards.
+// Recycle returns every file struct, with its open groups and block
+// pages, every free transfer record and every I/O node's cache to the
+// arena. Call it once the simulation is over and the trace collected;
+// the file system must not be used afterwards.
 func (fs *FileSystem) Recycle() {
 	for id, f := range fs.byID {
+		fs.arena.putPages(&f.blocks)
 		fs.arena.putFile(f)
 		delete(fs.byID, id)
 	}
 	clear(fs.byName)
 	fs.arena.putXfers(fs.xfers)
 	fs.xfers = nil
+	for _, io := range fs.ionodes {
+		fs.arena.putCache(io.cache)
+		io.cache = nil
+	}
 }
 
 // Config returns the file-system configuration.
@@ -236,6 +239,20 @@ func (fs *FileSystem) IONode(i int) *IONode { return fs.ionodes[i] }
 
 // Opens reports the total number of successful opens.
 func (fs *FileSystem) Opens() int64 { return fs.opens }
+
+// Closes reports the total number of successful closes.
+func (fs *FileSystem) Closes() int64 { return fs.closes }
+
+// MappedBlocks reports the disk blocks the live files' block tables
+// map: at the end of a study, the blocks the I/O nodes handed out
+// minus those freed (IONode.BlocksAllocated, BlocksFreed).
+func (fs *FileSystem) MappedBlocks() int64 {
+	var n int64
+	for _, f := range fs.byName {
+		f.blocks.each(func(int64, int32) { n++ })
+	}
+	return n
+}
 
 // ModeCount reports how many opens used the given I/O mode.
 func (fs *FileSystem) ModeCount(m IOMode) int64 { return fs.modeCounts[m] }
@@ -303,7 +320,7 @@ func (fs *FileSystem) Preload(name string, size int64) (uint64, error) {
 	f.size = size
 	for b := int64(0); b < nBlocks; b++ {
 		db, _ := fs.ioNodeFor(b).allocBlock() // cannot fail: checked above
-		f.blocks.set(b, db)
+		f.blocks.set(b, db, fs.arena)
 	}
 	return f.id, nil
 }
@@ -324,7 +341,8 @@ func (fs *FileSystem) Size(name string) (int64, error) {
 }
 
 // removeFile unlinks the file from the namespace, invalidates its
-// cached blocks, and returns its disk blocks to the allocators.
+// cached blocks, returns its disk blocks to the allocators and its
+// table's pages to the arena.
 func (fs *FileSystem) removeFile(f *file) {
 	f.deleted = true
 	delete(fs.byName, f.name)
@@ -338,7 +356,7 @@ func (fs *FileSystem) removeFile(f *file) {
 	})
 	// Handles still open on the file observe ErrDeleted before ever
 	// touching blocks, so its table can go.
-	f.blocks = blockTable{}
+	fs.arena.putPages(&f.blocks)
 }
 
 func (fs *FileSystem) String() string {

@@ -37,6 +37,8 @@ type IONode struct {
 	requests   int64
 	cacheHits  int64
 	prefetches int64
+	allocated  int64 // disk blocks handed out
+	freed      int64 // disk blocks returned
 
 	// Observation-only queueing statistics (they never influence
 	// timing): per-batch arrival counts, accumulated queue wait
@@ -87,13 +89,11 @@ func DefaultIONodeConfig() IONodeConfig {
 	}
 }
 
-// NewIONode returns an I/O node with an empty disk and cold cache. It
-// panics on a disk of more than math.MaxInt32 blocks: the file
-// system keeps disk-block numbers in 32 bits.
-func NewIONode(k *sim.Kernel, id int, cfg IONodeConfig) *IONode {
-	if cfg.CacheBuffers <= 0 {
-		panic(fmt.Sprintf("cfs: I/O node %d needs a positive cache size", id))
-	}
+// newIONode returns an I/O node with an empty disk and the given
+// cache, which must be empty and hold cfg.CacheBuffers blocks. It
+// panics on a disk of more than math.MaxInt32 blocks: the file system
+// keeps disk-block numbers in 32 bits.
+func newIONode(k *sim.Kernel, id int, cfg IONodeConfig, c *cache.LRU) *IONode {
 	d := disk.New(cfg.Disk)
 	if d.Blocks() > math.MaxInt32 {
 		panic(fmt.Sprintf("cfs: I/O node %d: disk of %d blocks exceeds the %d a block number can address",
@@ -103,7 +103,7 @@ func NewIONode(k *sim.Kernel, id int, cfg IONodeConfig) *IONode {
 		id:                 id,
 		k:                  k,
 		disk:               d,
-		cache:              cache.NewLRU(cfg.CacheBuffers),
+		cache:              c,
 		overheadPerRequest: cfg.Overhead,
 		cacheHitTime:       cfg.CacheHitTime,
 		prefetch:           cfg.Prefetch,
@@ -122,6 +122,12 @@ func (n *IONode) CacheHits() int64 { return n.cacheHits }
 // Prefetches reports how many readahead blocks the node fetched.
 func (n *IONode) Prefetches() int64 { return n.prefetches }
 
+// BlocksAllocated reports how many disk blocks the node handed out.
+func (n *IONode) BlocksAllocated() int64 { return n.allocated }
+
+// BlocksFreed reports how many disk blocks deleted files returned.
+func (n *IONode) BlocksFreed() int64 { return n.freed }
+
 // Disk exposes the node's drive for instrumentation.
 func (n *IONode) Disk() *disk.Disk { return n.disk }
 
@@ -137,6 +143,7 @@ func (n *IONode) allocBlock() (int32, error) {
 	if len(n.freeList) > 0 {
 		b := n.freeList[len(n.freeList)-1]
 		n.freeList = n.freeList[:len(n.freeList)-1]
+		n.allocated++
 		return b, nil
 	}
 	if int64(n.nextFree) >= n.disk.Blocks() {
@@ -144,6 +151,7 @@ func (n *IONode) allocBlock() (int32, error) {
 	}
 	b := n.nextFree
 	n.nextFree++
+	n.allocated++
 	return b, nil
 }
 
@@ -153,7 +161,10 @@ func (n *IONode) freeBlocks() int64 {
 }
 
 // freeBlock returns a disk block to the allocator.
-func (n *IONode) freeBlock(b int32) { n.freeList = append(n.freeList, b) }
+func (n *IONode) freeBlock(b int32) {
+	n.freeList = append(n.freeList, b)
+	n.freed++
+}
 
 // serve processes one call's leg, whose request arrived at l.arrival,
 // and returns the time the response leaves the node. A leg is the set

@@ -183,7 +183,7 @@ func (rc *refClient) transfer(h *Handle, p *sim.Proc, off, n int64, isWrite bool
 				// 7.6 GB study volume never fills in practice.
 				continue
 			}
-			h.f.blocks.set(b, newBlock)
+			h.f.blocks.set(b, newBlock, fs.arena)
 			db = newBlock
 			allocated = true
 		}
@@ -303,7 +303,7 @@ func (rc *refClient) transferStrided(h *Handle, p *sim.Proc, off, recBytes, stri
 			if err != nil {
 				continue
 			}
-			h.f.blocks.set(b, newBlock)
+			h.f.blocks.set(b, newBlock, fs.arena)
 			db = newBlock
 			allocated = true
 		}

@@ -146,7 +146,7 @@ func (h *Handle) transferStrided(p *sim.Proc, off, recBytes, stride int64, count
 			if err != nil {
 				continue
 			}
-			h.f.blocks.set(b, newBlock)
+			h.f.blocks.set(b, newBlock, fs.arena)
 			db = newBlock
 			allocated = true
 		}

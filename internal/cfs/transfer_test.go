@@ -206,7 +206,7 @@ type diffOutcome struct {
 func runDiffScript(t *testing.T, s diffScript, path func(c *Client) dataPath) diffOutcome {
 	t.Helper()
 	k := sim.New()
-	fs := New(k, s.cfg, &diffTransport{jitter: s.jitter})
+	fs := New(k, s.cfg, &diffTransport{jitter: s.jitter}, nil)
 	for i, f := range s.faulty {
 		if f {
 			fs.IONode(i).SetFault(stubFault{period: 20 * sim.Millisecond, outage: 3 * sim.Millisecond})
@@ -351,7 +351,7 @@ func twoLegRead(t *testing.T, tp legTransport) (pending int, start, done sim.Tim
 	k := sim.New()
 	cfg := DefaultConfig()
 	cfg.IONodes = 2
-	fs := New(k, cfg, tp)
+	fs := New(k, cfg, tp, nil)
 	k.Spawn("reader", func(p *sim.Proc) {
 		c := NewClient(fs, 1, 0, nil)
 		h, err := c.Open(p, "/holes", ORdWr|OCreate, Mode0)
@@ -461,8 +461,7 @@ func TestTransferRecordsCarryAcrossStudies(t *testing.T) {
 		k := sim.New()
 		cfg := DefaultConfig()
 		cfg.IONodes = ioNodes
-		fs := New(k, cfg, stubTransport{lat: 100 * sim.Microsecond})
-		fs.SetArena(a)
+		fs := New(k, cfg, stubTransport{lat: 100 * sim.Microsecond}, a)
 		if _, err := fs.Preload("/in", 1<<20); err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +512,7 @@ func TestPreloadNoSpaceChangesNothing(t *testing.T) {
 	cfg.IONodes = 2
 	cfg.IONode.Disk.CapacityBytes = 8 * 4096
 	cfg.IONode.Disk.Cylinders = 1
-	fs := New(k, cfg, stubTransport{})
+	fs := New(k, cfg, stubTransport{}, nil)
 	if _, err := fs.Preload("/big", 20*4096); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("oversized preload: %v, want ErrNoSpace", err)
 	}
@@ -531,7 +530,7 @@ func TestPreloadNoSpaceChangesNothing(t *testing.T) {
 		t.Fatalf("preload on a full volume: %v, want ErrNoSpace", err)
 	}
 	// An uneven stripe: 3 blocks need 2 on node 0 and 1 on node 1.
-	fs = New(k, cfg, stubTransport{})
+	fs = New(k, cfg, stubTransport{}, nil)
 	if _, err := fs.Preload("/a", 7*4096); err != nil { // 4 + 3
 		t.Fatal(err)
 	}
@@ -589,10 +588,13 @@ func checkBlockTable(t *testing.T, rng *rand.Rand, tb *blockTable, want map[int6
 // from file block to disk block does. Random scripts mix sequential
 // appends, holes within and across pages, indices on both sides of
 // denseBlockLimit and sparse ones up to 2^40, with disk blocks over
-// the whole 31-bit range. Growing the table never moves a page, and a
-// write just below the limit adds one page, not a filled prefix.
+// the whole 31-bit range. Every round's pages go back to one arena, so
+// later tables run on refilled pages. Growing the table never moves a
+// page, and a write just below the limit adds one page, not a filled
+// prefix.
 func TestBlockTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	a := new(Arena)
 	for round := 0; round < 200; round++ {
 		var tb blockTable
 		want := map[int64]int32{}
@@ -614,24 +616,25 @@ func TestBlockTableMatchesMap(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				db = math.MaxInt32
 			}
-			tb.set(b, db)
+			tb.set(b, db, a)
 			want[b] = db
 		}
 		checkBlockTable(t, rng, &tb, want)
+		a.putPages(&tb) // the next rounds' tables refill these pages
 	}
 
 	var tb blockTable
-	tb.set(0, 7)
+	tb.set(0, 7, a)
 	page0 := tb.pages[0]
 	for b := int64(1); b < 100<<pageShift; b++ {
-		tb.set(b, int32(b))
+		tb.set(b, int32(b), a)
 	}
 	if tb.pages[0] != page0 || page0[0] != 7 {
 		t.Fatal("growing the table moved its first page")
 	}
 
 	tb = blockTable{}
-	tb.set(denseBlockLimit-1, 3)
+	tb.set(denseBlockLimit-1, 3, a)
 	pages := 0
 	for _, p := range tb.pages {
 		if p != nil {
@@ -644,9 +647,10 @@ func TestBlockTableMatchesMap(t *testing.T) {
 }
 
 // TestBlockTableDeleteRecreate: deleting a file frees its disk blocks
-// in ascending file-block order and drops its table, so a file
-// recreated under the same name starts empty, and so does a file
-// struct the arena pooled at Recycle with its table still full.
+// in ascending file-block order and hands its table's pages to the
+// arena, so a file recreated under the same name starts empty on
+// refilled pages, and so does a file struct the arena pooled at
+// Recycle with its table still full.
 func TestBlockTableDeleteRecreate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := &Arena{}
@@ -665,14 +669,13 @@ func TestBlockTableDeleteRecreate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.blocks.set(b, db)
+			f.blocks.set(b, db, fs.arena)
 			want[b] = db
 		}
 		return want
 	}
 	for round := 0; round < 20; round++ {
-		fs := New(sim.New(), DefaultConfig(), stubTransport{})
-		fs.SetArena(a)
+		fs := New(sim.New(), DefaultConfig(), stubTransport{}, a)
 		for gen := 0; gen < 3; gen++ {
 			f := fs.create("/f", 1)
 			checkBlockTable(t, rng, &f.blocks, map[int64]int32{})

@@ -2,7 +2,8 @@
 // from one study to the next. It keeps only the pools that pay for
 // themselves. Dropping one of them raised machines-sweep's allocation
 // per op by the share given (PERFORMANCE.md, "Arenas: only the pools
-// that pay"):
+// that pay", and "I/O-node caches and block pages across studies" for
+// the CFS caches and pages):
 //
 //   - the trace pipeline's node-buffer chunks and collector block
 //     slice (trace.Arena): +52%;
@@ -13,7 +14,9 @@
 //   - the analyzer's dense working state (analysis.Scratch): +14.5%;
 //   - the CFS file structs, handles and open groups (cfs.Arena,
 //     returned by FileSystem.Recycle): +2.6%; its transfer records:
-//     +7.7%;
+//     +7.7%; its I/O-node buffer caches, by capacity (reset with
+//     cache.LRU.Reset): +24%; its block-table pages (also returned
+//     when a file is deleted): +10%;
 //   - the sim kernel's event-queue bucket arrays (sim.Kernel.Reset):
 //     +2.2%.
 //

@@ -176,30 +176,34 @@ func sameOutcome(t *testing.T, got, want StudyOutcome, label string) {
 // one sweep-worker study (runSpec at seed 42, scale 0.05) on a fresh
 // arena per iteration (cold) and on one arena warmed before the timer
 // starts (warm), with no cache plan and with the combined experiment
-// (the -combined rows, the plan machines-sweep runs). B/op shows the
-// allocation the pools remove, ns/op whether that saves any time; the
-// -combined rows' B/op also counts the experiment, which observes the
-// merge pass instead of keeping the stream.
+// (the -combined rows, the plan machines-sweep runs), and on the
+// cluster2026 machine (the -cluster2026 rows: 16 I/O-node caches of
+// 4096 buffers, about 2.6 MB, that a warm arena reuses). B/op shows
+// the allocation the pools remove, ns/op whether that saves any time;
+// the -combined rows' B/op also counts the experiment, which observes
+// the merge pass instead of keeping the stream.
 func BenchmarkArenaStudySteadyState(b *testing.B) {
-	spec := StudySpec{Config: DefaultConfig(42, 0.05)}
+	nas := StudySpec{Config: DefaultConfig(42, 0.05)}
+	cluster := ScenarioSpecs(mustParse(b, `{"version": 1, "name": "bench", "seeds": [42], "scales": [0.05], "machines": ["cluster2026"]}`))[0]
 	combined := mustParse(b, `{"version": 1, "name": "plan", "seeds": [1], "cache": {"combined": {}}}`).CachePlan()
 	for _, row := range []struct {
 		suffix string
+		spec   StudySpec
 		plan   *scenario.ResolvedCache
-	}{{"", nil}, {"-combined", combined}} {
+	}{{"", nas, nil}, {"-combined", nas, combined}, {"-cluster2026", cluster, nil}} {
 		b.Run("cold"+row.suffix, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				runSpec(newArena(), row.plan, spec)
+				runSpec(newArena(), row.plan, row.spec)
 			}
 		})
 		b.Run("warm"+row.suffix, func(b *testing.B) {
 			a := newArena()
-			runSpec(a, row.plan, spec) // warm the pools
+			runSpec(a, row.plan, row.spec) // warm the pools
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runSpec(a, row.plan, spec)
+				runSpec(a, row.plan, row.spec)
 			}
 		})
 	}

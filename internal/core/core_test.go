@@ -109,7 +109,7 @@ func TestDefaultConfigClampsScale(t *testing.T) {
 func TestDiskBlocksFitBlockTables(t *testing.T) {
 	build := func(fc cfs.Config) (err any) {
 		defer func() { err = recover() }()
-		cfs.New(sim.New(), fc, nil)
+		cfs.New(sim.New(), fc, nil, nil)
 		return nil
 	}
 	fc := cfs.DefaultConfig()
@@ -262,13 +262,19 @@ func workloadOnlyStatus() workload.Params {
 	return p
 }
 
-// TestIONodeRequestsConserved checks the I/O nodes' books on both
-// drive kinds: summed over the I/O nodes, the block requests served
-// equal the buffer-cache hits plus the disk's reads and writes. It
-// holds exactly while prefetch, which reads the disk for no request,
-// is off, as it is in every preset. The mixes are the calibrated,
-// read-mostly and checkpoint-heavy ones; the machines NAS, mini,
-// cluster2026 (flash) and NAS rewired as a mesh with NVMe drives.
+// TestIONodeRequestsConserved checks the file system's books on both
+// drive kinds. Summed over the I/O nodes, the block requests served
+// equal the buffer-cache hits plus the disk's reads and writes; the
+// disk blocks handed out minus those freed equal the blocks the live
+// files map; and every open has its close, untraced jobs included.
+// The first law holds exactly while prefetch, which reads the disk for
+// no request, is off, as it is in every preset. The mixes are the
+// calibrated, read-mostly and checkpoint-heavy ones; the machines NAS,
+// mini, cluster2026 (flash) and NAS rewired as a mesh with NVMe
+// drives. Every study runs cold and again on one worker arena that
+// gets each study's trace and file system back before the next, so a
+// pooled cache or block page that a study still uses, or that keeps
+// an earlier study's contents, breaks the books.
 func TestIONodeRequestsConserved(t *testing.T) {
 	mixes := []*workload.Params{nil}
 	for _, name := range []string{"read-mostly", "checkpoint-heavy"} {
@@ -278,6 +284,7 @@ func TestIONodeRequestsConserved(t *testing.T) {
 		"version": 1, "name": "conservation", "seeds": [1], "scales": [0.01],
 		"machines": ["nas", "mini", "cluster2026", {"preset": "nas", "topology": "mesh", "disk": "nvme"}]
 	}`))
+	warm := newArena()
 	for _, mach := range machines {
 		for i, mix := range mixes {
 			for _, seed := range []uint64{1, 42} {
@@ -285,20 +292,33 @@ func TestIONodeRequestsConserved(t *testing.T) {
 				if _, mc := studyParams(cfg.normalized()); mc.FS.IONode.Prefetch {
 					t.Fatalf("%s: prefetch is on", mach.Label)
 				}
-				m, _, _, _, err := simulate(cfg, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var requests, served int64
-				fs := m.FS()
-				for n := 0; n < fs.Config().IONodes; n++ {
-					node := fs.IONode(n)
-					requests += node.Requests()
-					served += node.CacheHits() + node.Disk().Reads() + node.Disk().Writes()
-				}
-				if requests == 0 || requests != served {
-					t.Errorf("%s, mix %d, seed %d: %d requests, %d hits plus disk reads and writes",
-						mach.Label, i, seed, requests, served)
+				for _, a := range []*arena{nil, warm} {
+					label := fmt.Sprintf("%s, mix %d, seed %d, warm arena %v", mach.Label, i, seed, a != nil)
+					m, _, tr, _, err := simulate(cfg, a, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var requests, served, held int64
+					fs := m.FS()
+					for n := 0; n < fs.Config().IONodes; n++ {
+						node := fs.IONode(n)
+						requests += node.Requests()
+						served += node.CacheHits() + node.Disk().Reads() + node.Disk().Writes()
+						held += node.BlocksAllocated() - node.BlocksFreed()
+					}
+					if requests == 0 || requests != served {
+						t.Errorf("%s: %d requests, %d hits plus disk reads and writes", label, requests, served)
+					}
+					if mapped := fs.MappedBlocks(); held == 0 || held != mapped {
+						t.Errorf("%s: %d disk blocks allocated and not freed, %d mapped by live files", label, held, mapped)
+					}
+					if fs.Opens() == 0 || fs.Opens() != fs.Closes() {
+						t.Errorf("%s: %d opens, %d closes", label, fs.Opens(), fs.Closes())
+					}
+					if a != nil {
+						a.mach.Trace.ReclaimTrace(tr)
+						fs.Recycle()
+					}
 				}
 			}
 		}

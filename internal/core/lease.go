@@ -8,10 +8,14 @@
 // TTL/3 while the study runs, commits the outcome through the usual
 // temp-file+rename path, and removes the lease. A spec whose lease
 // another process holds is left for the next pass, and a pass that
-// changed nothing waits one poll interval (TTL/4, clamped to
-// [5 ms, 2 s]) before the next. Once the lease is past its deadline
-// (its holder died or stalled), the next pass reaps it and runs the
-// spec. A worker that has run out of specs waits for its pass's
+// changed nothing waits before the next: 5 ms after the first such
+// pass, doubling with each idle pass that follows up to TTL/4
+// (clamped to [5 ms, 2 s]), and 5 ms again once a pass commits or
+// observes a spec. An idle process thus notices a commit at most
+// about as long after it lands as the process had already waited for
+// it, and never more than TTL/4 after. Once the lease is past its
+// deadline (its holder died or stalled), the next pass reaps it and
+// runs the spec. A worker that has run out of specs waits for its pass's
 // in-flight studies to end before the next pass begins, so a dead
 // process's spec is taken over at most one in-flight study later than
 // by a worker polling on its own. Heterogeneous processes or machines

@@ -508,8 +508,9 @@ func loadOutcome(dir, fp string) (*storedOutcome, error) {
 // (claim, heartbeat, exec, persist, release), records it as observed
 // when another process has committed it, or leaves it for the next
 // pass while another process's live lease holds it; a pass that
-// changes nothing waits one poll interval first (see lease.go). exec
-// runs one spec on one worker and returns its finished outcome.
+// changes nothing waits one poll interval first, backing off from 5 ms
+// (see lease.go). exec runs one spec on one worker and returns its
+// finished outcome.
 func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps []string, costs []float64,
 	exec func(worker, specIdx int) (StudyOutcome, error)) (*StoreRun, error) {
 	if ctx == nil {
@@ -557,7 +558,10 @@ func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps [
 		mu.Unlock()
 		cancelRun()
 	}
-	poll := min(max(store.LeaseTTL/4, 5*time.Millisecond), 2*time.Second)
+	// Idle passes back off from minPoll to maxPoll (see lease.go).
+	const minPoll = 5 * time.Millisecond
+	maxPoll := min(max(store.LeaseTTL/4, minPoll), 2*time.Second)
+	poll := minPoll
 	isCommitted := func(i int) bool { return committed[i] }
 	pending := slices.DeleteFunc(costOrder(costs), isCommitted)
 	for len(pending) > 0 && runCtx.Err() == nil {
@@ -611,14 +615,17 @@ func runStore(ctx context.Context, workers int, store StoreConfig, labels, fps [
 			mu.Unlock()
 		})
 		left := len(pending)
-		if pending = slices.DeleteFunc(pending, isCommitted); len(pending) == left {
-			// Everything pending is leased by other processes: poll
-			// for their commits and expired leases.
-			select {
-			case <-runCtx.Done():
-			case <-time.After(poll):
-			}
+		if pending = slices.DeleteFunc(pending, isCommitted); len(pending) < left {
+			poll = minPoll
+			continue
 		}
+		// Everything pending is leased by other processes: poll for
+		// their commits and expired leases.
+		select {
+		case <-runCtx.Done():
+		case <-time.After(poll):
+		}
+		poll = min(2*poll, maxPoll)
 	}
 	run.Elapsed = time.Since(start)
 	run.Err = ctx.Err()

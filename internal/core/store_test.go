@@ -349,7 +349,7 @@ func TestLeaseStoreClaimsCostOrder(t *testing.T) {
 // TestLeaseStoreWakesOnInProcessCommit: a worker that runs out of
 // specs while an in-process sibling still runs the last one waits only
 // for that commit, which ends the pass and the run, not for a poll
-// interval (2 s at the default 30 s TTL).
+// interval (up to 2 s at the default 30 s TTL).
 func TestLeaseStoreWakesOnInProcessCommit(t *testing.T) {
 	specs := CrossSpecs([]uint64{1}, []float64{0.01, 0.02})
 	labels, fps := specKeys("", specs)
@@ -456,6 +456,54 @@ func TestLeaseStoreNoDuplicateExecution(t *testing.T) {
 				t.Fatalf("round %d: spec %d ran %d times across %d stores (executions %v)", round, i, n, stores, execs)
 			}
 		}
+	}
+}
+
+// TestLeaseStoreIdlePollBacksOff: a process whose only pending spec
+// another process holds polls from 5 ms up, so it returns soon after
+// that spec commits (about 200 ms in), not after a whole poll interval
+// of TTL/4, 2 s at the default 30 s TTL.
+func TestLeaseStoreIdlePollBacksOff(t *testing.T) {
+	specs := CrossSpecs([]uint64{1}, []float64{0.01})
+	labels, fps := specKeys("", specs)
+	dir := t.TempDir()
+	store := func(id string) StoreConfig {
+		s, err := StoreConfig{Dir: dir, WorkerID: id}.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	running := make(chan struct{})
+	busyErr := make(chan error, 1)
+	go func() {
+		_, err := runStore(context.Background(), 1, store("busy"), labels, fps, specCosts(specs),
+			func(_, i int) (StudyOutcome, error) {
+				close(running)
+				time.Sleep(200 * time.Millisecond)
+				return StudyOutcome{Spec: specs[i], Done: true}, nil
+			})
+		busyErr <- err
+	}()
+	<-running // the busy process holds the spec's lease
+	start := time.Now()
+	run, err := runStore(context.Background(), 1, store("idle"), labels, fps, specCosts(specs),
+		func(int, int) (StudyOutcome, error) {
+			t.Error("the idle process ran the spec the busy one holds")
+			return StudyOutcome{}, nil
+		})
+	idle := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-busyErr; err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Ran) != 0 {
+		t.Fatalf("idle process ran %v", run.Ran)
+	}
+	if idle > time.Second {
+		t.Fatalf("idle process returned %v after it started, for a study of 200 ms; it slept out a long poll", idle)
 	}
 }
 

@@ -142,12 +142,14 @@ func (t transport) FromIONode(ioNode, computeNode, bytes int) sim.Time {
 
 // Arena bundles the pools a machine draws its trace and file-system
 // storage from: the trace pipeline's event chunks and collector block
-// slice, and the file system's files, handles and open groups. A
+// slice, and the file system's files, handles, open groups, transfer
+// records, I/O-node caches and block-table pages (cfs.Arena). A
 // machine built without one gets a private Arena, so a spilled trace's
-// chunks and finished node programs' handles cycle within the study;
-// core's sweep worker passes one Arena to every machine it builds, so
-// its pools also serve the worker's next study. The zero value is
-// ready to use; an Arena is not safe for concurrent use.
+// chunks, finished node programs' handles and deleted files' block
+// pages cycle within the study; core's sweep worker passes one Arena
+// to every machine it builds, so its pools also serve the worker's
+// next study. The zero value is ready to use; an Arena is not safe for
+// concurrent use.
 type Arena struct {
 	Trace trace.Arena
 	CFS   cfs.Arena
@@ -204,8 +206,7 @@ func build(k *sim.Kernel, cfg Config, arena *Arena) *Machine {
 		m.ioAttach = append(m.ioAttach, m.net.Attach(host))
 	}
 	m.svcAttach = m.net.Attach(cfg.ServiceHost)
-	m.fs = cfs.New(k, cfg.FS, transport{m})
-	m.fs.SetArena(&arena.CFS)
+	m.fs = cfs.New(k, cfg.FS, transport{m}, &arena.CFS)
 	if cfg.Faults.Enabled() {
 		if err := cfg.Faults.Validate(cfg.FS.IONodes, m.net.LinkClasses()); err != nil {
 			panic(fmt.Sprintf("machine: %v", err))
